@@ -6,18 +6,12 @@ sets, and reaching-definition data-flow edges, and checks the result
 against `.validate` assertion documents.
 """
 
-from .controlflow import (
-    EdgeTable,
-    MissingEnclosingLoopError,
-    compute_cf_edges,
-    compute_cf_next,
-    compute_successors,
-    flow_instructions,
-)
+from .controlflow import EdgeTable, compute_cf_edges, flow_instructions
 from .dataflow import DfEdgeTable, all_previous, compute_data_flow
 from .defuse import DefUseAttr, compute_def_use, expr_reads_writes
 from .errors import FlowgraphsError
 from .minijava import (
+    MissingEnclosingLoopError,
     ParseError,
     UnresolvedLabelError,
     UnresolvedVariableError,
@@ -60,10 +54,8 @@ __all__ = [
     "check",
     "collect_vars",
     "compute_cf_edges",
-    "compute_cf_next",
     "compute_data_flow",
     "compute_def_use",
-    "compute_successors",
     "compute_text",
     "emit_spec",
     "expr_reads_writes",

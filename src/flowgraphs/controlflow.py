@@ -1,30 +1,31 @@
 """Control-flow edges over the flow graph.
 
-Three passes:
+One walk, `lower(nid, cont)`, visits every statement once. `cont` is the
+flow instruction control reaches after the statement completes normally;
+the walk adds the statement's outgoing edges and returns its entry, the
+flow instruction control reaches when the statement starts:
 
-1. `compute_successors` walks the containment tree top-down and gives
-   every statement-level node its ordered list of "flow siblings"; the
-   last entry is the enclosing construct's continuation (the method
-   appends its Exit, a block passes down its own first successor, a loop
-   body continues at the loop condition, if branches and labeled
-   statements inherit their parent's list).
-2. `compute_cf_next` resolves, bottom-up, the flow instruction that
-   represents each node: simple statements and jumps are their own,
-   loops and ifs delegate to their condition, blocks to their first
-   statement, labels to the wrapped statement.
-3. `compute_cf_edges` combines both into the cfNext relation (and its
-   exact inverse cfPrev): fall-through for simple statements, Exit for
-   returns, a continuation edge plus a body edge for loop conditions, a
-   then edge plus an else-or-continuation edge for if conditions, and
-   jump edges for break/continue via the enclosing loop or named label.
+- a block lowers its statements right to left, each one continuing at
+  the next one's entry; an empty block's entry is `cont`;
+- a simple statement falls through to `cont`, a return goes to Exit;
+- a loop's condition goes to `cont`, then into the body, whose own
+  continuation is the condition again; an if's condition goes to the
+  then branch, then to the else branch or `cont`;
+- a label is entered at the statement it wraps.
+
+Loops and labels push a jump target `(label, break_to, continue_to)`
+while their body is lowered: a loop pushes `(None, cont, condition)`, a
+label `(name, cont, condition or None)`. A break or continue takes the
+innermost target whose label equals its own, so an unlabeled jump only
+ever matches a loop. `minijava.resolve` has already rejected jumps
+without a valid target, so the walk has no error path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import FlowgraphsError
-from .model import FlowGraph, NodeKind, parent_map
+from .model import FlowGraph, NodeKind
 
 FLOW_INSTR_KINDS = frozenset({
     NodeKind.METHOD,
@@ -35,19 +36,6 @@ FLOW_INSTR_KINDS = frozenset({
     NodeKind.BREAK,
     NodeKind.CONTINUE,
 })
-
-_STMT_KINDS = frozenset({
-    NodeKind.SIMPLE, NodeKind.RETURN, NodeKind.BREAK, NodeKind.CONTINUE,
-    NodeKind.LOOP, NodeKind.IF, NodeKind.LABEL, NodeKind.BLOCK,
-})
-
-
-class MissingEnclosingLoopError(FlowgraphsError):
-    pass
-
-
-class CycleError(FlowgraphsError):
-    pass
 
 
 @dataclass
@@ -72,112 +60,49 @@ def flow_instructions(graph: FlowGraph) -> list[int]:
     return [n.id for n in graph.nodes if n.kind in FLOW_INSTR_KINDS]
 
 
-def compute_successors(graph: FlowGraph) -> dict[int, list[int]]:
-    succ: dict[int, list[int]] = {}
-
-    def assign(nid: int, successors: list[int]) -> None:
-        succ[nid] = successors
-        node = graph.node(nid)
-        if node.kind is NodeKind.BLOCK:
-            assign_siblings(node.stmts, [successors[0]])
-        elif node.kind is NodeKind.LOOP:
-            assign(node.body, [node.expr])
-        elif node.kind is NodeKind.IF:
-            assign(node.then, list(successors))
-            if node.orelse is not None:
-                assign(node.orelse, list(successors))
-        elif node.kind is NodeKind.LABEL:
-            assign(node.stmt, list(successors))
-
-    def assign_siblings(stmts: list[int], continuation: list[int]) -> None:
-        for i, nid in enumerate(stmts):
-            assign(nid, stmts[i + 1:] + continuation)
-
-    root = graph.node(graph.method)
-    assign_siblings(root.stmts, [root.exit])
-    return succ
-
-
-def compute_cf_next(graph: FlowGraph, succ: dict[int, list[int]]) -> dict[int, int]:
-    cfn: dict[int, int] = {}
-    in_progress: set[int] = set()
-
-    def resolve(nid: int) -> int:
-        if nid in cfn:
-            return cfn[nid]
-        if nid in in_progress:
-            raise CycleError(f"cf_next resolution cycle at node {nid}")
-        in_progress.add(nid)
-        node = graph.node(nid)
-        if node.kind in (NodeKind.LOOP, NodeKind.IF):
-            out = node.expr
-        elif node.kind is NodeKind.BLOCK:
-            # An empty block falls through to its first successor.
-            out = resolve(node.stmts[0] if node.stmts else succ[nid][0])
-        elif node.kind is NodeKind.LABEL:
-            out = resolve(node.stmt)
-        else:
-            out = nid  # SimpleStmt, Return, Break, Continue, Expr, Exit
-        in_progress.discard(nid)
-        cfn[nid] = out
-        return out
-
-    for node in graph.nodes:
-        if node.kind in _STMT_KINDS or node.kind in (NodeKind.EXPR, NodeKind.EXIT):
-            resolve(node.id)
-    return cfn
-
-
-def _jump_target(graph: FlowGraph, parents: dict[int, int], nid: int) -> int:
-    """Enclosing Loop for an unlabeled jump, named Label otherwise."""
-    node = graph.node(nid)
-    want = NodeKind.LOOP if node.label is None else NodeKind.LABEL
-    cur = parents.get(nid)
-    while cur is not None:
-        cand = graph.node(cur)
-        if cand.kind is want and (node.label is None or cand.label == node.label):
-            return cur
-        cur = parents.get(cur)
-    raise MissingEnclosingLoopError(
-        f"'{node.txt}' at node {nid} has no enclosing "
-        + ("loop" if node.label is None else f"label {node.label!r}")
-    )
-
-
-def compute_cf_edges(
-    graph: FlowGraph, succ: dict[int, list[int]], cfn: dict[int, int]
-) -> EdgeTable:
+def compute_cf_edges(graph: FlowGraph) -> EdgeTable:
     edges = EdgeTable()
-    parents = parent_map(graph)
-    root = graph.node(graph.method)
+    nodes = graph.nodes
+    root = nodes[graph.method]
+    targets: list[tuple[str | None, int, int | None]] = []
 
-    for node in graph.nodes:
-        if node.kind is NodeKind.METHOD:
-            edges.add(node.id, cfn[node.stmts[0]] if node.stmts else node.exit)
-        elif node.kind is NodeKind.SIMPLE:
-            edges.add(node.id, cfn[succ[node.id][0]])
-        elif node.kind is NodeKind.RETURN:
-            edges.add(node.id, root.exit)
-        elif node.kind is NodeKind.LOOP:
-            edges.add(node.expr, cfn[succ[node.id][0]])
-            edges.add(node.expr, cfn[node.body])
-        elif node.kind is NodeKind.IF:
-            edges.add(node.expr, cfn[node.then])
-            if node.orelse is not None:
-                edges.add(node.expr, cfn[node.orelse])
-            else:
-                edges.add(node.expr, cfn[succ[node.id][0]])
-        elif node.kind is NodeKind.BREAK:
-            target = _jump_target(graph, parents, node.id)
-            edges.add(node.id, cfn[succ[target][0]])
-        elif node.kind is NodeKind.CONTINUE:
-            target = _jump_target(graph, parents, node.id)
-            if node.label is not None:
-                loop = graph.node(graph.node(target).stmt)
-                if loop.kind is not NodeKind.LOOP:
-                    raise MissingEnclosingLoopError(
-                        f"label {node.label!r} does not name a loop"
-                    )
-                target = loop.id
-            edges.add(node.id, graph.node(target).expr)
+    def lower_seq(stmts: list[int], cont: int) -> int:
+        for nid in reversed(stmts):
+            cont = lower(nid, cont)
+        return cont
+
+    def lower(nid: int, cont: int) -> int:
+        node = nodes[nid]
+        kind = node.kind
+        if kind is NodeKind.BLOCK:
+            return lower_seq(node.stmts, cont)
+        if kind is NodeKind.SIMPLE:
+            edges.add(nid, cont)
+        elif kind is NodeKind.RETURN:
+            edges.add(nid, root.exit)
+        elif kind is NodeKind.LOOP:
+            targets.append((None, cont, node.expr))
+            body = lower(node.body, node.expr)
+            targets.pop()
+            edges.add(node.expr, cont)
+            edges.add(node.expr, body)
+            return node.expr
+        elif kind is NodeKind.IF:
+            then = lower(node.then, cont)
+            orelse = cont if node.orelse is None else lower(node.orelse, cont)
+            edges.add(node.expr, then)
+            edges.add(node.expr, orelse)
+            return node.expr
+        elif kind is NodeKind.LABEL:
+            inner = nodes[node.stmt]
+            targets.append((node.label, cont, inner.expr if inner.kind is NodeKind.LOOP else None))
+            entry = lower(node.stmt, cont)
+            targets.pop()
+            return entry
+        else:  # Break, Continue
+            _, break_to, continue_to = next(t for t in reversed(targets) if t[0] == node.label)
+            edges.add(nid, break_to if kind is NodeKind.BREAK else continue_to)
+        return nid
+
+    edges.add(root.id, lower_seq(root.stmts, root.exit))
     return edges

@@ -13,7 +13,8 @@ integer literals, assignments, and the suffix `++`/`--` forms.
 
 `parse_program` also runs a resolution pass that binds every identifier
 use to its declaration and every jump label to an enclosing labeled
-statement; `resolve` exposes the resulting binding map.
+statement, and checks that every break/continue has a loop to act on;
+`resolve` exposes the resulting binding map.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ class UnresolvedVariableError(SourcePosError):
 
 
 class UnresolvedLabelError(SourcePosError):
+    pass
+
+
+class MissingEnclosingLoopError(SourcePosError):
     pass
 
 
@@ -433,11 +438,15 @@ def resolve(method: Method) -> dict[Node, Node]:
     Returns a map from every IdentRef, Assign, and SuffixUnary node to the
     Param or LocalVarDecl that declares the referenced variable, using
     innermost-declaration-wins scoping. Raises UnresolvedVariableError or
-    UnresolvedLabelError when a name cannot be bound.
+    UnresolvedLabelError when a name cannot be bound, and
+    MissingEnclosingLoopError for an unlabeled jump outside every loop or a
+    `continue` whose label does not wrap a loop; the first one in source
+    order is reported.
     """
     bindings: dict[Node, Node] = {}
     scopes: list[dict[str, Node]] = [{p.name: p for p in method.params}]
-    labels: list[str] = []
+    labels: list[tuple[str, bool]] = []  # (name, wraps a While)
+    loop_depth = 0
 
     def lookup(name: str, pos: Pos | None) -> Node:
         for scope in reversed(scopes):
@@ -459,6 +468,7 @@ def resolve(method: Method) -> dict[Node, Node]:
             bindings[e] = lookup(e.name, e.pos)
 
     def walk_stmt(s: Statement) -> None:
+        nonlocal loop_depth
         if isinstance(s, LocalVarDecl):
             walk_expr(s.init)  # the declared name is not in scope in its own initializer
             scopes[-1][s.name] = s
@@ -467,7 +477,9 @@ def resolve(method: Method) -> dict[Node, Node]:
         elif isinstance(s, While):
             walk_expr(s.cond)
             scopes.append({})
+            loop_depth += 1
             walk_stmt(s.body)
+            loop_depth -= 1
             scopes.pop()
         elif isinstance(s, If):
             walk_expr(s.cond)
@@ -480,13 +492,25 @@ def resolve(method: Method) -> dict[Node, Node]:
             if s.value is not None:
                 walk_expr(s.value)
         elif isinstance(s, (Break, Continue)):
-            if s.label is not None and s.label not in labels:
-                where = s.pos or Pos(0, 0)
+            where = s.pos or Pos(0, 0)
+            if s.label is None:
+                if loop_depth == 0:
+                    raise MissingEnclosingLoopError(
+                        f"'{type(s).__name__.lower()}' has no enclosing loop",
+                        where.line, where.col,
+                    )
+                return
+            wraps_loop = next((w for name, w in reversed(labels) if name == s.label), None)
+            if wraps_loop is None:
                 raise UnresolvedLabelError(
                     f"no enclosing label {s.label!r}", where.line, where.col
                 )
+            if isinstance(s, Continue) and not wraps_loop:
+                raise MissingEnclosingLoopError(
+                    f"label {s.label!r} does not name a loop", where.line, where.col
+                )
         elif isinstance(s, Labeled):
-            labels.append(s.name)
+            labels.append((s.name, isinstance(s.stmt, While)))
             walk_stmt(s.stmt)
             labels.pop()
         elif isinstance(s, Block):
@@ -504,7 +528,8 @@ def parse_program(source: str) -> Method:
     """Parse mini-Java source text into a resolved Method AST.
 
     Raises ParseError on malformed input and UnresolvedVariableError /
-    UnresolvedLabelError when the post-parse resolution pass fails.
+    UnresolvedLabelError / MissingEnclosingLoopError when the post-parse
+    resolution pass fails.
     """
     method = _Parser(tokenize(source)).parse_method()
     resolve(method)

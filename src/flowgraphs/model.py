@@ -181,31 +181,3 @@ def collect_vars(method: mj.Method, graph: FlowGraph, trace: TraceMap) -> dict[m
         walk(stmt)
     return var_map
 
-
-def parent_map(graph: FlowGraph) -> dict[int, int]:
-    """Containment parent of every node reachable from the method root."""
-    parents: dict[int, int] = {}
-
-    def visit(nid: int) -> None:
-        node = graph.node(nid)
-        children = list(node.stmts)
-        for link in (node.expr, node.body, node.then, node.orelse, node.stmt, node.exit):
-            if link is not None:
-                children.append(link)
-        children.extend(node.vars)
-        for child in children:
-            parents[child] = nid
-            visit(child)
-
-    visit(graph.method)
-    return parents
-
-
-def up_to(graph: FlowGraph, parents: dict[int, int], nid: int, kind: NodeKind) -> int | None:
-    """Nearest strict ancestor of the given kind, or None."""
-    cur = parents.get(nid)
-    while cur is not None:
-        if graph.node(cur).kind is kind:
-            return cur
-        cur = parents.get(cur)
-    return None

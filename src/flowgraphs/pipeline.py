@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import minijava as mj
-from .controlflow import EdgeTable, compute_cf_edges, compute_cf_next, compute_successors
+from .controlflow import EdgeTable, compute_cf_edges
 from .dataflow import DfEdgeTable, compute_data_flow
 from .defuse import DefUseAttr, compute_def_use
 from .model import FlowGraph, TraceMap, build_flowgraph, collect_vars
@@ -19,8 +19,6 @@ class Analysis:
     graph: FlowGraph
     trace: TraceMap
     var_map: dict[mj.Node, int]
-    successors: dict[int, list[int]]
-    cf_next: dict[int, int]
     cf: EdgeTable
     def_use: DefUseAttr
     df: DfEdgeTable
@@ -33,10 +31,7 @@ def analyze(source: str) -> Analysis:
     text = compute_text(method)
     graph, trace = build_flowgraph(method, text)
     var_map = collect_vars(method, graph, trace)
-    successors = compute_successors(graph)
-    cf_next = compute_cf_next(graph, successors)
-    cf = compute_cf_edges(graph, successors, cf_next)
+    cf = compute_cf_edges(graph)
     def_use = compute_def_use(method, graph, trace, bindings, var_map)
     df = compute_data_flow(graph, cf, def_use)
-    return Analysis(method, text, graph, trace, var_map,
-                    successors, cf_next, cf, def_use, df)
+    return Analysis(method, text, graph, trace, var_map, cf, def_use, df)

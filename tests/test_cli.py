@@ -151,6 +151,7 @@ def test_unknown_command_exit_2():
 def test_break_outside_loop_exit_2():
     code, _, err = run_cli(["cfg", "-"], stdin_text="int m() { break; }")
     assert code == 2
+    assert "fg: error: 1:" in err
     assert "enclosing" in err
 
 

@@ -1,12 +1,7 @@
 import pytest
 
-from flowgraphs.controlflow import (
-    MissingEnclosingLoopError,
-    compute_cf_edges,
-    compute_cf_next,
-    compute_successors,
-    flow_instructions,
-)
+from flowgraphs.controlflow import compute_cf_edges, flow_instructions
+from flowgraphs.minijava import MissingEnclosingLoopError
 from flowgraphs.model import NodeKind
 from flowgraphs.pipeline import analyze
 
@@ -25,59 +20,53 @@ def edge_labels(analysis):
     return [(graph.node(a).txt, graph.node(b).txt) for a, b in analysis.cf.edges()]
 
 
+def next_labels(analysis, txt):
+    return [analysis.graph.node(t).txt for t in analysis.cf.cf_next[by_txt(analysis.graph, txt)]]
+
+
 def test_successors_of_method_statements():
     a = analyze("int m(int x) { x = 1; x = 2; }")
-    s1, s2 = by_txt(a.graph, "x = 1;"), by_txt(a.graph, "x = 2;")
-    exit_id = a.graph.exit
-    assert a.successors[s1] == [s2, exit_id]
-    assert a.successors[s2] == [exit_id]
+    assert next_labels(a, "x = 1;") == ["x = 2;"]
+    assert next_labels(a, "x = 2;") == ["Exit"]
 
 
 def test_successors_single_statement():
     a = analyze("int m(int x) { x = 1; }")
-    assert a.successors[by_txt(a.graph, "x = 1;")] == [a.graph.exit]
+    assert next_labels(a, "x = 1;") == ["Exit"]
 
 
 def test_loop_body_successor_is_condition():
     a = analyze("int m(int x) { while (x < 3) { x = 1; x = 2; } }")
-    cond = by_txt(a.graph, "x < 3")
-    s1, s2 = by_txt(a.graph, "x = 1;"), by_txt(a.graph, "x = 2;")
-    assert a.successors[s1] == [s2, cond]
-    assert a.successors[s2] == [cond]
+    assert next_labels(a, "x = 1;") == ["x = 2;"]
+    assert next_labels(a, "x = 2;") == ["x < 3"]
 
 
 def test_if_branches_inherit_if_successors():
     a = analyze("int m(int x) { if (x < 3) x = 1; else x = 2; return x; }")
-    graph = a.graph
-    if_node = graph.by_kind(NodeKind.IF)[0]
-    assert a.successors[if_node.then] == a.successors[if_node.id]
-    assert a.successors[if_node.orelse] == a.successors[if_node.id]
+    assert next_labels(a, "x < 3") == ["x = 1;", "x = 2;"]
+    assert next_labels(a, "x = 1;") == ["return x;"]
+    assert next_labels(a, "x = 2;") == ["return x;"]
 
 
 def test_label_passes_successors_through():
     a = analyze("int m(int x) { foo: while (x < 3) x = 1; return x; }")
-    graph = a.graph
-    label = graph.by_kind(NodeKind.LABEL)[0]
-    assert a.successors[label.stmt] == a.successors[label.id]
+    assert next_labels(a, "x < 3") == ["return x;", "x = 1;"]
 
 
 def test_cf_next_of_nested_blocks():
     a = analyze("int m(int x) { { { x = 1; } } }")
-    outer = a.graph.node(a.graph.method).stmts[0]
-    assert a.cf_next[outer] == by_txt(a.graph, "x = 1;")
+    assert next_labels(a, "m()") == ["x = 1;"]
 
 
 def test_cf_next_of_loop_and_condition():
     a = analyze("int m(int x) { while (x < 3) x = 1; }")
-    loop = a.graph.by_kind(NodeKind.LOOP)[0]
-    assert a.cf_next[loop.id] == loop.expr
-    assert a.cf_next[loop.expr] == loop.expr
+    assert next_labels(a, "m()") == ["x < 3"]
+    assert next_labels(a, "x = 1;") == ["x < 3"]
 
 
 def test_cf_next_of_label_wrapping_loop():
-    a = analyze("int m(int x) { foo: while (x < 3) x = 1; }")
-    label = a.graph.by_kind(NodeKind.LABEL)[0]
-    assert a.cf_next[label.id] == by_txt(a.graph, "x < 3")
+    a = analyze("int m(int x) { x = 0; foo: while (x < 3) x = 1; }")
+    assert next_labels(a, "x = 0;") == ["x < 3"]
 
 
 def test_straight_line_edges():
@@ -160,6 +149,57 @@ def test_empty_loop_body_makes_condition_self_loop():
     assert targets == ["Exit", "a < 3"]
 
 
+@pytest.mark.parametrize("source, expected", [
+    # Unlabeled jumps inside a labeled block skip the label's target.
+    (
+        "int m(int a) { while (a < 9) { L: { if (a == 1) continue; if (a == 2) break; a++; } }"
+        " return a; }",
+        [("m()", "a < 9"), ("a < 9", "return a;"), ("a < 9", "a == 1"),
+         ("a == 1", "continue"), ("a == 1", "a == 2"), ("continue", "a < 9"),
+         ("a == 2", "break"), ("a == 2", "a++;"), ("break", "return a;"),
+         ("a++;", "a < 9"), ("return a;", "Exit")],
+    ),
+    # break out of a labeled if.
+    (
+        "int m(int a) { L: if (a < 3) { break L; a++; } return a; }",
+        [("m()", "a < 3"), ("a < 3", "break"), ("a < 3", "return a;"),
+         ("break", "return a;"), ("a++;", "return a;"), ("return a;", "Exit")],
+    ),
+    # An unlabeled break under a labeled outer loop leaves the inner loop only.
+    (
+        "int m(int a) { outer: while (a < 9) { while (a < 3) { break; } a++; } return a; }",
+        [("m()", "a < 9"), ("a < 9", "return a;"), ("a < 9", "a < 3"),
+         ("a < 3", "a++;"), ("a < 3", "break"), ("break", "a++;"),
+         ("a++;", "a < 9"), ("return a;", "Exit")],
+    ),
+    # The then-entry equals the continuation: one edge, not two.
+    (
+        "int m(int a) { if (a < 3) {} return a; }",
+        [("m()", "a < 3"), ("a < 3", "return a;"), ("return a;", "Exit")],
+    ),
+], ids=["unlabeled-in-labeled-block", "break-labeled-if", "inner-break", "empty-then"])
+def test_jump_stack_shapes(source, expected):
+    assert edge_labels(analyze(source)) == expected
+
+
+@pytest.mark.parametrize("source, line, column, message", [
+    ("int m() {\n  break;\n}", 2, 3, "'break' has no enclosing loop"),
+    ("int m() { continue; }", 1, 11, "'continue' has no enclosing loop"),
+    ("int m(int a) { foo: { continue foo; } }", 1, 23, "label 'foo' does not name a loop"),
+    ("int m(int a) { L: { break; } }", 1, 21, "'break' has no enclosing loop"),
+    ("int m(int a) { while (a < 3) { L: { continue L; } } }", 1, 37,
+     "label 'L' does not name a loop"),
+    # Two bad jumps: the first in the source is reported.
+    ("int m() { break;\n continue; }", 1, 11, "'break' has no enclosing loop"),
+], ids=["break-line-2", "continue", "continue-label-on-block", "break-in-labeled-block",
+        "continue-label-in-loop", "first-of-two"])
+def test_jump_errors_are_positioned(source, line, column, message):
+    with pytest.raises(MissingEnclosingLoopError) as info:
+        analyze(source)
+    assert (info.value.line, info.value.column) == (line, column)
+    assert str(info.value) == f"{line}:{column}: {message}"
+
+
 def test_missing_enclosing_loop():
     with pytest.raises(MissingEnclosingLoopError):
         analyze("int m() { break; }")
@@ -175,7 +215,6 @@ def test_labeled_continue_requires_loop_label():
 def test_dead_code_still_gets_edges_but_is_unreachable():
     a = analyze("int m(int a) { return; a++; }")
     dead = by_txt(a.graph, "a++;")
-    assert a.successors[dead] == [a.graph.exit]
     assert a.cf.cf_next[dead] == [a.graph.exit]
 
     reached = {a.graph.method}
@@ -238,9 +277,6 @@ def test_determinism(seed):
 
 def test_attribute_recomputation_is_stable():
     a = analyze("int m(int a) { while (a < 3) { a++; } return a; }")
-    succ = compute_successors(a.graph)
-    assert succ == a.successors
-    cfn = compute_cf_next(a.graph, succ)
-    assert cfn == a.cf_next
-    edges = compute_cf_edges(a.graph, succ, cfn)
+    edges = compute_cf_edges(a.graph)
     assert edges.cf_next == a.cf.cf_next
+    assert edges.cf_prev == a.cf.cf_prev

@@ -2,8 +2,7 @@ import pytest
 
 from flowgraphs import minijava as mj
 from flowgraphs.minijava import parse_program
-from flowgraphs.model import NodeKind, build_flowgraph, collect_vars, parent_map, up_to
-from flowgraphs.pipeline import analyze
+from flowgraphs.model import NodeKind, build_flowgraph, collect_vars
 from flowgraphs.textgen import compute_text
 
 import progen
@@ -140,13 +139,3 @@ def test_shadowing_creates_distinct_var_nodes():
     assert [graph.node(v).txt for v in root.vars] == ["x", "x"]
     assert len(set(var_map.values())) == 2
 
-
-def test_parent_map_and_up_to():
-    analysis = analyze("int m(int a) { while (a < 3) { a++; } }")
-    graph = analysis.graph
-    parents = parent_map(graph)
-    loop = graph.by_kind(NodeKind.LOOP)[0]
-    stmt = graph.by_kind(NodeKind.SIMPLE)[0]
-    assert up_to(graph, parents, stmt.id, NodeKind.LOOP) == loop.id
-    assert up_to(graph, parents, stmt.id, NodeKind.METHOD) == graph.method
-    assert up_to(graph, parents, graph.method, NodeKind.METHOD) is None
