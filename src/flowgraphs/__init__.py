@@ -7,7 +7,7 @@ against `.validate` assertion documents.
 """
 
 from .controlflow import EdgeTable, compute_cf_edges, flow_instructions
-from .dataflow import DfEdgeTable, all_previous, compute_data_flow
+from .dataflow import DfEdgeTable, compute_data_flow
 from .defuse import DefUseAttr, compute_def_use, expr_reads_writes
 from .errors import FlowgraphsError
 from .minijava import (
@@ -48,7 +48,6 @@ __all__ = [
     "ValidateSyntaxError",
     "ValidationReport",
     "ValidationSpec",
-    "all_previous",
     "analyze",
     "build_flowgraph",
     "check",

@@ -3,14 +3,24 @@
 An edge d -> u exists when u uses a variable that d defines and some
 backward control-flow path from u reaches d without crossing another
 definition of that variable; an instruction that both defines and uses a
-variable gets a self edge. The search below walks cfPrev breadth-first
-and stops expanding at defining nodes, which yields exactly the
-closest-definition-per-simple-path relation.
+variable gets a self edge. A use warns when such a path ends at an
+instruction without predecessors that does not define the variable.
+
+The search runs over basic blocks: chains in which every instruction but
+the leader has exactly one cfPrev, whose only cfNext it is. One pass in
+creation order builds them and records each block's last definition of
+every variable. In the same pass, a use whose variable was defined
+earlier in its own block takes that definition at once (local value
+numbering): a chain has one backward path. Every other use searches
+predecessor blocks breadth-first and stops at blocks that define the
+variable. Every predecessor of a leader ends its block, so a block is
+crossed whole; the use's own block is re-entered only by a back edge,
+where its last definition is the closest one. The cost is uses times
+blocks crossed, not statements crossed.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .controlflow import EdgeTable, flow_instructions
@@ -34,65 +44,63 @@ class UndefinedUseWarning:
 class DfEdgeTable:
     df_next: dict[int, list[int]] = field(default_factory=dict)
     warnings: list[UndefinedUseWarning] = field(default_factory=list)
+    _seen: set[tuple[int, int]] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def add(self, src: int, dst: int) -> None:
-        targets = self.df_next.setdefault(src, [])
-        if dst not in targets:
-            targets.append(dst)
+        if (src, dst) not in self._seen:
+            self._seen.add((src, dst))
+            self.df_next.setdefault(src, []).append(dst)
 
     def edges(self) -> list[tuple[int, int]]:
         """(src, dst) pairs, sources ascending, targets in insertion order."""
         return [(src, dst) for src in sorted(self.df_next) for dst in self.df_next[src]]
 
 
-def all_previous(nid: int, cf_prev: dict[int, list[int]]) -> list[int]:
-    """Every instruction backward-reachable from nid, nearest first.
-
-    Breadth-first over cfPrev: each node appears once, nid itself never,
-    and a visited set keeps loops from recursing.
-    """
-    seen = {nid}
-    out: list[int] = []
-    queue = deque(cf_prev.get(nid, []))
-    while queue:
-        cur = queue.popleft()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        out.append(cur)
-        queue.extend(cf_prev.get(cur, []))
-    return out
-
-
 def compute_data_flow(graph: FlowGraph, cf: EdgeTable, du: DefUseAttr) -> DfEdgeTable:
     table = DfEdgeTable()
-    def_sets = {nid: set(du.def_of(nid)) for nid in du.defs}
-    warned: set[tuple[int, int]] = set()
-
-    def warn(var: int, node: int) -> None:
-        if (var, node) not in warned:
-            warned.add((var, node))
-            table.warnings.append(UndefinedUseWarning(var, node))
-
+    block_of: dict[int, int] = {}  # flow instruction -> block index
+    leaders: list[int] = []
+    last_defs: list[dict[int, int]] = []  # per block: var -> its last definition there
+    uses: list[tuple[int, int, int | None]] = []  # (node, var, definition earlier in its block)
     for u in flow_instructions(graph):
-        for v in du.use_of(u):
-            if v in def_sets.get(u, ()):
-                table.add(u, u)
-            preds = cf.cf_prev.get(u, [])
-            if not preds and v not in def_sets.get(u, ()):
-                warn(v, u)
-            seen = {u}
-            queue = deque(preds)
-            while queue:
-                p = queue.popleft()
-                if p in seen:
-                    continue
-                seen.add(p)
-                if v in def_sets.get(p, ()):
-                    table.add(p, u)  # definitions end this path's search
-                    continue
-                nxt = cf.cf_prev.get(p, [])
-                if not nxt:
-                    warn(v, u)
-                queue.extend(nxt)
+        prev = cf.cf_prev.get(u, ())
+        if len(prev) == 1 and len(cf.cf_next[prev[0]]) == 1 and prev[0] in block_of:
+            b = block_of[prev[0]]
+        else:
+            b = len(leaders)
+            leaders.append(u)
+            last_defs.append({})
+        block_of[u] = b
+        last_def = last_defs[b]
+        for v in du.uses.get(u, ()):
+            uses.append((u, v, last_def.get(v)))
+        for v in du.defs.get(u, ()):
+            last_def[v] = u
+    preds = [[block_of[p] for p in cf.cf_prev.get(u, ())] for u in leaders]
+
+    for u, v, local in uses:
+        defines = v in du.defs.get(u, ())
+        if defines:
+            table.add(u, u)
+        if local is not None:
+            table.add(local, u)
+            continue
+        b = block_of[u]
+        # the path up the block ends at its leader, an undefined end unless u
+        # is the leader and defines v itself
+        undefined = not preds[b] and (leaders[b] != u or not defines)
+        seen: set[int] = set()
+        queue = list(preds[b])
+        for c in queue:  # breadth-first: the loop reaches what it appends
+            if c in seen:
+                continue
+            seen.add(c)
+            d = last_defs[c].get(v)
+            if d is not None:
+                table.add(d, u)  # definitions end this path's search
+                continue
+            undefined = undefined or not preds[c]
+            queue.extend(preds[c])
+        if undefined:
+            table.warnings.append(UndefinedUseWarning(v, u))
     return table

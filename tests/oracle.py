@@ -1,14 +1,22 @@
-"""Brute-force data-flow oracle: exhaustive backward simple-path enumeration.
+"""Data-flow oracles, independent of the package's block-level search.
 
-Independent of the package's search: for every use, every backward
-simple path over cfPrev is enumerated and the first definition of the
-used variable along each path contributes an edge. Exponential, so only
-for small graphs.
+`brute_force_df_edges` enumerates every backward simple path over cfPrev
+for every use; the first definition of the used variable along each path
+contributes an edge. Exponential, so only for small graphs.
+
+`bfs_data_flow` runs one breadth-first search over cfPrev per
+(use, variable), one statement at a time, with no basic blocks. It costs
+uses times def-use distance, so it checks programs far beyond the
+brute-force limit, and it fills a `DfEdgeTable` so that target order and
+warnings can be compared too.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 from flowgraphs.controlflow import EdgeTable, flow_instructions
+from flowgraphs.dataflow import DfEdgeTable, UndefinedUseWarning
 from flowgraphs.defuse import DefUseAttr
 from flowgraphs.model import FlowGraph
 
@@ -40,3 +48,37 @@ def brute_force_df_edges(graph: FlowGraph, cf: EdgeTable, du: DefUseAttr) -> set
 
         walk(u, frozenset({u}), frozenset(uses))
     return out
+
+
+def bfs_data_flow(graph: FlowGraph, cf: EdgeTable, du: DefUseAttr) -> DfEdgeTable:
+    table = DfEdgeTable()
+    def_sets = {nid: set(du.def_of(nid)) for nid in du.defs}
+    warned: set[tuple[int, int]] = set()
+
+    def warn(var: int, node: int) -> None:
+        if (var, node) not in warned:
+            warned.add((var, node))
+            table.warnings.append(UndefinedUseWarning(var, node))
+
+    for u in flow_instructions(graph):
+        for v in du.use_of(u):
+            if v in def_sets.get(u, ()):
+                table.add(u, u)
+            preds = cf.cf_prev.get(u, [])
+            if not preds and v not in def_sets.get(u, ()):
+                warn(v, u)
+            seen = {u}
+            queue = deque(preds)
+            while queue:
+                p = queue.popleft()
+                if p in seen:
+                    continue
+                seen.add(p)
+                if v in def_sets.get(p, ()):
+                    table.add(p, u)  # definitions end this path's search
+                    continue
+                nxt = cf.cf_prev.get(p, [])
+                if not nxt:
+                    warn(v, u)
+                queue.extend(nxt)
+    return table

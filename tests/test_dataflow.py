@@ -1,35 +1,15 @@
 import pytest
 
-from flowgraphs.dataflow import all_previous
 from flowgraphs.pipeline import analyze
 
 import progen
 from helpers import CORPUS
-from oracle import brute_force_df_edges
+from oracle import bfs_data_flow, brute_force_df_edges
 
 
 def df_labels(analysis):
     graph = analysis.graph
     return [(graph.node(a).txt, graph.node(b).txt) for a, b in analysis.df.edges()]
-
-
-def test_all_previous_straight_line():
-    prev = {"c": ["b"], "b": ["a"], "a": []}
-    assert all_previous("c", prev) == ["b", "a"]
-
-
-def test_all_previous_no_predecessors():
-    assert all_previous("a", {}) == []
-
-
-def test_all_previous_cycle_terminates():
-    prev = {"a": ["b"], "b": ["a"]}
-    assert all_previous("b", prev) == ["a"]
-
-
-def test_all_previous_nearest_first():
-    prev = {"d": ["c"], "c": ["b"], "b": ["a"], "a": []}
-    assert all_previous("d", prev) == ["c", "b", "a"]
 
 
 def test_straight_line_edge():
@@ -97,6 +77,18 @@ def test_undefined_use_warning_on_dead_code():
     assert "no reaching definition" in warning.message(a.graph)
 
 
+def test_dead_code_warns_past_its_block_leader():
+    a = analyze("int m(int a) { return a; int y = 1; int x = a; }")
+    assert [w.message(a.graph) for w in a.df.warnings] == [
+        "no reaching definition for 'a' at 'int x = a;'"
+    ]
+
+
+def test_back_edge_reaches_definition_after_use_in_same_block():
+    a = analyze("int m(int a) { while (a < 9) { int b = a; a = b + 1; } return a; }")
+    assert ("a = b + 1;", "int b = a;") in df_labels(a)
+
+
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_corpus_has_no_warnings(path):
     assert analyze(path.read_text()).df.warnings == []
@@ -119,3 +111,58 @@ def test_edge_table_is_deduplicated():
     a = analyze("int m(int c) { int x = 1; if (c == 1) c = 2; else c = 3; return x; }")
     for targets in a.df.df_next.values():
         assert len(targets) == len(set(targets))
+
+
+def block_vs_bfs(source):
+    """(edges, df_next, warnings) from the block-level search, then from the node-level BFS."""
+    a = analyze(source)
+    ref = bfs_data_flow(a.graph, a.cf, a.def_use)
+    return [(t.edges(), t.df_next, t.warnings) for t in (a.df, ref)]
+
+
+# Loose programs weigh more: else-less ifs, empty bodies and dead code are
+# the shapes that split blocks. Up to 120 statements, beyond the brute-force
+# oracle's 25 instructions.
+@pytest.mark.parametrize("strict, count", [(False, 1500), (True, 500)], ids=["loose", "strict"])
+def test_block_search_matches_bfs_on_random_programs(strict, count):
+    bad = []
+    for seed in range(count):
+        got, want = block_vs_bfs(progen.gen_program(seed + 9000, strict=strict,
+                                                    max_stmts=10 + seed % 111))
+        if got != want:
+            bad.append(seed)
+    assert bad == []
+
+
+LABELED_CONTINUE_INTO_DEAD_CODE = """
+int m(int a) {
+    int x = a;
+    L: while (x < 9) {
+        while (a > 0) {
+            a--;
+            continue L;
+            x = a + 1;
+            int y = x;
+        }
+        x++;
+        continue L;
+        a = x;
+    }
+    return x + a;
+}
+"""
+
+
+@pytest.mark.parametrize("source", [
+    pytest.param("int m(int a) { int x = a; int s = 0; " + "s = x; " * 3000 + "return s; }",
+                 id="flat_fanout_3k_uses"),
+    pytest.param("int m() { " + "".join(f"int v{i} = {i % 10}; " for i in range(2000))
+                 + "return " + " + ".join(f"v{i}" for i in range(2000)) + "; }",
+                 id="2k_vars_one_return"),
+    pytest.param("int m(int c) { int x = 1; int y = 0; " + "if (c < 1) { y = c; } " * 300
+                 + "return x; }", id="300_ifs_then_early_use"),
+    pytest.param(LABELED_CONTINUE_INTO_DEAD_CODE, id="labeled_continue_into_dead_code"),
+])
+def test_block_search_matches_bfs_on_built_shapes(source):
+    got, want = block_vs_bfs(source)
+    assert got == want
