@@ -8,7 +8,7 @@ against `.validate` assertion documents.
 
 from .controlflow import EdgeTable, compute_cf_edges, flow_instructions
 from .dataflow import DfEdgeTable, compute_data_flow
-from .defuse import DefUseAttr, compute_def_use, expr_reads_writes
+from .defuse import DefUseAttr
 from .errors import FlowgraphsError
 from .minijava import (
     MissingEnclosingLoopError,
@@ -16,11 +16,10 @@ from .minijava import (
     UnresolvedLabelError,
     UnresolvedVariableError,
     parse_program,
-    resolve,
 )
-from .model import FlowGraph, NodeKind, TraceMap, build_flowgraph, collect_vars
+from .model import FlowGraph, NodeKind, lower
 from .pipeline import Analysis, analyze
-from .textgen import compute_text, render_method, text_of
+from .textgen import render_method, text_of
 from .validator import (
     OrderError,
     ValidateSyntaxError,
@@ -42,27 +41,21 @@ __all__ = [
     "NodeKind",
     "OrderError",
     "ParseError",
-    "TraceMap",
     "UnresolvedLabelError",
     "UnresolvedVariableError",
     "ValidateSyntaxError",
     "ValidationReport",
     "ValidationSpec",
     "analyze",
-    "build_flowgraph",
     "check",
-    "collect_vars",
     "compute_cf_edges",
     "compute_data_flow",
-    "compute_def_use",
-    "compute_text",
     "emit_spec",
-    "expr_reads_writes",
     "flow_instructions",
+    "lower",
     "parse_program",
     "parse_spec",
     "render_method",
-    "resolve",
     "text_of",
 ]
 

@@ -17,8 +17,8 @@ Loops and labels push a jump target `(label, break_to, continue_to)`
 while their body is lowered: a loop pushes `(None, cont, condition)`, a
 label `(name, cont, condition or None)`. A break or continue takes the
 innermost target whose label equals its own, so an unlabeled jump only
-ever matches a loop. `minijava.resolve` has already rejected jumps
-without a valid target, so the walk has no error path.
+ever matches a loop. The parser has already rejected jumps without a
+valid target, so the walk has no error path.
 """
 
 from __future__ import annotations

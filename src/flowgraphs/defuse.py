@@ -3,9 +3,10 @@
 Reads and writes are synthesized over expressions: an assignment writes
 its target (plus whatever its right-hand side writes) and reads only its
 right-hand side, the suffix `++`/`--` forms both read and write their
-variable, chains concatenate their children's contributions in order. Statements then project those onto
-their flow-graph images; a declaration additionally defines the declared
-variable, and a method defines its parameters.
+variable, chains concatenate their children's contributions in order.
+`model.lower` projects those onto the statements' flow-graph images; a
+declaration additionally defines the declared variable, and a method
+defines its parameters.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import minijava as mj
-from .model import FlowGraph, TraceMap
 
 
 @dataclass
@@ -27,86 +27,39 @@ class DefUseAttr:
     def use_of(self, nid: int) -> list[int]:
         return self.uses.get(nid, [])
 
+    def add(self, nid: int, reads: list[int], writes: list[int]) -> None:
+        """Record a node's sets, duplicates dropped, first occurrence kept."""
+        if reads:
+            self.uses[nid] = list(dict.fromkeys(reads))
+        if writes:
+            self.defs[nid] = list(dict.fromkeys(writes))
+
 
 def expr_reads_writes(
-    e: mj.Expression, bindings: dict[mj.Node, int]
+    e: mj.Expression, var_of: dict[mj.Node, int]
 ) -> tuple[list[int], list[int]]:
-    """(reads, writes) variable-node ids of one expression, in occurrence order."""
+    """(reads, writes) of one expression, in occurrence order.
+
+    Each occurrence counts as `var_of[occ.decl]`, the variable its bound
+    declaration maps to.
+    """
     if isinstance(e, mj.Assign):
         # Value writes (suffix forms) are kept; the target itself is not read.
-        reads, writes = expr_reads_writes(e.value, bindings)
-        return reads, writes + [bindings[e]]
+        reads, writes = expr_reads_writes(e.value, var_of)
+        return reads, writes + [var_of[e.decl]]
     if isinstance(e, mj.SuffixUnary):
-        var = bindings[e]
+        var = var_of[e.decl]
         return [var], [var]
     if isinstance(e, mj.Chain):
         reads: list[int] = []
         writes: list[int] = []
         for child in e.children:
-            r, w = expr_reads_writes(child, bindings)
+            r, w = expr_reads_writes(child, var_of)
             reads.extend(r)
             writes.extend(w)
         return reads, writes
     if isinstance(e, mj.IdentRef):
-        return [bindings[e]], []
+        return [var_of[e.decl]], []
     if isinstance(e, mj.IntLit):
         return [], []
     raise TypeError(f"no def/use rule for {type(e).__name__}")
-
-
-def _dedup(items: list[int]) -> list[int]:
-    return list(dict.fromkeys(items))
-
-
-def compute_def_use(
-    method: mj.Method,
-    graph: FlowGraph,
-    trace: TraceMap,
-    bindings: dict[mj.Node, mj.Node],
-    var_map: dict[mj.Node, int],
-) -> DefUseAttr:
-    """def/use sets for the Method, simple statements, returns, and conditions."""
-    attr = DefUseAttr()
-    # occurrence -> variable node, composed from name resolution
-    var_bindings = {occ: var_map[decl] for occ, decl in bindings.items()}
-
-    def put(nid: int, reads: list[int], writes: list[int]) -> None:
-        if reads:
-            attr.uses[nid] = _dedup(reads)
-        if writes:
-            attr.defs[nid] = _dedup(writes)
-
-    def visit_condition(cond: mj.Expression) -> None:
-        reads, writes = expr_reads_writes(cond, var_bindings)
-        put(trace.to_node[cond], reads, writes)
-
-    def walk(s: mj.Statement) -> None:
-        if isinstance(s, mj.LocalVarDecl):
-            reads, writes = expr_reads_writes(s.init, var_bindings)
-            put(trace.to_node[s], reads, writes + [var_map[s]])
-        elif isinstance(s, mj.ExprStmt):
-            reads, writes = expr_reads_writes(s.expr, var_bindings)
-            put(trace.to_node[s], reads, writes)
-        elif isinstance(s, mj.Return):
-            if s.value is not None:
-                # suffix forms in the value still count as definitions
-                reads, writes = expr_reads_writes(s.value, var_bindings)
-                put(trace.to_node[s], reads, writes)
-        elif isinstance(s, mj.While):
-            visit_condition(s.cond)
-            walk(s.body)
-        elif isinstance(s, mj.If):
-            visit_condition(s.cond)
-            walk(s.then)
-            if s.orelse is not None:
-                walk(s.orelse)
-        elif isinstance(s, mj.Labeled):
-            walk(s.stmt)
-        elif isinstance(s, mj.Block):
-            for child in s.stmts:
-                walk(child)
-
-    put(trace.to_node[method], [], [var_map[p] for p in method.params])
-    for stmt in method.body:
-        walk(stmt)
-    return attr

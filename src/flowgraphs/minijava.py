@@ -11,10 +11,13 @@ Expressions are flat n-ary chains per precedence level (equality,
 relational, additive, multiplicative) over identifiers, decimal
 integer literals, assignments, and the suffix `++`/`--` forms.
 
-`parse_program` also runs a resolution pass that binds every identifier
-use to its declaration and every jump label to an enclosing labeled
-statement, and checks that every break/continue has a loop to act on;
-`resolve` exposes the resulting binding map.
+The parser also binds names as it goes: every identifier use, assignment
+and suffix `++`/`--` gets a `decl` link to the Param or LocalVarDecl it
+refers to (innermost declaration wins), every jump label must name an
+enclosing labeled statement, and every break/continue must have a loop
+to act on. A name error does not stop parsing; the first one in source
+order is raised once the whole input has parsed, so a syntax error
+anywhere takes precedence over it.
 """
 
 from __future__ import annotations
@@ -174,6 +177,7 @@ class Assign(Expression):
     target: str
     value: Expression
     pos: Pos | None = field(default=None, repr=False)
+    decl: Param | LocalVarDecl | None = field(default=None, repr=False)
 
 
 @dataclass(eq=False)
@@ -181,6 +185,7 @@ class SuffixUnary(Expression):
     target: str
     op: Op
     pos: Pos | None = field(default=None, repr=False)
+    decl: Param | LocalVarDecl | None = field(default=None, repr=False)
 
 
 @dataclass(eq=False)
@@ -195,6 +200,7 @@ class Chain(Expression):
 class IdentRef(Expression):
     name: str
     pos: Pos | None = field(default=None, repr=False)
+    decl: Param | LocalVarDecl | None = field(default=None, repr=False)
 
 
 @dataclass(eq=False)
@@ -262,6 +268,10 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.scopes: list[dict[str, Param | LocalVarDecl]] = []
+        self.labels: list[tuple[str, bool]] = []  # (name, wraps a While)
+        self.loop_depth = 0
+        self.error: SourcePosError | None = None  # first name error, raised after parsing
 
     def peek(self, ahead: int = 0) -> Token:
         return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
@@ -284,6 +294,30 @@ class _Parser:
             )
         return self.advance()
 
+    # ---- name binding ----
+
+    def fail(self, error_class: type[SourcePosError], message: str, tok: Token) -> None:
+        if self.error is None:
+            self.error = error_class(message, tok.line, tok.col)
+
+    def lookup(self, tok: Token) -> Param | LocalVarDecl | None:
+        for scope in reversed(self.scopes):
+            if tok.text in scope:
+                return scope[tok.text]
+        self.fail(UnresolvedVariableError, f"undeclared variable {tok.text!r}", tok)
+        return None
+
+    def check_jump(self, tok: Token, label: str | None) -> None:
+        if label is None:
+            if self.loop_depth == 0:
+                self.fail(MissingEnclosingLoopError, f"'{tok.text}' has no enclosing loop", tok)
+            return
+        wraps_loop = next((w for name, w in reversed(self.labels) if name == label), None)
+        if wraps_loop is None:
+            self.fail(UnresolvedLabelError, f"no enclosing label {label!r}", tok)
+        elif tok.kind == "continue" and not wraps_loop:
+            self.fail(MissingEnclosingLoopError, f"label {label!r} does not name a loop", tok)
+
     # ---- declarations ----
 
     def parse_method(self) -> Method:
@@ -302,6 +336,7 @@ class _Parser:
                     break
                 self.advance()
         self.expect(")")
+        self.scopes.append({p.name: p for p in params})
         body = self.parse_block().stmts
         self.expect("eof")
         return Method(name, params, body, pos=start.pos)
@@ -310,6 +345,7 @@ class _Parser:
 
     def parse_block(self) -> Block:
         start = self.expect("{")
+        self.scopes.append({})
         stmts = []
         while not self.at("}"):
             if self.at("eof"):
@@ -317,6 +353,7 @@ class _Parser:
                                  self.peek().line, self.peek().col, expected="}")
             stmts.append(self.parse_statement())
         self.expect("}")
+        self.scopes.pop()
         return Block(stmts, pos=start.pos)
 
     def parse_statement(self) -> Statement:
@@ -328,44 +365,54 @@ class _Parser:
             self.expect("(")
             cond = self.parse_condition()
             self.expect(")")
-            return While(cond, self.parse_statement(), pos=tok.pos)
+            self.scopes.append({})
+            self.loop_depth += 1
+            body = self.parse_statement()
+            self.loop_depth -= 1
+            self.scopes.pop()
+            return While(cond, body, pos=tok.pos)
         if tok.kind == "if":
             self.advance()
             self.expect("(")
             cond = self.parse_condition()
             self.expect(")")
+            self.scopes.append({})
             then = self.parse_statement()
+            self.scopes.pop()
             orelse = None
             if self.at("else"):
                 self.advance()
+                self.scopes.append({})
                 orelse = self.parse_statement()
+                self.scopes.pop()
             return If(cond, then, orelse, pos=tok.pos)
         if tok.kind == "return":
             self.advance()
             value = None if self.at(";") else self.parse_condition()
             self.expect(";")
             return Return(value, pos=tok.pos)
-        if tok.kind == "break":
+        if tok.kind in ("break", "continue"):
             self.advance()
             label = self.advance().text if self.at("ident") else None
             self.expect(";")
-            return Break(label, pos=tok.pos)
-        if tok.kind == "continue":
-            self.advance()
-            label = self.advance().text if self.at("ident") else None
-            self.expect(";")
-            return Continue(label, pos=tok.pos)
+            self.check_jump(tok, label)
+            return (Break if tok.kind == "break" else Continue)(label, pos=tok.pos)
         if tok.kind == "int":
             self.advance()
             name = self.expect("ident").text
             self.expect("=")
-            init = self.parse_expression()
+            init = self.parse_expression()  # bound before the declared name is in scope
             self.expect(";")
-            return LocalVarDecl(name, init, pos=tok.pos)
+            decl = LocalVarDecl(name, init, pos=tok.pos)
+            self.scopes[-1][name] = decl
+            return decl
         if tok.kind == "ident" and self.at(":", 1):
             self.advance()
             self.advance()
-            return Labeled(tok.text, self.parse_statement(), pos=tok.pos)
+            self.labels.append((tok.text, self.at("while")))
+            stmt = self.parse_statement()
+            self.labels.pop()
+            return Labeled(tok.text, stmt, pos=tok.pos)
         expr = self.parse_expression()
         self.expect(";")
         return ExprStmt(expr, pos=tok.pos)
@@ -378,7 +425,8 @@ class _Parser:
         if self.at("ident") and self.at("=", 1):
             tok = self.advance()
             self.advance()
-            return Assign(tok.text, self.parse_expression(), pos=tok.pos)
+            value = self.parse_expression()  # bound before the target
+            return Assign(tok.text, value, pos=tok.pos, decl=self.lookup(tok))
         return self.parse_condition()
 
     def parse_condition(self) -> Expression:
@@ -409,14 +457,15 @@ class _Parser:
             tok = self.advance()
             if not isinstance(expr, IdentRef):
                 raise ParseError(f"'{tok.text}' target must be a variable", tok.line, tok.col)
-            return SuffixUnary(expr.name, Op.INC if tok.text == "++" else Op.DEC, pos=expr.pos)
+            op = Op.INC if tok.text == "++" else Op.DEC
+            return SuffixUnary(expr.name, op, pos=expr.pos, decl=expr.decl)
         return expr
 
     def parse_primary(self) -> Expression:
         tok = self.peek()
         if tok.kind == "ident":
             self.advance()
-            return IdentRef(tok.text, pos=tok.pos)
+            return IdentRef(tok.text, pos=tok.pos, decl=self.lookup(tok))
         if tok.kind == "num":
             self.advance()
             return IntLit(int(tok.text), pos=tok.pos)
@@ -432,105 +481,15 @@ class _Parser:
         raise ParseError(f"expected an expression, found {found!r}", tok.line, tok.col)
 
 
-def resolve(method: Method) -> dict[Node, Node]:
-    """Bind identifier uses to their declarations.
-
-    Returns a map from every IdentRef, Assign, and SuffixUnary node to the
-    Param or LocalVarDecl that declares the referenced variable, using
-    innermost-declaration-wins scoping. Raises UnresolvedVariableError or
-    UnresolvedLabelError when a name cannot be bound, and
-    MissingEnclosingLoopError for an unlabeled jump outside every loop or a
-    `continue` whose label does not wrap a loop; the first one in source
-    order is reported.
-    """
-    bindings: dict[Node, Node] = {}
-    scopes: list[dict[str, Node]] = [{p.name: p for p in method.params}]
-    labels: list[tuple[str, bool]] = []  # (name, wraps a While)
-    loop_depth = 0
-
-    def lookup(name: str, pos: Pos | None) -> Node:
-        for scope in reversed(scopes):
-            if name in scope:
-                return scope[name]
-        where = pos or Pos(0, 0)
-        raise UnresolvedVariableError(f"undeclared variable {name!r}", where.line, where.col)
-
-    def walk_expr(e: Expression) -> None:
-        if isinstance(e, Assign):
-            walk_expr(e.value)
-            bindings[e] = lookup(e.target, e.pos)
-        elif isinstance(e, SuffixUnary):
-            bindings[e] = lookup(e.target, e.pos)
-        elif isinstance(e, Chain):
-            for child in e.children:
-                walk_expr(child)
-        elif isinstance(e, IdentRef):
-            bindings[e] = lookup(e.name, e.pos)
-
-    def walk_stmt(s: Statement) -> None:
-        nonlocal loop_depth
-        if isinstance(s, LocalVarDecl):
-            walk_expr(s.init)  # the declared name is not in scope in its own initializer
-            scopes[-1][s.name] = s
-        elif isinstance(s, ExprStmt):
-            walk_expr(s.expr)
-        elif isinstance(s, While):
-            walk_expr(s.cond)
-            scopes.append({})
-            loop_depth += 1
-            walk_stmt(s.body)
-            loop_depth -= 1
-            scopes.pop()
-        elif isinstance(s, If):
-            walk_expr(s.cond)
-            for branch in (s.then, s.orelse):
-                if branch is not None:
-                    scopes.append({})
-                    walk_stmt(branch)
-                    scopes.pop()
-        elif isinstance(s, Return):
-            if s.value is not None:
-                walk_expr(s.value)
-        elif isinstance(s, (Break, Continue)):
-            where = s.pos or Pos(0, 0)
-            if s.label is None:
-                if loop_depth == 0:
-                    raise MissingEnclosingLoopError(
-                        f"'{type(s).__name__.lower()}' has no enclosing loop",
-                        where.line, where.col,
-                    )
-                return
-            wraps_loop = next((w for name, w in reversed(labels) if name == s.label), None)
-            if wraps_loop is None:
-                raise UnresolvedLabelError(
-                    f"no enclosing label {s.label!r}", where.line, where.col
-                )
-            if isinstance(s, Continue) and not wraps_loop:
-                raise MissingEnclosingLoopError(
-                    f"label {s.label!r} does not name a loop", where.line, where.col
-                )
-        elif isinstance(s, Labeled):
-            labels.append((s.name, isinstance(s.stmt, While)))
-            walk_stmt(s.stmt)
-            labels.pop()
-        elif isinstance(s, Block):
-            scopes.append({})
-            for child in s.stmts:
-                walk_stmt(child)
-            scopes.pop()
-
-    for stmt in method.body:
-        walk_stmt(stmt)
-    return bindings
-
-
 def parse_program(source: str) -> Method:
-    """Parse mini-Java source text into a resolved Method AST.
+    """Parse mini-Java source text into a Method AST with bound names.
 
-    Raises ParseError on malformed input and UnresolvedVariableError /
-    UnresolvedLabelError / MissingEnclosingLoopError when the post-parse
-    resolution pass fails.
+    Raises ParseError on malformed input, and otherwise the first
+    UnresolvedVariableError / UnresolvedLabelError /
+    MissingEnclosingLoopError in source order.
     """
-    method = _Parser(tokenize(source)).parse_method()
-    resolve(method)
+    parser = _Parser(tokenize(source))
+    method = parser.parse_method()
+    if parser.error is not None:
+        raise parser.error
     return method

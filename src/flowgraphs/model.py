@@ -2,8 +2,9 @@
 
 The graph is an arena of nodes addressed by integer id; containment
 links are id-valued fields on the nodes. Node creation order is the
-pre-order of the mapping walk (method, exit, then statements), which all
-later listings and edge tables inherit, so output is deterministic.
+pre-order of the mapping walk (method, exit, then statements, then the
+variables), which all later listings and edge tables inherit, so output
+is deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ import enum
 from dataclasses import dataclass, field
 
 from . import minijava as mj
-from .textgen import EXIT_TEXT
+from .defuse import DefUseAttr, expr_reads_writes
+from .textgen import EXIT_TEXT, text_of
 
 
 class NodeKind(str, enum.Enum):
@@ -39,7 +41,6 @@ class FlowNode:
     id: int
     kind: NodeKind
     txt: str
-    method: int = 0  # owner-method backlink
     # containment links, populated per kind
     stmts: list[int] = field(default_factory=list)  # Method, Block
     expr: int | None = None  # Loop, If condition
@@ -58,7 +59,7 @@ class FlowGraph:
     method: int = 0
 
     def new_node(self, kind: NodeKind, txt: str, **links) -> FlowNode:
-        node = FlowNode(len(self.nodes), kind, txt, method=self.method, **links)
+        node = FlowNode(len(self.nodes), kind, txt, **links)
         self.nodes.append(node)
         return node
 
@@ -73,18 +74,6 @@ class FlowGraph:
         return [n for n in self.nodes if n.kind in kinds]
 
 
-@dataclass
-class TraceMap:
-    """Bijection between mapped AST nodes and their flow-graph images."""
-
-    to_node: dict[mj.Node, int] = field(default_factory=dict)
-    to_ast: dict[int, mj.Node] = field(default_factory=dict)
-
-    def link(self, ast_node: mj.Node, nid: int) -> None:
-        self.to_node[ast_node] = nid
-        self.to_ast[nid] = ast_node
-
-
 _STMT_KIND = {
     mj.LocalVarDecl: NodeKind.SIMPLE,
     mj.ExprStmt: NodeKind.SIMPLE,
@@ -94,90 +83,68 @@ _STMT_KIND = {
 }
 
 
-def build_flowgraph(method: mj.Method, text: dict[mj.Node, str]) -> tuple[FlowGraph, TraceMap]:
-    """Map the AST onto the flow-graph model.
+def lower(method: mj.Method) -> tuple[FlowGraph, DefUseAttr]:
+    """Map the AST onto the flow-graph model and record def/use sets.
 
-    One node per statement, one Method plus its Exit, and an Expr node for
-    each loop/if condition. Expressions in any other position have no
-    image. Every created node carries the source node's label.
+    One pre-order walk creates the Method plus its Exit, one node per
+    statement, and an Expr node for each loop/if condition; expressions in
+    any other position have no image. Every created node carries its
+    source node's label. Each Param and LocalVarDecl becomes a Param/Var
+    node on the Method, whatever block declares it. Those come after every
+    statement node, so the walk records def/use sets by declaration index
+    and shifts them to node ids at the end.
     """
     graph = FlowGraph()
-    trace = TraceMap()
+    du = DefUseAttr()
+    var_of = {p: i for i, p in enumerate(method.params)}  # declaration -> index
 
-    root = graph.new_node(NodeKind.METHOD, text[method])
-    exit_node = graph.new_node(NodeKind.EXIT, EXIT_TEXT)
-    root.exit = exit_node.id
-    trace.link(method, root.id)
+    root = graph.new_node(NodeKind.METHOD, text_of(method))
+    root.exit = graph.new_node(NodeKind.EXIT, EXIT_TEXT).id
+    du.add(root.id, [], list(var_of.values()))
 
     def map_condition(cond: mj.Expression) -> int:
-        node = graph.new_node(NodeKind.EXPR, text[cond])
-        trace.link(cond, node.id)
-        return node.id
+        nid = graph.new_node(NodeKind.EXPR, text_of(cond)).id
+        du.add(nid, *expr_reads_writes(cond, var_of))
+        return nid
 
     def map_stmt(s: mj.Statement) -> int:
         if isinstance(s, mj.While):
-            node = graph.new_node(NodeKind.LOOP, text[s])
-            trace.link(s, node.id)
+            node = graph.new_node(NodeKind.LOOP, text_of(s))
             node.expr = map_condition(s.cond)
             node.body = map_stmt(s.body)
         elif isinstance(s, mj.If):
-            node = graph.new_node(NodeKind.IF, text[s])
-            trace.link(s, node.id)
+            node = graph.new_node(NodeKind.IF, text_of(s))
             node.expr = map_condition(s.cond)
             node.then = map_stmt(s.then)
             if s.orelse is not None:
                 node.orelse = map_stmt(s.orelse)
         elif isinstance(s, mj.Labeled):
-            node = graph.new_node(NodeKind.LABEL, text[s], label=s.name)
-            trace.link(s, node.id)
+            node = graph.new_node(NodeKind.LABEL, text_of(s), label=s.name)
             node.stmt = map_stmt(s.stmt)
         elif isinstance(s, mj.Block):
-            node = graph.new_node(NodeKind.BLOCK, text[s])
-            trace.link(s, node.id)
+            node = graph.new_node(NodeKind.BLOCK, text_of(s))
             node.stmts = [map_stmt(child) for child in s.stmts]
         else:
             kind = _STMT_KIND[type(s)]
             jump = s.label if isinstance(s, (mj.Break, mj.Continue)) else None
-            node = graph.new_node(kind, text[s], label=jump)
-            trace.link(s, node.id)
+            node = graph.new_node(kind, text_of(s), label=jump)
+            if isinstance(s, mj.LocalVarDecl):
+                var_of[s] = len(var_of)
+                reads, writes = expr_reads_writes(s.init, var_of)
+                du.add(node.id, reads, writes + [var_of[s]])
+            elif isinstance(s, mj.ExprStmt):
+                du.add(node.id, *expr_reads_writes(s.expr, var_of))
+            elif isinstance(s, mj.Return) and s.value is not None:
+                # suffix forms in the value still count as definitions
+                du.add(node.id, *expr_reads_writes(s.value, var_of))
         return node.id
 
     root.stmts = [map_stmt(s) for s in method.body]
-    return graph, trace
-
-
-def collect_vars(method: mj.Method, graph: FlowGraph, trace: TraceMap) -> dict[mj.Node, int]:
-    """Create Param/Var declaration nodes on the owning Method.
-
-    Returns the declaration map: each Param / LocalVarDecl AST node to the
-    id of its variable node. Locals declared anywhere in the body attach
-    to the method, not to their block.
-    """
-    root = graph.node(trace.to_node[method])
-    var_map: dict[mj.Node, int] = {}
-    for p in method.params:
-        node = graph.new_node(NodeKind.PARAM, p.name)
-        root.vars.append(node.id)
-        var_map[p] = node.id
-
-    def walk(s: mj.Statement) -> None:
-        if isinstance(s, mj.LocalVarDecl):
-            node = graph.new_node(NodeKind.VAR, s.name)
-            root.vars.append(node.id)
-            var_map[s] = node.id
-        elif isinstance(s, mj.While):
-            walk(s.body)
-        elif isinstance(s, mj.If):
-            walk(s.then)
-            if s.orelse is not None:
-                walk(s.orelse)
-        elif isinstance(s, mj.Labeled):
-            walk(s.stmt)
-        elif isinstance(s, mj.Block):
-            for child in s.stmts:
-                walk(child)
-
-    for stmt in method.body:
-        walk(stmt)
-    return var_map
-
+    base = len(graph.nodes)
+    for decl in var_of:
+        kind = NodeKind.PARAM if isinstance(decl, mj.Param) else NodeKind.VAR
+        root.vars.append(graph.new_node(kind, decl.name).id)
+    for table in (du.defs, du.uses):
+        for var_ids in table.values():
+            var_ids[:] = [base + v for v in var_ids]
+    return graph, du

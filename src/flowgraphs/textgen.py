@@ -28,28 +28,20 @@ OP_TEXT = {
 EXIT_TEXT = "Exit"
 
 
-def text_of(node: mj.Node, attr: dict[mj.Node, str] | None = None) -> str:
-    """Label for one node, reusing `attr` as a memo when given."""
-    if attr is None:
-        attr = {}
-    if node in attr:
-        return attr[node]
-
-    def text(n: mj.Node) -> str:
-        return text_of(n, attr)
-
+def text_of(node: mj.Node) -> str:
+    """Label for one node."""
     if isinstance(node, mj.Method):
         out = node.name + "()"
     elif isinstance(node, mj.LocalVarDecl):
-        out = "int " + node.name + " = " + text(node.init) + ";"
+        out = "int " + node.name + " = " + text_of(node.init) + ";"
     elif isinstance(node, mj.ExprStmt):
-        out = text(node.expr) + ";"
+        out = text_of(node.expr) + ";"
     elif isinstance(node, mj.While):
         out = "while"
     elif isinstance(node, mj.If):
         out = "if"
     elif isinstance(node, mj.Return):
-        out = "return;" if node.value is None else "return " + text(node.value) + ";"
+        out = "return;" if node.value is None else "return " + text_of(node.value) + ";"
     elif isinstance(node, mj.Break):
         out = "break"
     elif isinstance(node, mj.Continue):
@@ -59,65 +51,23 @@ def text_of(node: mj.Node, attr: dict[mj.Node, str] | None = None) -> str:
     elif isinstance(node, mj.Block):
         out = "{...}"
     elif isinstance(node, mj.Assign):
-        out = node.target + " = " + text(node.value)
+        out = node.target + " = " + text_of(node.value)
     elif isinstance(node, mj.SuffixUnary):
         out = node.target + OP_TEXT[node.op]
     elif isinstance(node, mj.Chain):
-        out = text(node.children[0])
+        out = text_of(node.children[0])
         for op, child in zip(node.operators, node.children[1:]):
-            out += OP_TEXT[op] + text(child)
+            out += OP_TEXT[op] + text_of(child)
     elif isinstance(node, mj.IdentRef):
         out = node.name
     elif isinstance(node, mj.IntLit):
         out = str(node.value)
     else:
         raise TypeError(f"no text rule for {type(node).__name__}")
-    attr[node] = out
     return out
 
 
-def compute_text(method: mj.Method) -> dict[mj.Node, str]:
-    """Total label map over the method, its statements, and expressions."""
-    attr: dict[mj.Node, str] = {}
-    text_of(method, attr)
-
-    def walk_expr(e: mj.Expression) -> None:
-        text_of(e, attr)
-        if isinstance(e, mj.Assign):
-            walk_expr(e.value)
-        elif isinstance(e, mj.Chain):
-            for child in e.children:
-                walk_expr(child)
-
-    def walk_stmt(s: mj.Statement) -> None:
-        text_of(s, attr)
-        if isinstance(s, mj.LocalVarDecl):
-            walk_expr(s.init)
-        elif isinstance(s, mj.ExprStmt):
-            walk_expr(s.expr)
-        elif isinstance(s, mj.While):
-            walk_expr(s.cond)
-            walk_stmt(s.body)
-        elif isinstance(s, mj.If):
-            walk_expr(s.cond)
-            walk_stmt(s.then)
-            if s.orelse is not None:
-                walk_stmt(s.orelse)
-        elif isinstance(s, mj.Return):
-            if s.value is not None:
-                walk_expr(s.value)
-        elif isinstance(s, mj.Labeled):
-            walk_stmt(s.stmt)
-        elif isinstance(s, mj.Block):
-            for child in s.stmts:
-                walk_stmt(child)
-
-    for stmt in method.body:
-        walk_stmt(stmt)
-    return attr
-
-
-def render_method(method: mj.Method, attr: dict[mj.Node, str] | None = None) -> str:
+def render_method(method: mj.Method) -> str:
     """Compose the AST back into parseable source text.
 
     Simple statements reuse their labels verbatim (they are complete
@@ -125,16 +75,13 @@ def render_method(method: mj.Method, attr: dict[mj.Node, str] | None = None) -> 
     Grouping parentheses are not reproduced, so the round trip is only
     structure-preserving for sources that never relied on them.
     """
-    if attr is None:
-        attr = compute_text(method)
-
     def stmt_src(s: mj.Statement) -> str:
         if isinstance(s, (mj.LocalVarDecl, mj.ExprStmt, mj.Return)):
-            return attr[s]
+            return text_of(s)
         if isinstance(s, mj.While):
-            return "while (" + attr[s.cond] + ") " + stmt_src(s.body)
+            return "while (" + text_of(s.cond) + ") " + stmt_src(s.body)
         if isinstance(s, mj.If):
-            out = "if (" + attr[s.cond] + ") " + stmt_src(s.then)
+            out = "if (" + text_of(s.cond) + ") " + stmt_src(s.then)
             if s.orelse is not None:
                 out += " else " + stmt_src(s.orelse)
             return out

@@ -51,7 +51,6 @@ class ValidationReport:
     false_df: list[tuple[str, str]] = field(default_factory=list)
     missing_cf: list[tuple[str, str]] = field(default_factory=list)
     missing_df: list[tuple[str, str]] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
 
     @property
     def clean(self) -> bool:

@@ -7,6 +7,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+from flowgraphs import minijava as mj
 from flowgraphs.cli import main as cli_main
 
 TESTS_DIR = Path(__file__).parent
@@ -32,3 +33,36 @@ def run_cli(args: list[str], stdin_text: str | None = None) -> tuple[int, str, s
 
 def golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text()
+
+
+def images(method: mj.Method) -> list[mj.Node | None]:
+    """The AST node behind each flow-graph node, indexed by node id.
+
+    Written independently of `model.lower`: the Method, None for the Exit,
+    statements and loop/if conditions in pre-order, then the Params and
+    LocalVarDecls that the variable nodes stand for, in declaration order.
+    """
+    out: list[mj.Node | None] = [method, None]
+    decls: list[mj.Node] = list(method.params)
+
+    def walk(s: mj.Statement) -> None:
+        out.append(s)
+        if isinstance(s, (mj.While, mj.If)):
+            out.append(s.cond)
+        if isinstance(s, mj.While):
+            walk(s.body)
+        elif isinstance(s, mj.If):
+            walk(s.then)
+            if s.orelse is not None:
+                walk(s.orelse)
+        elif isinstance(s, mj.Labeled):
+            walk(s.stmt)
+        elif isinstance(s, mj.Block):
+            for child in s.stmts:
+                walk(child)
+        elif isinstance(s, mj.LocalVarDecl):
+            decls.append(s)
+
+    for stmt in method.body:
+        walk(stmt)
+    return out + decls

@@ -9,6 +9,10 @@ contributes an edge. Exponential, so only for small graphs.
 uses times def-use distance, so it checks programs far beyond the
 brute-force limit, and it fills a `DfEdgeTable` so that target order and
 warnings can be compared too.
+
+`resolve` is the name binding the parser does, as a separate walk over a
+parsed AST: the reference for the parser's `decl` links and for the
+first name error it reports.
 """
 
 from __future__ import annotations
@@ -18,6 +22,29 @@ from collections import deque
 from flowgraphs.controlflow import EdgeTable, flow_instructions
 from flowgraphs.dataflow import DfEdgeTable, UndefinedUseWarning
 from flowgraphs.defuse import DefUseAttr
+from flowgraphs.minijava import (
+    Assign,
+    Block,
+    Break,
+    Chain,
+    Continue,
+    Expression,
+    ExprStmt,
+    IdentRef,
+    If,
+    Labeled,
+    LocalVarDecl,
+    Method,
+    MissingEnclosingLoopError,
+    Node,
+    Pos,
+    Return,
+    Statement,
+    SuffixUnary,
+    UnresolvedLabelError,
+    UnresolvedVariableError,
+    While,
+)
 from flowgraphs.model import FlowGraph
 
 
@@ -82,3 +109,95 @@ def bfs_data_flow(graph: FlowGraph, cf: EdgeTable, du: DefUseAttr) -> DfEdgeTabl
                     warn(v, u)
                 queue.extend(nxt)
     return table
+
+
+def resolve(method: Method) -> dict[Node, Node]:
+    """Bind identifier uses to their declarations.
+
+    Returns a map from every IdentRef, Assign, and SuffixUnary node to the
+    Param or LocalVarDecl that declares the referenced variable, using
+    innermost-declaration-wins scoping. Raises UnresolvedVariableError or
+    UnresolvedLabelError when a name cannot be bound, and
+    MissingEnclosingLoopError for an unlabeled jump outside every loop or a
+    `continue` whose label does not wrap a loop; the first one in source
+    order is reported.
+    """
+    bindings: dict[Node, Node] = {}
+    scopes: list[dict[str, Node]] = [{p.name: p for p in method.params}]
+    labels: list[tuple[str, bool]] = []  # (name, wraps a While)
+    loop_depth = 0
+
+    def lookup(name: str, pos: Pos | None) -> Node:
+        for scope in reversed(scopes):
+            if name in scope:
+                return scope[name]
+        where = pos or Pos(0, 0)
+        raise UnresolvedVariableError(f"undeclared variable {name!r}", where.line, where.col)
+
+    def walk_expr(e: Expression) -> None:
+        if isinstance(e, Assign):
+            walk_expr(e.value)
+            bindings[e] = lookup(e.target, e.pos)
+        elif isinstance(e, SuffixUnary):
+            bindings[e] = lookup(e.target, e.pos)
+        elif isinstance(e, Chain):
+            for child in e.children:
+                walk_expr(child)
+        elif isinstance(e, IdentRef):
+            bindings[e] = lookup(e.name, e.pos)
+
+    def walk_stmt(s: Statement) -> None:
+        nonlocal loop_depth
+        if isinstance(s, LocalVarDecl):
+            walk_expr(s.init)  # the declared name is not in scope in its own initializer
+            scopes[-1][s.name] = s
+        elif isinstance(s, ExprStmt):
+            walk_expr(s.expr)
+        elif isinstance(s, While):
+            walk_expr(s.cond)
+            scopes.append({})
+            loop_depth += 1
+            walk_stmt(s.body)
+            loop_depth -= 1
+            scopes.pop()
+        elif isinstance(s, If):
+            walk_expr(s.cond)
+            for branch in (s.then, s.orelse):
+                if branch is not None:
+                    scopes.append({})
+                    walk_stmt(branch)
+                    scopes.pop()
+        elif isinstance(s, Return):
+            if s.value is not None:
+                walk_expr(s.value)
+        elif isinstance(s, (Break, Continue)):
+            where = s.pos or Pos(0, 0)
+            if s.label is None:
+                if loop_depth == 0:
+                    raise MissingEnclosingLoopError(
+                        f"'{type(s).__name__.lower()}' has no enclosing loop",
+                        where.line, where.col,
+                    )
+                return
+            wraps_loop = next((w for name, w in reversed(labels) if name == s.label), None)
+            if wraps_loop is None:
+                raise UnresolvedLabelError(
+                    f"no enclosing label {s.label!r}", where.line, where.col
+                )
+            if isinstance(s, Continue) and not wraps_loop:
+                raise MissingEnclosingLoopError(
+                    f"label {s.label!r} does not name a loop", where.line, where.col
+                )
+        elif isinstance(s, Labeled):
+            labels.append((s.name, isinstance(s.stmt, While)))
+            walk_stmt(s.stmt)
+            labels.pop()
+        elif isinstance(s, Block):
+            scopes.append({})
+            for child in s.stmts:
+                walk_stmt(child)
+            scopes.pop()
+
+    for stmt in method.body:
+        walk_stmt(stmt)
+    return bindings

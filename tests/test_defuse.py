@@ -2,10 +2,12 @@ import pytest
 
 from flowgraphs import minijava as mj
 from flowgraphs.defuse import expr_reads_writes
+from flowgraphs.minijava import parse_program
 from flowgraphs.model import NodeKind
 from flowgraphs.pipeline import analyze
 
 import progen
+from helpers import images
 
 
 def names(analysis, ids):
@@ -22,12 +24,11 @@ def du_of(analysis, txt):
 
 def reads_writes(stmt_src: str):
     """(reads, writes) of the expression in `stmt_src`, as variable names."""
-    a = analyze(f"int m(int a, int b, int i) {{ {stmt_src} }}")
-    bindings = {occ: a.var_map[decl]
-                for occ, decl in mj.resolve(a.method).items()}
-    target = next(s.expr for s in a.method.body if isinstance(s, mj.ExprStmt))
-    reads, writes = expr_reads_writes(target, bindings)
-    return names(a, reads), names(a, writes)
+    method = parse_program(f"int m(int a, int b, int i) {{ {stmt_src} }}")
+    params = method.params
+    target = next(s.expr for s in method.body if isinstance(s, mj.ExprStmt))
+    reads, writes = expr_reads_writes(target, {p: i for i, p in enumerate(params)})
+    return [params[v].name for v in reads], [params[v].name for v in writes]
 
 
 def test_assignment_reads_value_writes_target():
@@ -142,21 +143,25 @@ def test_suffix_unary_always_in_def_and_use(seed):
     source = progen.gen_program(seed + 700, strict=False, max_stmts=30)
     a = analyze(source)
 
-    def unary_vars(e, bindings):
+    def unary_vars(e):
         if isinstance(e, mj.SuffixUnary):
-            return [bindings[e]]
+            return [var_id[e.decl]]
         if isinstance(e, mj.Assign):
-            return unary_vars(e.value, bindings)
+            return unary_vars(e.value)
         if isinstance(e, mj.Chain):
             out = []
             for child in e.children:
-                out.extend(unary_vars(child, bindings))
+                out.extend(unary_vars(child))
             return out
         return []
 
-    bindings = {occ: a.var_map[decl] for occ, decl in mj.resolve(a.method).items()}
+    sources = images(a.method)
+    owned = a.graph.node(a.graph.method).vars
+    var_id = {sources[vid]: vid for vid in owned}
     checked = 0
-    for ast_node, nid in a.trace.to_node.items():
+    for nid, ast_node in enumerate(sources):
+        if nid in owned:
+            continue
         expr = None
         if isinstance(ast_node, mj.ExprStmt):
             expr = ast_node.expr
@@ -168,7 +173,7 @@ def test_suffix_unary_always_in_def_and_use(seed):
             expr = ast_node
         if expr is None:
             continue
-        for var in unary_vars(expr, bindings):
+        for var in unary_vars(expr):
             checked += 1
             assert var in a.def_use.def_of(nid)
             assert var in a.def_use.use_of(nid)

@@ -1,15 +1,22 @@
+import functools
+import random
+import re
+
 import pytest
 
 from flowgraphs import minijava as mj
+from flowgraphs.errors import FlowgraphsError
 from flowgraphs.minijava import (
     ParseError,
     UnresolvedLabelError,
     UnresolvedVariableError,
     parse_program,
-    resolve,
 )
+from flowgraphs.model import NodeKind
+from flowgraphs.pipeline import analyze
 from flowgraphs.textgen import render_method
 
+import oracle
 import progen
 from helpers import CORPUS
 
@@ -73,22 +80,53 @@ def test_declaration_in_branch_scoped_to_branch():
     # Arbitrary statements are allowed as branches; the declared name
     # does not leak.
     parse_program("int m(int c) { if (c < 1) int x = 1; }")
-    with pytest.raises(UnresolvedVariableError):
-        parse_program("int m(int c) { if (c < 1) int x = 1; x++; }")
+    for source in (
+        "int m(int c) { if (c < 1) int x = 1; x++; }",
+        "int m(int c) { if (c < 1) c++; else int x = 1; x++; }",
+        "int m(int c) { while (c < 1) int x = 1; x++; }",
+    ):
+        with pytest.raises(UnresolvedVariableError):
+            parse_program(source)
 
 
 def test_shadowing_binds_innermost():
     method = parse_program("int m(int a) { { int a = a + 1; a++; } a--; }")
-    bindings = resolve(method)
     block = method.body[0]
     inner_decl = block.stmts[0]
     inner_use = block.stmts[1].expr  # a++
     outer_use = method.body[1].expr  # a--
     # the initializer's `a` refers to the parameter, not the new local
     init_ref = inner_decl.init.children[0]
-    assert bindings[init_ref] is method.params[0]
-    assert bindings[inner_use] is inner_decl
-    assert bindings[outer_use] is method.params[0]
+    assert init_ref.decl is method.params[0]
+    assert inner_use.decl is inner_decl
+    assert outer_use.decl is method.params[0]
+
+
+def test_redeclaration_in_same_scope_is_accepted():
+    # Java rejects a second `int x` in one scope; this language keeps both
+    # variables, and later uses bind the second one.
+    a = analyze("int m() { int x = 1; int x = 2; x++; return x; }")
+    root = a.graph.node(a.graph.method)
+    assert [(a.graph.node(v).kind, a.graph.node(v).txt) for v in root.vars] == [
+        (NodeKind.VAR, "x"),
+        (NodeKind.VAR, "x"),
+    ]
+    increment = root.stmts[2]
+    assert a.graph.node(increment).txt == "x++;"
+    assert a.def_use.def_of(increment) == [root.vars[1]]
+    assert a.def_use.use_of(increment) == [root.vars[1]]
+
+
+def test_syntax_error_wins_over_name_error():
+    with pytest.raises(ParseError) as exc_info:
+        parse_program("int m() { x = 1; return 1 }")
+    assert (exc_info.value.line, exc_info.value.column) == (1, 27)
+
+
+def test_assigned_value_is_bound_before_target():
+    with pytest.raises(UnresolvedVariableError) as exc_info:
+        parse_program("int m() { x = y; }")
+    assert str(exc_info.value) == "1:15: undeclared variable 'y'"
 
 
 def test_duplicate_parameter_rejected():
@@ -249,3 +287,102 @@ def test_chain_invariants_on_random_programs(seed):
 
     for stmt in method.body:
         walk_stmt(stmt)
+
+
+# ---- the parser's name binding against tests/oracle.py::resolve ----
+
+
+@functools.cache
+def random_sources() -> tuple[str, ...]:
+    return tuple(progen.gen_program(seed, strict=seed % 4 == 0, max_stmts=10 + seed % 50)
+                 for seed in range(1000))
+
+
+def assert_links_match_reference(method):
+    for occ, decl in oracle.resolve(method).items():
+        assert occ.decl is decl
+
+
+def test_decl_links_match_reference_resolve():
+    for source in random_sources():
+        assert_links_match_reference(parse_program(source))
+
+
+# Mutations rely on progen's layout: one statement per line, top-level
+# statements indented by four spaces.
+
+def drop_declaration(lines, rng):
+    decls = [i for i, line in enumerate(lines) if i and line.lstrip().startswith("int ")]
+    if decls:
+        i = rng.choice(decls)
+        lines[i] = lines[i].replace("int ", "", 1)
+        return lines
+
+
+def rename_jump_label(lines, rng):
+    jumps = [i for i, line in enumerate(lines) if re.search(r"(break|continue) L\d+;", line)]
+    if jumps:
+        labels = sorted(set(re.findall(r"\b(L\d+):", "\n".join(lines)))) + ["Lx"]
+        i = rng.choice(jumps)
+        lines[i] = re.sub(r"L\d+;", rng.choice(labels) + ";", lines[i])
+        return lines
+
+
+def move_break_out_of_loops(lines, rng):
+    breaks = [i for i, line in enumerate(lines) if line.lstrip().startswith("break")]
+    if breaks:
+        moved = lines.pop(rng.choice(breaks)).strip()
+        tops = [i for i, line in enumerate(lines) if i and re.match(r"    [^ }]", line)]
+        lines.insert(rng.choice(tops + [len(lines) - 2]), "    " + moved)
+        return lines
+
+
+def reuse_variable_name(lines, rng):
+    # progen never reuses a name; this makes shadowing, redeclaration in one
+    # scope, and uses after the scope of a shadowing declaration has ended
+    source = "\n".join(lines)
+    names = sorted(set(re.findall(r"\bv\d+\b", source)))
+    decls = re.findall(r"\n +int (v\d+) =", source)
+    if len(names) > 1 and decls:
+        old = rng.choice(decls)
+        new = rng.choice([name for name in names if name != old])
+        return re.sub(rf"\b{old}\b", new, source).split("\n")
+
+
+def outcome(parse, source):
+    try:
+        parse(source)
+    except FlowgraphsError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    return None
+
+
+def reference_outcome(source):
+    """The error of parsing without binding, then resolving separately."""
+    return outcome(lambda text: oracle.resolve(mj._Parser(mj.tokenize(text)).parse_method()),
+                   source)
+
+
+@pytest.mark.parametrize("mutate,min_errors", [
+    (drop_declaration, 100),
+    (rename_jump_label, 30),
+    (move_break_out_of_loops, 100),
+    (reuse_variable_name, 0),
+])
+def test_name_errors_match_reference_on_mutants(mutate, min_errors):
+    rng = random.Random(mutate.__name__)
+    mutants = []
+    for source in random_sources():
+        lines = mutate(source.split("\n"), rng)
+        if lines is not None:
+            mutants.append("\n".join(lines))
+    mutants = mutants[:100]
+    assert len(mutants) == 100
+    errors = 0
+    for mutant in mutants:
+        expected = reference_outcome(mutant)
+        assert outcome(parse_program, mutant) == expected, mutant
+        if expected is None:
+            assert_links_match_reference(parse_program(mutant))
+        errors += expected is not None
+    assert errors >= min_errors

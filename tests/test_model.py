@@ -2,17 +2,17 @@ import pytest
 
 from flowgraphs import minijava as mj
 from flowgraphs.minijava import parse_program
-from flowgraphs.model import NodeKind, build_flowgraph, collect_vars
-from flowgraphs.textgen import compute_text
+from flowgraphs.model import NodeKind, lower
+from flowgraphs.textgen import EXIT_TEXT, text_of
 
 import progen
-from helpers import CORPUS
+from helpers import CORPUS, images
 
 
 def build(source: str):
     method = parse_program(source)
-    graph, trace = build_flowgraph(method, compute_text(method))
-    return method, graph, trace
+    graph, du = lower(method)
+    return method, graph, du
 
 
 def kinds(graph):
@@ -51,7 +51,7 @@ def test_plain_expressions_get_no_node():
 def test_node_count_invariants(seed):
     source = progen.gen_program(seed + 900, strict=False, max_stmts=30)
     method = parse_program(source)
-    graph, _ = build_flowgraph(method, compute_text(method))
+    graph, _ = lower(method)
     count = kinds(graph)
 
     decls = exprs = whiles = ifs = 0
@@ -83,31 +83,51 @@ def test_node_count_invariants(seed):
     assert count[NodeKind.EXIT] == 1
 
 
+KIND_OF = {
+    mj.Method: NodeKind.METHOD,
+    mj.LocalVarDecl: NodeKind.SIMPLE,
+    mj.ExprStmt: NodeKind.SIMPLE,
+    mj.While: NodeKind.LOOP,
+    mj.If: NodeKind.IF,
+    mj.Return: NodeKind.RETURN,
+    mj.Break: NodeKind.BREAK,
+    mj.Continue: NodeKind.CONTINUE,
+    mj.Labeled: NodeKind.LABEL,
+    mj.Block: NodeKind.BLOCK,
+}
+
+
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_trace_roundtrip(path):
+    # every node but the Exit is the image of exactly one AST node: node ids
+    # follow the pre-order of the AST, and each node carries its source's label
     method = parse_program(path.read_text())
-    graph, trace = build_flowgraph(method, compute_text(method))
-    assert len(trace.to_node) == len(trace.to_ast)
-    for ast_node, nid in trace.to_node.items():
-        assert trace.to_ast[nid] is ast_node
-    for nid, ast_node in trace.to_ast.items():
-        assert trace.to_node[ast_node] == nid
-    # every node except the Exit is the image of exactly one AST node
-    mapped = set(trace.to_ast)
-    expected = {n.id for n in graph.nodes if n.kind is not NodeKind.EXIT}
-    assert mapped == expected
+    graph, _ = lower(method)
+    sources = images(method)
+    assert len(sources) == len(graph.nodes)
+    root = graph.node(graph.method)
+    for node, ast_node in zip(graph.nodes, sources):
+        if node.id == root.exit:
+            assert ast_node is None and node.txt == EXIT_TEXT
+        elif node.id in root.vars:
+            assert isinstance(ast_node, (mj.Param, mj.LocalVarDecl))
+            assert node.kind is (NodeKind.PARAM if isinstance(ast_node, mj.Param) else NodeKind.VAR)
+            assert node.txt == ast_node.name
+        else:
+            kind = NodeKind.EXPR if isinstance(ast_node, mj.Expression) else KIND_OF[type(ast_node)]
+            assert node.kind is kind
+            assert node.txt == text_of(ast_node)
 
 
 def test_block_order_preserved():
-    method, graph, trace = build("int m(int a) { a = 1; a = 2; a = 3; }")
+    method, graph, _ = build("int m(int a) { a = 1; a = 2; a = 3; }")
     root = graph.node(graph.method)
     texts = [graph.node(nid).txt for nid in root.stmts]
     assert texts == ["a = 1;", "a = 2;", "a = 3;"]
 
 
 def test_collect_vars_params_and_order():
-    method, graph, trace = build("int m(int a, int b) { int x = 1; }")
-    var_map = collect_vars(method, graph, trace)
+    method, graph, du = build("int m(int a, int b) { int x = 1; }")
     root = graph.node(graph.method)
     names = [(graph.node(v).kind, graph.node(v).txt) for v in root.vars]
     assert names == [
@@ -115,27 +135,26 @@ def test_collect_vars_params_and_order():
         (NodeKind.PARAM, "b"),
         (NodeKind.VAR, "x"),
     ]
-    assert var_map[method.params[0]] == root.vars[0]
-    assert var_map[method.body[0]] == root.vars[2]
+    assert du.def_of(root.id) == root.vars[:2]
+    assert du.def_of(root.stmts[0]) == [root.vars[2]]
 
 
 def test_collect_vars_empty():
-    method, graph, trace = build("int m() { return; }")
-    collect_vars(method, graph, trace)
+    method, graph, _ = build("int m() { return; }")
     assert graph.node(graph.method).vars == []
 
 
 def test_nested_declaration_attaches_to_method():
-    method, graph, trace = build("int m() { { { int x = 1; } } }")
-    collect_vars(method, graph, trace)
+    method, graph, _ = build("int m() { { { int x = 1; } } }")
     root = graph.node(graph.method)
     assert [graph.node(v).txt for v in root.vars] == ["x"]
 
 
 def test_shadowing_creates_distinct_var_nodes():
-    method, graph, trace = build("int m() { int x = 1; { int x = 2; } }")
-    var_map = collect_vars(method, graph, trace)
+    method, graph, du = build("int m() { int x = 1; { int x = 2; } }")
     root = graph.node(graph.method)
     assert [graph.node(v).txt for v in root.vars] == ["x", "x"]
-    assert len(set(var_map.values())) == 2
-
+    outer, block = root.stmts
+    inner = graph.node(block).stmts[0]
+    assert du.def_of(outer) == [root.vars[0]]
+    assert du.def_of(inner) == [root.vars[1]]

@@ -4,7 +4,7 @@ import pytest
 
 from flowgraphs import minijava as mj
 from flowgraphs.minijava import parse_program
-from flowgraphs.textgen import EXIT_TEXT, OP_TEXT, compute_text, text_of
+from flowgraphs.textgen import EXIT_TEXT, OP_TEXT, text_of
 
 
 def stmt_of(body_src: str) -> mj.Statement:
@@ -142,9 +142,9 @@ def test_fold_appends_operator_then_child():
 
 def test_compute_text_is_total_and_idempotent():
     method = parse_program("int m(int a) { while (a < 3) { a = a + 1; } return a; }")
-    first = compute_text(method)
-    second = compute_text(method)
-    assert first == second
     loop = method.body[0]
-    for node in (method, loop, loop.cond, loop.body, loop.body.stmts[0], method.body[1]):
-        assert node in first
+    assign = loop.body.stmts[0]
+    nodes = (method, loop, loop.cond, loop.body, assign, assign.expr, method.body[1])
+    first = [text_of(node) for node in nodes]
+    assert first == [text_of(node) for node in nodes]
+    assert first == ["m()", "while", "a < 3", "{...}", "a = a + 1;", "a = a + 1", "return a;"]
