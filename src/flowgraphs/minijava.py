@@ -1,4 +1,4 @@
-"""Lexer, AST, and recursive-descent parser for the mini-Java subset.
+"""Lexer, AST, and parser for the mini-Java subset.
 
 The accepted language is a single method of the form
 
@@ -10,6 +10,14 @@ statements, `break`/`continue` (optionally labeled), and nested blocks.
 Expressions are flat n-ary chains per precedence level (equality,
 relational, additive, multiplicative) over identifiers, decimal
 integer literals, assignments, and the suffix `++`/`--` forms.
+
+`tokenize` makes one `finditer` scan over a single pattern that skips the
+blanks before each token, so each token (and each line end) costs one
+match; an unexpected character is caught by the pattern itself. Statements
+are parsed by recursive descent and expressions by precedence climbing
+(Pratt, "Top Down Operator Precedence", POPL 1973): one operator table
+gives each binary operator its level, and a run of operators of one level
+becomes one Chain. A level of grouping parentheses costs two stack frames.
 
 The parser also binds names as it goes: every identifier use, assignment
 and suffix `++`/`--` gets a `decl` link to the Param or LocalVarDecl it
@@ -25,6 +33,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import SourcePosError
 
@@ -47,8 +56,7 @@ class MissingEnclosingLoopError(SourcePosError):
     pass
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(NamedTuple):
     line: int
     col: int
 
@@ -211,21 +219,28 @@ class IntLit(Expression):
 
 KEYWORDS = {"int", "while", "if", "else", "return", "break", "continue"}
 
+# One match per token: the blanks before it are skipped inside the match, a
+# newline is its own match (so lines can be counted), any other character is
+# caught by `bad`, and blanks at the very end are consumed by `end`, so
+# `finditer` never has to search forward past text it could not match.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>[ \t\r]+)
-    | (?P<nl>\n)
+    [ \t\r]*
+    (?:
+      (?P<nl>\n)
     | (?P<comment>//[^\n]*)
     | (?P<num>\d+)
-    | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
     | (?P<op>\+\+|--|==|[-+*/<>=(){};:,])
+    | (?P<bad>.)
+    | (?P<end>\Z)
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'num', 'ident', a keyword, an operator/punctuation text, or 'eof'
     text: str
     line: int
@@ -238,33 +253,41 @@ class Token:
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
+    append = tokens.append
     line, line_start = 1, 0
-    i = 0
-    while i < len(source):
-        m = _TOKEN_RE.match(source, i)
-        if m is None:
-            raise ParseError(f"unexpected character {source[i]!r}", line, i - line_start + 1)
-        i = m.end()
-        if m.lastgroup in ("ws", "comment"):
-            continue
-        if m.lastgroup == "nl":
+    for m in _TOKEN_RE.finditer(source):
+        group = m.lastgroup
+        if group == "nl":
             line += 1
-            line_start = i
+            line_start = m.end()
+        elif group == "comment":
             continue
-        text = m.group()
-        col = m.start() - line_start + 1
-        if m.lastgroup == "num":
-            kind = "num"
-        elif m.lastgroup == "ident":
-            kind = text if text in KEYWORDS else "ident"
+        elif group == "end":
+            break
         else:
-            kind = text
-        tokens.append(Token(kind, text, line, col))
+            text = m[group]
+            col = m.end() - len(text) - line_start + 1
+            if group == "word":
+                append(Token(text if text in KEYWORDS else "ident", text, line, col))
+            elif group == "op":
+                append(Token(text, text, line, col))
+            elif group == "num":
+                append(Token("num", text, line, col))
+            else:
+                raise ParseError(f"unexpected character {text!r}", line, col)
     tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
 class _Parser:
+    # Operator text -> (level, chain kind, Op) for the binary operators; a
+    # higher level binds tighter.
+    _LEVELS = (ChainKind.EQUALITY, ChainKind.RELATIONAL, ChainKind.ADDITIVE,
+               ChainKind.MULTIPLICATIVE)
+    _BINARY = {op.value: (level, kind, op)
+               for level, kind in enumerate(_LEVELS) for op in CHAIN_OPS[kind]}
+    _TOP = len(_LEVELS) - 1
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
@@ -273,11 +296,14 @@ class _Parser:
         self.loop_depth = 0
         self.error: SourcePosError | None = None  # first name error, raised after parsing
 
+    # The last token is 'eof' and `i` never moves past it, so looking one
+    # token ahead is safe whenever the current token is not 'eof'.
+
     def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.i + ahead, len(self.tokens) - 1)]
+        return self.tokens[self.i + ahead]
 
     def at(self, kind: str, ahead: int = 0) -> bool:
-        return self.peek(ahead).kind == kind
+        return self.tokens[self.i + ahead].kind == kind
 
     def advance(self) -> Token:
         tok = self.tokens[self.i]
@@ -286,13 +312,15 @@ class _Parser:
         return tok
 
     def expect(self, kind: str) -> Token:
-        tok = self.peek()
+        tok = self.tokens[self.i]
         if tok.kind != kind:
             found = tok.text if tok.kind != "eof" else "end of input"
             raise ParseError(
                 f"expected {kind!r}, found {found!r}", tok.line, tok.col, expected=kind
             )
-        return self.advance()
+        if kind != "eof":
+            self.i += 1
+        return tok
 
     # ---- name binding ----
 
@@ -429,56 +457,56 @@ class _Parser:
             return Assign(tok.text, value, pos=tok.pos, decl=self.lookup(tok))
         return self.parse_condition()
 
-    def parse_condition(self) -> Expression:
-        return self._parse_chain(ChainKind.EQUALITY)
+    def parse_condition(self, min_level: int = 0) -> Expression:
+        """Precedence climbing over the chain levels from `min_level` up.
 
-    _NEXT_LEVEL = {
-        ChainKind.EQUALITY: ChainKind.RELATIONAL,
-        ChainKind.RELATIONAL: ChainKind.ADDITIVE,
-        ChainKind.ADDITIVE: ChainKind.MULTIPLICATIVE,
-    }
-
-    def _parse_chain(self, kind: ChainKind) -> Expression:
-        inner = self._NEXT_LEVEL.get(kind)
-        parse_operand = self.parse_unary if inner is None else (lambda: self._parse_chain(inner))
-        first = parse_operand()
-        ops_here = {op.value: op for op in CHAIN_OPS[kind]}
-        children, operators = [first], []
-        while self.peek().kind in ops_here:
-            operators.append(ops_here[self.advance().kind])
-            children.append(parse_operand())
-        if not operators:
-            return first
-        return Chain(kind, children, operators, pos=None)
+        A run of operators of one level becomes one flat n-ary Chain whose
+        operands are parsed at the next level; an operator of a lower
+        level then continues with that Chain as its first operand.
+        """
+        tokens, binary = self.tokens, self._BINARY
+        left = self.parse_unary()
+        entry = binary.get(tokens[self.i].kind)
+        while entry is not None and entry[0] >= min_level:
+            level, kind, _ = entry
+            children, operators = [left], []
+            while entry is not None and entry[0] == level:
+                self.i += 1
+                operators.append(entry[2])
+                children.append(self.parse_unary() if level == self._TOP
+                                else self.parse_condition(level + 1))
+                entry = binary.get(tokens[self.i].kind)
+            left = Chain(kind, children, operators, pos=None)
+        return left
 
     def parse_unary(self) -> Expression:
-        expr = self.parse_primary()
-        if self.at("++") or self.at("--"):
-            tok = self.advance()
-            if not isinstance(expr, IdentRef):
-                raise ParseError(f"'{tok.text}' target must be a variable", tok.line, tok.col)
-            op = Op.INC if tok.text == "++" else Op.DEC
-            return SuffixUnary(expr.name, op, pos=expr.pos, decl=expr.decl)
-        return expr
-
-    def parse_primary(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == "ident":
-            self.advance()
-            return IdentRef(tok.text, pos=tok.pos, decl=self.lookup(tok))
-        if tok.kind == "num":
-            self.advance()
-            return IntLit(int(tok.text), pos=tok.pos)
-        if tok.kind == "(":
+        """A primary expression, with its suffix `++`/`--` if one follows."""
+        tok = self.tokens[self.i]
+        kind = tok.kind
+        if kind == "ident":
+            self.i += 1
+            expr = IdentRef(tok.text, pos=tok.pos, decl=self.lookup(tok))
+        elif kind == "num":
+            self.i += 1
+            expr = IntLit(int(tok.text), pos=tok.pos)
+        elif kind == "(":
             # Grouping parentheses only; they leave no trace in the AST.
-            self.advance()
+            self.i += 1
             expr = self.parse_condition()
             self.expect(")")
-            return expr
-        if tok.kind in ("++", "--"):
+        elif kind == "++" or kind == "--":
             raise ParseError(f"prefix '{tok.text}' is not supported", tok.line, tok.col)
-        found = tok.text if tok.kind != "eof" else "end of input"
-        raise ParseError(f"expected an expression, found {found!r}", tok.line, tok.col)
+        else:
+            found = tok.text if kind != "eof" else "end of input"
+            raise ParseError(f"expected an expression, found {found!r}", tok.line, tok.col)
+        tok = self.tokens[self.i]
+        if tok.kind == "++" or tok.kind == "--":
+            self.i += 1
+            if not isinstance(expr, IdentRef):
+                raise ParseError(f"'{tok.text}' target must be a variable", tok.line, tok.col)
+            op = Op.INC if tok.kind == "++" else Op.DEC
+            return SuffixUnary(expr.name, op, pos=expr.pos, decl=expr.decl)
+        return expr
 
 
 def parse_program(source: str) -> Method:

@@ -70,9 +70,6 @@ class FlowGraph:
     def exit(self) -> int:
         return self.nodes[self.method].exit
 
-    def by_kind(self, *kinds: NodeKind) -> list[FlowNode]:
-        return [n for n in self.nodes if n.kind in kinds]
-
 
 _STMT_KIND = {
     mj.LocalVarDecl: NodeKind.SIMPLE,

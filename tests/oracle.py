@@ -13,10 +13,15 @@ warnings can be compared too.
 `resolve` is the name binding the parser does, as a separate walk over a
 parsed AST: the reference for the parser's `decl` links and for the
 first name error it reports.
+
+`tokenize` is the tokenizer the package had before its one-scan rewrite:
+one regular-expression match per token and per blank run, checked from
+the loop. It is the reference for the package's `tokenize`.
 """
 
 from __future__ import annotations
 
+import re
 from collections import deque
 
 from flowgraphs.controlflow import EdgeTable, flow_instructions
@@ -32,15 +37,18 @@ from flowgraphs.minijava import (
     ExprStmt,
     IdentRef,
     If,
+    KEYWORDS,
     Labeled,
     LocalVarDecl,
     Method,
     MissingEnclosingLoopError,
     Node,
+    ParseError,
     Pos,
     Return,
     Statement,
     SuffixUnary,
+    Token,
     UnresolvedLabelError,
     UnresolvedVariableError,
     While,
@@ -201,3 +209,44 @@ def resolve(method: Method) -> dict[Node, Node]:
     for stmt in method.body:
         walk_stmt(stmt)
     return bindings
+
+
+_TOKEN_RE = re.compile(
+    r"""
+      (?P<ws>[ \t\r]+)
+    | (?P<nl>\n)
+    | (?P<comment>//[^\n]*)
+    | (?P<num>\d+)
+    | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<op>\+\+|--|==|[-+*/<>=(){};:,])
+    """,
+    re.VERBOSE,
+)
+
+
+def tokenize(source: str) -> list[Token]:
+    tokens: list[Token] = []
+    line, line_start = 1, 0
+    i = 0
+    while i < len(source):
+        m = _TOKEN_RE.match(source, i)
+        if m is None:
+            raise ParseError(f"unexpected character {source[i]!r}", line, i - line_start + 1)
+        i = m.end()
+        if m.lastgroup in ("ws", "comment"):
+            continue
+        if m.lastgroup == "nl":
+            line += 1
+            line_start = i
+            continue
+        text = m.group()
+        col = m.start() - line_start + 1
+        if m.lastgroup == "num":
+            kind = "num"
+        elif m.lastgroup == "ident":
+            kind = text if text in KEYWORDS else "ident"
+        else:
+            kind = text
+        tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+    return tokens

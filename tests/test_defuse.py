@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from flowgraphs import minijava as mj
@@ -138,9 +140,8 @@ def test_shadowed_variables_are_distinct():
     assert raw("int a = a + 1;", a.def_use.defs) == [local_id]
 
 
-@pytest.mark.parametrize("seed", range(25))
-def test_suffix_unary_always_in_def_and_use(seed):
-    source = progen.gen_program(seed + 700, strict=False, max_stmts=30)
+def assert_suffix_unary_in_def_and_use(source):
+    """Every suffix `++`/`--` defines and uses its variable at its node."""
     a = analyze(source)
 
     def unary_vars(e):
@@ -177,6 +178,23 @@ def test_suffix_unary_always_in_def_and_use(seed):
             checked += 1
             assert var in a.def_use.def_of(nid)
             assert var in a.def_use.use_of(nid)
+    assert checked == len(re.findall(r"\+\+|--", source))
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_suffix_unary_always_in_def_and_use(seed):
+    assert_suffix_unary_in_def_and_use(progen.gen_program(seed + 700, strict=False, max_stmts=30))
+
+
+def test_suffix_unary_nested_in_chains_and_return():
+    assert_suffix_unary_in_def_and_use(
+        "int m(int a, int b) {\n"
+        "    int c = a++ + b-- * (a-- - b++);\n"
+        "    while (c++ < a-- + 1) { b = a++ == c--; }\n"
+        "    if (a + b++ > c) return a-- * (b++ / c--);\n"
+        "    return (c++);\n"
+        "}\n"
+    )
 
 
 @pytest.mark.parametrize("seed", range(25))

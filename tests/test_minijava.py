@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowgraphs import minijava as mj
 from flowgraphs.errors import FlowgraphsError
@@ -13,7 +15,7 @@ from flowgraphs.minijava import (
     parse_program,
 )
 from flowgraphs.model import NodeKind
-from flowgraphs.pipeline import analyze
+from flowgraphs.pipeline import Analysis, analyze
 from flowgraphs.textgen import render_method
 
 import oracle
@@ -216,6 +218,14 @@ def test_relational_chain_of_three():
     assert cond.operators == [mj.Op.LT, mj.Op.GT]
 
 
+def test_deep_grouping_parentheses_are_accepted():
+    # Each level of parentheses costs the parser two stack frames, so 150
+    # levels stay well inside Python's default recursion limit.
+    deep = analyze("int m(int a) { a = " + "(" * 150 + "a + 1" + ")" * 150 + "; return a; }")
+    flat = analyze("int m(int a) { a = a + 1; return a; }")
+    assert repr(deep.method) == repr(flat.method)
+
+
 def test_comments_and_crlf_accepted():
     source = "// leading comment\r\nint m() { // inline\r\n  return; // done\r\n}\r\n"
     method = parse_program(source)
@@ -386,3 +396,63 @@ def test_name_errors_match_reference_on_mutants(mutate, min_errors):
             assert_links_match_reference(parse_program(mutant))
         errors += expected is not None
     assert errors >= min_errors
+
+
+# ---- any input text ----
+
+FRAGMENTS = (
+    "int", "while", "if", "else", "return", "break", "continue", "m", "a", "v1", "_x", "L0",
+    "0", "12", "12ab", "007", "+", "-", "*", "/", "<", ">", "=", "==", "++", "--",
+    "(", ")", "{", "}", ";", ":", ",", " ", "  ", "\t", "\n", "\r\n", "\r", "//", "// note",
+    "\x0b", "\f", "é", "$", "\u0663",  # ARABIC-INDIC DIGIT THREE, a decimal digit to `\d`
+)
+
+# Mini-Java tokens, blanks and line ends, with an arbitrary character now and then.
+mini_java_text = st.lists(
+    st.one_of(st.sampled_from(FRAGMENTS), st.characters()), max_size=80
+).map("".join)
+
+
+@st.composite
+def edited_programs(draw):
+    """A progen program with a few short slices replaced by fragments."""
+    source = progen.gen_program(draw(st.integers(0, 10_000)), strict=draw(st.booleans()),
+                                max_stmts=draw(st.integers(1, 40)))
+    for _ in range(draw(st.integers(0, 3))):
+        start = draw(st.integers(0, len(source)))
+        end = draw(st.integers(start, min(len(source), start + 8)))
+        source = source[:start] + draw(st.sampled_from(("",) + FRAGMENTS)) + source[end:]
+    return source
+
+
+def lex(tokenize, text):
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+    except ParseError as exc:
+        return str(exc), exc.line, exc.column
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(mini_java_text, st.text()))
+@example("")
+@example("int m() { return; } //")
+@example("int m()\r\n{\treturn;\r\n}")
+@example("int x\x0b= 1;")
+@example("int é = 1;")
+@example("12ab")
+@example("int x = 1; // a lone \r does not end a comment\n")
+@example("int m() { }  \t\r\n \n\t ")
+def test_tokenize_matches_reference(text):
+    assert lex(mj.tokenize, text) == lex(oracle.tokenize, text)
+
+
+# Bounded sizes keep nesting far below the depth at which Python's default
+# recursion limit stops the parser and the lowering walks.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.text(max_size=200), mini_java_text, edited_programs()))
+def test_any_text_gives_analysis_or_flowgraphs_error(source):
+    try:
+        result = analyze(source)
+    except FlowgraphsError:
+        return
+    assert isinstance(result, Analysis)

@@ -33,7 +33,7 @@ def test_minimal_mapping():
 
 def test_loop_mapping_with_condition_expr():
     _, graph, _ = build("int m(int a) { while (a < 3) a++; }")
-    loops = graph.by_kind(NodeKind.LOOP)
+    loops = [n for n in graph.nodes if n.kind is NodeKind.LOOP]
     assert len(loops) == 1
     loop = loops[0]
     assert loop.txt == "while"
@@ -44,7 +44,7 @@ def test_loop_mapping_with_condition_expr():
 
 def test_plain_expressions_get_no_node():
     _, graph, _ = build("int m(int a) { a = a + 1; a++; }")
-    assert graph.by_kind(NodeKind.EXPR) == []
+    assert [n for n in graph.nodes if n.kind is NodeKind.EXPR] == []
 
 
 @pytest.mark.parametrize("seed", range(30))
