@@ -8,7 +8,6 @@ against `.validate` assertion documents.
 
 from .controlflow import EdgeTable, compute_cf_edges, flow_instructions
 from .dataflow import DfEdgeTable, compute_data_flow
-from .defuse import DefUseAttr
 from .errors import FlowgraphsError
 from .minijava import (
     MissingEnclosingLoopError,
@@ -17,7 +16,7 @@ from .minijava import (
     UnresolvedVariableError,
     parse_program,
 )
-from .model import FlowGraph, NodeKind, lower
+from .model import DefUseAttr, FlowGraph, NodeKind, lower
 from .pipeline import Analysis, analyze
 from .textgen import render_method, text_of
 from .validator import (

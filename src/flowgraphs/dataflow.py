@@ -24,8 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .controlflow import EdgeTable, flow_instructions
-from .defuse import DefUseAttr
-from .model import FlowGraph
+from .model import DefUseAttr, FlowGraph
 
 
 @dataclass(frozen=True)

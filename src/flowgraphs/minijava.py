@@ -26,6 +26,24 @@ enclosing labeled statement, and every break/continue must have a loop
 to act on. A name error does not stop parsing; the first one in source
 order is raised once the whole input has parsed, so a syntax error
 anywhere takes precedence over it.
+
+Each statement and expression gets its label (`txt`) as it is built, from
+its operands' labels (synthesized attributes: Knuth, "Semantics of
+Context-Free Languages", 1968). Structured statements use fixed labels
+("while", "if", "{...}", "break", "continue", "name:"); simple statements
+and expressions are written with one canonical spacing (`OP_TEXT`), so
+`a+1` and `a + 1` in the source both label as "a + 1". These labels are
+the keys the validation DSL matches on.
+
+Binding a name also records it in the reads or writes of the statement
+whose expression (initializer, expression, return value, or `while`/`if`
+condition) contains it, in occurrence order. An identifier is read; an
+assignment writes its target after whatever its right-hand side reads
+and writes, and does not read the target; the suffix `++`/`--` forms
+both read and write their variable; chains concatenate their operands'
+reads and writes left to right. `model.lower` maps these onto the flow
+graph; a declaration additionally defines the declared variable, and a
+method defines its parameters.
 """
 
 from __future__ import annotations
@@ -39,9 +57,7 @@ from .errors import SourcePosError
 
 
 class ParseError(SourcePosError):
-    def __init__(self, message: str, line: int, column: int, expected: str | None = None):
-        super().__init__(message, line, column)
-        self.expected = expected
+    pass
 
 
 class UnresolvedVariableError(SourcePosError):
@@ -74,6 +90,20 @@ class Op(enum.Enum):
     DEC = "--"
 
 
+OP_TEXT = {
+    Op.ASSIGN: " = ",
+    Op.MUL: " * ",
+    Op.ADD: " + ",
+    Op.DIV: " / ",
+    Op.SUB: " - ",
+    Op.EQ: " == ",
+    Op.GT: " > ",
+    Op.LT: " < ",
+    Op.INC: "++",
+    Op.DEC: "--",
+}
+
+
 class ChainKind(enum.Enum):
     ADDITIVE = "additive"
     MULTIPLICATIVE = "multiplicative"
@@ -90,131 +120,119 @@ CHAIN_OPS = {
 
 
 # AST nodes use identity equality/hash so they can key attribute maps;
-# structural comparison goes through repr (positions are excluded).
+# structural comparison goes through repr (positions, labels and def/use
+# sets are excluded).
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Node:
-    pass
+    pos: Pos | None = field(default=None, repr=False, kw_only=True)
+    txt: str = field(default="", repr=False, kw_only=True)  # the canonical label
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Param(Node):
     name: str
-    pos: Pos | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Method(Node):
     name: str
     params: list[Param]
     body: list[Statement]
-    pos: Pos | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Statement(Node):
-    pass
+    # What the statement's own expression reads and writes, in occurrence order.
+    reads: tuple[Param | LocalVarDecl, ...] = field(default=(), repr=False, kw_only=True)
+    writes: tuple[Param | LocalVarDecl, ...] = field(default=(), repr=False, kw_only=True)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LocalVarDecl(Statement):
     name: str
     init: Expression
-    pos: Pos | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class ExprStmt(Statement):
     expr: Expression
-    pos: Pos | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class While(Statement):
     cond: Expression
     body: Statement
-    pos: Pos | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class If(Statement):
     cond: Expression
     then: Statement
     orelse: Statement | None
-    pos: Pos | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Return(Statement):
     value: Expression | None
-    pos: Pos | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Break(Statement):
     label: str | None
-    pos: Pos | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Continue(Statement):
     label: str | None
-    pos: Pos | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Labeled(Statement):
     name: str
     stmt: Statement
-    pos: Pos | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Block(Statement):
     stmts: list[Statement]
-    pos: Pos | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Expression(Node):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Assign(Expression):
     target: str
     value: Expression
-    pos: Pos | None = field(default=None, repr=False)
     decl: Param | LocalVarDecl | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class SuffixUnary(Expression):
     target: str
     op: Op
-    pos: Pos | None = field(default=None, repr=False)
     decl: Param | LocalVarDecl | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Chain(Expression):
     kind: ChainKind
     children: list[Expression]
     operators: list[Op]
-    pos: Pos | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class IdentRef(Expression):
     name: str
-    pos: Pos | None = field(default=None, repr=False)
     decl: Param | LocalVarDecl | None = field(default=None, repr=False)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class IntLit(Expression):
     value: int
-    pos: Pos | None = field(default=None, repr=False)
 
 
 KEYWORDS = {"int", "while", "if", "else", "return", "break", "continue"}
@@ -295,6 +313,10 @@ class _Parser:
         self.labels: list[tuple[str, bool]] = []  # (name, wraps a While)
         self.loop_depth = 0
         self.error: SourcePosError | None = None  # first name error, raised after parsing
+        # Declarations read and written since the last take_sets, in occurrence order
+        self.reads: list[Param | LocalVarDecl | None] = []
+        self.writes: list[Param | LocalVarDecl | None] = []
+        self.shared_sets: dict[tuple, tuple] = {}  # one tuple per distinct set, to save memory
 
     # The last token is 'eof' and `i` never moves past it, so looking one
     # token ahead is safe whenever the current token is not 'eof'.
@@ -315,9 +337,7 @@ class _Parser:
         tok = self.tokens[self.i]
         if tok.kind != kind:
             found = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(
-                f"expected {kind!r}, found {found!r}", tok.line, tok.col, expected=kind
-            )
+            raise ParseError(f"expected {kind!r}, found {found!r}", tok.line, tok.col)
         if kind != "eof":
             self.i += 1
         return tok
@@ -334,6 +354,14 @@ class _Parser:
                 return scope[tok.text]
         self.fail(UnresolvedVariableError, f"undeclared variable {tok.text!r}", tok)
         return None
+
+    def take_sets(self) -> tuple[tuple, tuple]:
+        """The reads and writes of the expression just parsed; the lists restart empty."""
+        share = self.shared_sets.setdefault
+        reads, writes = tuple(self.reads), tuple(self.writes)
+        self.reads.clear()
+        self.writes.clear()
+        return share(reads, reads), share(writes, writes)
 
     def check_jump(self, tok: Token, label: str | None) -> None:
         if label is None:
@@ -367,7 +395,7 @@ class _Parser:
         self.scopes.append({p.name: p for p in params})
         body = self.parse_block().stmts
         self.expect("eof")
-        return Method(name, params, body, pos=start.pos)
+        return Method(name, params, body, pos=start.pos, txt=name + "()")
 
     # ---- statements ----
 
@@ -378,11 +406,11 @@ class _Parser:
         while not self.at("}"):
             if self.at("eof"):
                 raise ParseError("expected '}', found end of input",
-                                 self.peek().line, self.peek().col, expected="}")
+                                 self.peek().line, self.peek().col)
             stmts.append(self.parse_statement())
         self.expect("}")
         self.scopes.pop()
-        return Block(stmts, pos=start.pos)
+        return Block(stmts, pos=start.pos, txt="{...}")
 
     def parse_statement(self) -> Statement:
         tok = self.peek()
@@ -392,17 +420,19 @@ class _Parser:
             self.advance()
             self.expect("(")
             cond = self.parse_condition()
+            reads, writes = self.take_sets()
             self.expect(")")
             self.scopes.append({})
             self.loop_depth += 1
             body = self.parse_statement()
             self.loop_depth -= 1
             self.scopes.pop()
-            return While(cond, body, pos=tok.pos)
+            return While(cond, body, pos=tok.pos, txt="while", reads=reads, writes=writes)
         if tok.kind == "if":
             self.advance()
             self.expect("(")
             cond = self.parse_condition()
+            reads, writes = self.take_sets()
             self.expect(")")
             self.scopes.append({})
             then = self.parse_statement()
@@ -413,25 +443,29 @@ class _Parser:
                 self.scopes.append({})
                 orelse = self.parse_statement()
                 self.scopes.pop()
-            return If(cond, then, orelse, pos=tok.pos)
+            return If(cond, then, orelse, pos=tok.pos, txt="if", reads=reads, writes=writes)
         if tok.kind == "return":
             self.advance()
             value = None if self.at(";") else self.parse_condition()
             self.expect(";")
-            return Return(value, pos=tok.pos)
+            txt = "return;" if value is None else "return " + value.txt + ";"
+            reads, writes = self.take_sets()
+            return Return(value, pos=tok.pos, txt=txt, reads=reads, writes=writes)
         if tok.kind in ("break", "continue"):
             self.advance()
             label = self.advance().text if self.at("ident") else None
             self.expect(";")
             self.check_jump(tok, label)
-            return (Break if tok.kind == "break" else Continue)(label, pos=tok.pos)
+            return (Break if tok.kind == "break" else Continue)(label, pos=tok.pos, txt=tok.kind)
         if tok.kind == "int":
             self.advance()
             name = self.expect("ident").text
             self.expect("=")
             init = self.parse_expression()  # bound before the declared name is in scope
             self.expect(";")
-            decl = LocalVarDecl(name, init, pos=tok.pos)
+            reads, writes = self.take_sets()
+            decl = LocalVarDecl(name, init, pos=tok.pos, txt="int " + name + " = " + init.txt + ";",
+                                reads=reads, writes=writes)
             self.scopes[-1][name] = decl
             return decl
         if tok.kind == "ident" and self.at(":", 1):
@@ -440,10 +474,11 @@ class _Parser:
             self.labels.append((tok.text, self.at("while")))
             stmt = self.parse_statement()
             self.labels.pop()
-            return Labeled(tok.text, stmt, pos=tok.pos)
+            return Labeled(tok.text, stmt, pos=tok.pos, txt=tok.text + ":")
         expr = self.parse_expression()
         self.expect(";")
-        return ExprStmt(expr, pos=tok.pos)
+        reads, writes = self.take_sets()
+        return ExprStmt(expr, pos=tok.pos, txt=expr.txt + ";", reads=reads, writes=writes)
 
     # ---- expressions ----
     # Assignments are legal only at statement/initializer top level, so
@@ -454,7 +489,9 @@ class _Parser:
             tok = self.advance()
             self.advance()
             value = self.parse_expression()  # bound before the target
-            return Assign(tok.text, value, pos=tok.pos, decl=self.lookup(tok))
+            decl = self.lookup(tok)
+            self.writes.append(decl)
+            return Assign(tok.text, value, pos=tok.pos, decl=decl, txt=tok.text + " = " + value.txt)
         return self.parse_condition()
 
     def parse_condition(self, min_level: int = 0) -> Expression:
@@ -469,14 +506,17 @@ class _Parser:
         entry = binary.get(tokens[self.i].kind)
         while entry is not None and entry[0] >= min_level:
             level, kind, _ = entry
-            children, operators = [left], []
+            children, operators, txt = [left], [], left.txt
             while entry is not None and entry[0] == level:
                 self.i += 1
-                operators.append(entry[2])
-                children.append(self.parse_unary() if level == self._TOP
-                                else self.parse_condition(level + 1))
+                op = entry[2]
+                child = (self.parse_unary() if level == self._TOP
+                         else self.parse_condition(level + 1))
+                operators.append(op)
+                children.append(child)
+                txt += OP_TEXT[op] + child.txt
                 entry = binary.get(tokens[self.i].kind)
-            left = Chain(kind, children, operators, pos=None)
+            left = Chain(kind, children, operators, pos=children[0].pos, txt=txt)
         return left
 
     def parse_unary(self) -> Expression:
@@ -485,10 +525,14 @@ class _Parser:
         kind = tok.kind
         if kind == "ident":
             self.i += 1
-            expr = IdentRef(tok.text, pos=tok.pos, decl=self.lookup(tok))
+            decl = self.lookup(tok)
+            self.reads.append(decl)
+            expr = IdentRef(tok.text, pos=tok.pos, decl=decl, txt=tok.text)
         elif kind == "num":
             self.i += 1
-            expr = IntLit(int(tok.text), pos=tok.pos)
+            value = int(tok.text)
+            text = str(value)  # canonical; reuse the token's string when equal, to save memory
+            expr = IntLit(value, pos=tok.pos, txt=tok.text if tok.text == text else text)
         elif kind == "(":
             # Grouping parentheses only; they leave no trace in the AST.
             self.i += 1
@@ -505,7 +549,9 @@ class _Parser:
             if not isinstance(expr, IdentRef):
                 raise ParseError(f"'{tok.text}' target must be a variable", tok.line, tok.col)
             op = Op.INC if tok.kind == "++" else Op.DEC
-            return SuffixUnary(expr.name, op, pos=expr.pos, decl=expr.decl)
+            self.writes.append(expr.decl)  # the variable is read, then written
+            return SuffixUnary(expr.name, op, pos=expr.pos, decl=expr.decl,
+                               txt=expr.name + OP_TEXT[op])
         return expr
 
 

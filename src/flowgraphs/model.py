@@ -4,7 +4,8 @@ The graph is an arena of nodes addressed by integer id; containment
 links are id-valued fields on the nodes. Node creation order is the
 pre-order of the mapping walk (method, exit, then statements, then the
 variables), which all later listings and edge tables inherit, so output
-is deterministic.
+is deterministic. Definition and use sets per flow instruction are kept
+beside the graph, in a `DefUseAttr`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ import enum
 from dataclasses import dataclass, field
 
 from . import minijava as mj
-from .defuse import DefUseAttr, expr_reads_writes
-from .textgen import EXIT_TEXT, text_of
+from .textgen import EXIT_TEXT
 
 
 class NodeKind(str, enum.Enum):
@@ -71,6 +71,27 @@ class FlowGraph:
         return self.nodes[self.method].exit
 
 
+@dataclass
+class DefUseAttr:
+    """Definition and use sets per flow instruction: node id -> variable node ids."""
+
+    defs: dict[int, list[int]] = field(default_factory=dict)
+    uses: dict[int, list[int]] = field(default_factory=dict)
+
+    def def_of(self, nid: int) -> list[int]:
+        return self.defs.get(nid, [])
+
+    def use_of(self, nid: int) -> list[int]:
+        return self.uses.get(nid, [])
+
+    def add(self, nid: int, reads: list[int], writes: list[int]) -> None:
+        """Record a node's sets, duplicates dropped, first occurrence kept."""
+        if reads:
+            self.uses[nid] = list(dict.fromkeys(reads))
+        if writes:
+            self.defs[nid] = list(dict.fromkeys(writes))
+
+
 _STMT_KIND = {
     mj.LocalVarDecl: NodeKind.SIMPLE,
     mj.ExprStmt: NodeKind.SIMPLE,
@@ -83,57 +104,59 @@ _STMT_KIND = {
 def lower(method: mj.Method) -> tuple[FlowGraph, DefUseAttr]:
     """Map the AST onto the flow-graph model and record def/use sets.
 
-    One pre-order walk creates the Method plus its Exit, one node per
-    statement, and an Expr node for each loop/if condition; expressions in
-    any other position have no image. Every created node carries its
-    source node's label. Each Param and LocalVarDecl becomes a Param/Var
-    node on the Method, whatever block declares it. Those come after every
-    statement node, so the walk records def/use sets by declaration index
-    and shifts them to node ids at the end.
+    One pre-order walk over the statements creates the Method plus its
+    Exit, one node per statement, and an Expr node for each loop/if
+    condition; expressions in any other position have no image. Every
+    created node carries its source node's label, and a statement's reads
+    and writes go to its own node, or to its condition's Expr node. Each
+    Param and LocalVarDecl becomes a Param/Var node on the Method,
+    whatever block declares it. Those come after every statement node, so
+    the walk records def/use sets by declaration index and shifts them to
+    node ids at the end.
     """
     graph = FlowGraph()
     du = DefUseAttr()
     var_of = {p: i for i, p in enumerate(method.params)}  # declaration -> index
 
-    root = graph.new_node(NodeKind.METHOD, text_of(method))
+    root = graph.new_node(NodeKind.METHOD, method.txt)
     root.exit = graph.new_node(NodeKind.EXIT, EXIT_TEXT).id
     du.add(root.id, [], list(var_of.values()))
 
-    def map_condition(cond: mj.Expression) -> int:
-        nid = graph.new_node(NodeKind.EXPR, text_of(cond)).id
-        du.add(nid, *expr_reads_writes(cond, var_of))
+    def add_sets(nid: int, s: mj.Statement) -> None:
+        writes = [var_of[d] for d in s.writes]
+        if isinstance(s, mj.LocalVarDecl):
+            writes.append(var_of[s])  # a declaration defines its variable last
+        du.add(nid, [var_of[d] for d in s.reads], writes)
+
+    def map_condition(s: mj.While | mj.If) -> int:
+        nid = graph.new_node(NodeKind.EXPR, s.cond.txt).id
+        add_sets(nid, s)
         return nid
 
     def map_stmt(s: mj.Statement) -> int:
         if isinstance(s, mj.While):
-            node = graph.new_node(NodeKind.LOOP, text_of(s))
-            node.expr = map_condition(s.cond)
+            node = graph.new_node(NodeKind.LOOP, s.txt)
+            node.expr = map_condition(s)
             node.body = map_stmt(s.body)
         elif isinstance(s, mj.If):
-            node = graph.new_node(NodeKind.IF, text_of(s))
-            node.expr = map_condition(s.cond)
+            node = graph.new_node(NodeKind.IF, s.txt)
+            node.expr = map_condition(s)
             node.then = map_stmt(s.then)
             if s.orelse is not None:
                 node.orelse = map_stmt(s.orelse)
         elif isinstance(s, mj.Labeled):
-            node = graph.new_node(NodeKind.LABEL, text_of(s), label=s.name)
+            node = graph.new_node(NodeKind.LABEL, s.txt, label=s.name)
             node.stmt = map_stmt(s.stmt)
         elif isinstance(s, mj.Block):
-            node = graph.new_node(NodeKind.BLOCK, text_of(s))
+            node = graph.new_node(NodeKind.BLOCK, s.txt)
             node.stmts = [map_stmt(child) for child in s.stmts]
         else:
             kind = _STMT_KIND[type(s)]
             jump = s.label if isinstance(s, (mj.Break, mj.Continue)) else None
-            node = graph.new_node(kind, text_of(s), label=jump)
+            node = graph.new_node(kind, s.txt, label=jump)
             if isinstance(s, mj.LocalVarDecl):
                 var_of[s] = len(var_of)
-                reads, writes = expr_reads_writes(s.init, var_of)
-                du.add(node.id, reads, writes + [var_of[s]])
-            elif isinstance(s, mj.ExprStmt):
-                du.add(node.id, *expr_reads_writes(s.expr, var_of))
-            elif isinstance(s, mj.Return) and s.value is not None:
-                # suffix forms in the value still count as definitions
-                du.add(node.id, *expr_reads_writes(s.value, var_of))
+            add_sets(node.id, s)
         return node.id
 
     root.stmts = [map_stmt(s) for s in method.body]

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 from . import minijava as mj
 from .controlflow import EdgeTable, compute_cf_edges
 from .dataflow import DfEdgeTable, compute_data_flow
-from .defuse import DefUseAttr
-from .model import FlowGraph, lower
+from .model import DefUseAttr, FlowGraph, lower
 
 
 @dataclass

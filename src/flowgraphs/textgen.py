@@ -1,70 +1,21 @@
-"""Synthesized text labels for AST nodes.
+"""Label constants, label lookup, and the AST printed back as source.
 
-Every node that gets a flow-graph image (and every expression feeding
-one) receives a display label, computed bottom-up. Structured statements
-use fixed labels ("while", "if", "{...}", ...); simple statements and
-expressions are serialized with one canonical spacing, so `a+1` and
-`a + 1` in the source both label as "a + 1". These labels are the keys
-the validation DSL matches on.
+The parser stores every statement's and expression's label on the node
+as it builds it (see `minijava`); `text_of` reads it back. The Exit node
+has no AST node, so its fixed label lives here.
 """
 
 from __future__ import annotations
 
 from . import minijava as mj
-
-OP_TEXT = {
-    mj.Op.ASSIGN: " = ",
-    mj.Op.MUL: " * ",
-    mj.Op.ADD: " + ",
-    mj.Op.DIV: " / ",
-    mj.Op.SUB: " - ",
-    mj.Op.EQ: " == ",
-    mj.Op.GT: " > ",
-    mj.Op.LT: " < ",
-    mj.Op.INC: "++",
-    mj.Op.DEC: "--",
-}
+from .minijava import OP_TEXT  # noqa: F401  re-exported with the other label constants
 
 EXIT_TEXT = "Exit"
 
 
 def text_of(node: mj.Node) -> str:
     """Label for one node."""
-    if isinstance(node, mj.Method):
-        out = node.name + "()"
-    elif isinstance(node, mj.LocalVarDecl):
-        out = "int " + node.name + " = " + text_of(node.init) + ";"
-    elif isinstance(node, mj.ExprStmt):
-        out = text_of(node.expr) + ";"
-    elif isinstance(node, mj.While):
-        out = "while"
-    elif isinstance(node, mj.If):
-        out = "if"
-    elif isinstance(node, mj.Return):
-        out = "return;" if node.value is None else "return " + text_of(node.value) + ";"
-    elif isinstance(node, mj.Break):
-        out = "break"
-    elif isinstance(node, mj.Continue):
-        out = "continue"
-    elif isinstance(node, mj.Labeled):
-        out = node.name + ":"
-    elif isinstance(node, mj.Block):
-        out = "{...}"
-    elif isinstance(node, mj.Assign):
-        out = node.target + " = " + text_of(node.value)
-    elif isinstance(node, mj.SuffixUnary):
-        out = node.target + OP_TEXT[node.op]
-    elif isinstance(node, mj.Chain):
-        out = text_of(node.children[0])
-        for op, child in zip(node.operators, node.children[1:]):
-            out += OP_TEXT[op] + text_of(child)
-    elif isinstance(node, mj.IdentRef):
-        out = node.name
-    elif isinstance(node, mj.IntLit):
-        out = str(node.value)
-    else:
-        raise TypeError(f"no text rule for {type(node).__name__}")
-    return out
+    return node.txt
 
 
 def render_method(method: mj.Method) -> str:

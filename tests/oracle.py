@@ -17,6 +17,11 @@ first name error it reports.
 `tokenize` is the tokenizer the package had before its one-scan rewrite:
 one regular-expression match per token and per blank run, checked from
 the loop. It is the reference for the package's `tokenize`.
+
+`text_of` and `expr_reads_writes` are the label and def/use walks over a
+parsed AST that the package ran before the parser synthesized both: the
+references for each node's stored `txt` and each statement's stored
+`reads` and `writes`.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from __future__ import annotations
 import re
 from collections import deque
 
+from flowgraphs import minijava as mj
 from flowgraphs.controlflow import EdgeTable, flow_instructions
 from flowgraphs.dataflow import DfEdgeTable, UndefinedUseWarning
-from flowgraphs.defuse import DefUseAttr
 from flowgraphs.minijava import (
     Assign,
     Block,
@@ -38,6 +43,7 @@ from flowgraphs.minijava import (
     IdentRef,
     If,
     KEYWORDS,
+    OP_TEXT,
     Labeled,
     LocalVarDecl,
     Method,
@@ -53,7 +59,7 @@ from flowgraphs.minijava import (
     UnresolvedVariableError,
     While,
 )
-from flowgraphs.model import FlowGraph
+from flowgraphs.model import DefUseAttr, FlowGraph
 
 
 def brute_force_df_edges(graph: FlowGraph, cf: EdgeTable, du: DefUseAttr) -> set[tuple[int, int]]:
@@ -250,3 +256,72 @@ def tokenize(source: str) -> list[Token]:
         tokens.append(Token(kind, text, line, col))
     tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
+
+
+def text_of(node: mj.Node) -> str:
+    """Label for one node."""
+    if isinstance(node, mj.Method):
+        out = node.name + "()"
+    elif isinstance(node, mj.LocalVarDecl):
+        out = "int " + node.name + " = " + text_of(node.init) + ";"
+    elif isinstance(node, mj.ExprStmt):
+        out = text_of(node.expr) + ";"
+    elif isinstance(node, mj.While):
+        out = "while"
+    elif isinstance(node, mj.If):
+        out = "if"
+    elif isinstance(node, mj.Return):
+        out = "return;" if node.value is None else "return " + text_of(node.value) + ";"
+    elif isinstance(node, mj.Break):
+        out = "break"
+    elif isinstance(node, mj.Continue):
+        out = "continue"
+    elif isinstance(node, mj.Labeled):
+        out = node.name + ":"
+    elif isinstance(node, mj.Block):
+        out = "{...}"
+    elif isinstance(node, mj.Assign):
+        out = node.target + " = " + text_of(node.value)
+    elif isinstance(node, mj.SuffixUnary):
+        out = node.target + OP_TEXT[node.op]
+    elif isinstance(node, mj.Chain):
+        out = text_of(node.children[0])
+        for op, child in zip(node.operators, node.children[1:]):
+            out += OP_TEXT[op] + text_of(child)
+    elif isinstance(node, mj.IdentRef):
+        out = node.name
+    elif isinstance(node, mj.IntLit):
+        out = str(node.value)
+    else:
+        raise TypeError(f"no text rule for {type(node).__name__}")
+    return out
+
+
+def expr_reads_writes(
+    e: mj.Expression, var_of: dict[mj.Node, int]
+) -> tuple[list[int], list[int]]:
+    """(reads, writes) of one expression, in occurrence order.
+
+    Each occurrence counts as `var_of[occ.decl]`, the variable its bound
+    declaration maps to.
+    """
+    if isinstance(e, mj.Assign):
+        # Value writes (suffix forms) are kept; the target itself is not read.
+        reads, writes = expr_reads_writes(e.value, var_of)
+        return reads, writes + [var_of[e.decl]]
+    if isinstance(e, mj.SuffixUnary):
+        var = var_of[e.decl]
+        return [var], [var]
+    if isinstance(e, mj.Chain):
+        reads: list[int] = []
+        writes: list[int] = []
+        for child in e.children:
+            r, w = expr_reads_writes(child, var_of)
+            reads.extend(r)
+            writes.extend(w)
+        return reads, writes
+    if isinstance(e, mj.IdentRef):
+        return [var_of[e.decl]], []
+    if isinstance(e, mj.IntLit):
+        return [], []
+    raise TypeError(f"no def/use rule for {type(e).__name__}")

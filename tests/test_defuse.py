@@ -3,7 +3,6 @@ import re
 import pytest
 
 from flowgraphs import minijava as mj
-from flowgraphs.defuse import expr_reads_writes
 from flowgraphs.minijava import parse_program
 from flowgraphs.model import NodeKind
 from flowgraphs.pipeline import analyze
@@ -25,12 +24,10 @@ def du_of(analysis, txt):
 
 
 def reads_writes(stmt_src: str):
-    """(reads, writes) of the expression in `stmt_src`, as variable names."""
+    """(reads, writes) the parser stores on the statement `stmt_src`, as variable names."""
     method = parse_program(f"int m(int a, int b, int i) {{ {stmt_src} }}")
-    params = method.params
-    target = next(s.expr for s in method.body if isinstance(s, mj.ExprStmt))
-    reads, writes = expr_reads_writes(target, {p: i for i, p in enumerate(params)})
-    return [params[v].name for v in reads], [params[v].name for v in writes]
+    stmt = next(s for s in method.body if isinstance(s, mj.ExprStmt))
+    return [d.name for d in stmt.reads], [d.name for d in stmt.writes]
 
 
 def test_assignment_reads_value_writes_target():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 import re
@@ -10,6 +11,7 @@ from flowgraphs import minijava as mj
 from flowgraphs.errors import FlowgraphsError
 from flowgraphs.minijava import (
     ParseError,
+    Pos,
     UnresolvedLabelError,
     UnresolvedVariableError,
     parse_program,
@@ -245,7 +247,7 @@ def test_syntax_error_reports_position_and_expectation():
     err = exc_info.value
     assert err.line == 1
     assert err.column == 20
-    assert err.expected == ";"
+    assert "expected ';'" in str(err)
     assert "expected" in str(err)
 
 
@@ -456,3 +458,67 @@ def test_any_text_gives_analysis_or_flowgraphs_error(source):
     except FlowgraphsError:
         return
     assert isinstance(result, Analysis)
+
+
+# ---- stored labels, def/use sets and positions ----
+
+
+def ast_nodes(node):
+    """The statement and expression nodes below `node`, in pre-order.
+
+    Child fields are the ones in the repr; `decl` links, positions,
+    labels and def/use sets are left out of it.
+    """
+    for f in dataclasses.fields(node):
+        if f.repr:
+            value = getattr(node, f.name)
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, (mj.Statement, mj.Expression)):
+                    yield child
+                    yield from ast_nodes(child)
+
+
+OWN_EXPRESSION = {mj.LocalVarDecl: "init", mj.ExprStmt: "expr", mj.Return: "value",
+                  mj.While: "cond", mj.If: "cond"}
+
+
+class SameDecl(dict):
+    """A `var_of` for the reference walk that maps each declaration to itself."""
+
+    def __missing__(self, decl):
+        return decl
+
+
+def assert_labels_and_sets_match_reference(method):
+    assert method.txt == oracle.text_of(method)
+    for node in ast_nodes(method):
+        assert node.txt == oracle.text_of(node)
+        if isinstance(node, mj.Statement):
+            attr = OWN_EXPRESSION.get(type(node))
+            expr = None if attr is None else getattr(node, attr)
+            want = ([], []) if expr is None else oracle.expr_reads_writes(expr, SameDecl())
+            assert (list(node.reads), list(node.writes)) == want
+
+
+def test_labels_and_sets_match_reference():
+    for source in random_sources():
+        assert_labels_and_sets_match_reference(parse_program(source))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(mini_java_text, edited_programs()))
+@example("int m(int a, int b) { { int a = a++ + b; a = b = a-- * (a + 1); } return ((a)) == 007; }")
+def test_labels_and_sets_match_reference_on_any_text(source):
+    try:
+        method = parse_program(source)
+    except FlowgraphsError:
+        return
+    assert_labels_and_sets_match_reference(method)
+
+
+def test_every_node_has_a_position():
+    method = parse_program("int m(int a, int b) {\n  a = (b + 1) * a < 2;\n}")
+    relational = method.body[0].expr.value
+    assert relational.pos == relational.children[0].pos == Pos(2, 8)
+    for source in random_sources():
+        assert all(node.pos is not None for node in ast_nodes(parse_program(source)))
