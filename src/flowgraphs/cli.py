@@ -13,6 +13,8 @@ Set FG_COLOR=1 to colorize validation findings.
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import json
 import os
 import sys
@@ -36,25 +38,27 @@ def _read_input(path: str) -> str:
 
 def _build_listing(graph: FlowGraph) -> list[str]:
     lines: list[str] = []
-
-    def emit(nid: int, depth: int) -> None:
-        node = graph.node(nid)
-        lines.append(f'{"  " * depth}{node.kind} "{node.txt}"')
-        if node.kind is NodeKind.METHOD:
-            for vid in node.vars:
-                emit(vid, depth + 1)
-            for sid in node.stmts:
-                emit(sid, depth + 1)
-            emit(node.exit, depth + 1)
-            return
-        for link in (node.expr, node.then, node.orelse, node.stmt, node.body):
-            if link is not None:
-                emit(link, depth + 1)
-        for sid in node.stmts:
-            emit(sid, depth + 1)
-
-    emit(graph.method, 0)
+    _emit_listing(graph, graph.method, 0, lines)
     return lines
+
+
+def _emit_listing(graph: FlowGraph, nid: int, depth: int, lines: list[str]) -> None:
+    # A module-level function, not a closure: a recursive closure is a
+    # reference cycle, left for the cyclic collector to free.
+    node = graph.node(nid)
+    lines.append(f'{"  " * depth}{node.kind} "{node.txt}"')
+    if node.kind is NodeKind.METHOD:
+        for vid in node.vars:
+            _emit_listing(graph, vid, depth + 1, lines)
+        for sid in node.stmts:
+            _emit_listing(graph, sid, depth + 1, lines)
+        _emit_listing(graph, node.exit, depth + 1, lines)
+        return
+    for link in (node.expr, node.then, node.orelse, node.stmt, node.body):
+        if link is not None:
+            _emit_listing(graph, link, depth + 1, lines)
+    for sid in node.stmts:
+        _emit_listing(graph, sid, depth + 1, lines)
 
 
 def _dot_escape(text: str) -> str:
@@ -85,9 +89,9 @@ def _dot_listing(graph: FlowGraph, cf_edges, df_edges) -> list[str]:
 def _json_doc(analysis: Analysis, with_df: bool) -> dict:
     graph = analysis.graph
     doc = {
-        "nodes": [{"id": n.id, "kind": str(n.kind), "txt": n.txt} for n in graph.nodes],
-        "cfNext": [[a, b] for a, b in analysis.cf.edges()],
-        "dfNext": [[a, b] for a, b in analysis.df.edges()] if with_df else [],
+        "nodes": [{"id": n.id, "kind": n.kind.value, "txt": n.txt} for n in graph.nodes],
+        "cfNext": analysis.cf.edges(),  # (src, dst) tuples dump as JSON arrays
+        "dfNext": analysis.df.edges() if with_df else [],
         "def": {},
         "use": {},
     }
@@ -166,6 +170,7 @@ def _cmd_validate(analysis: Analysis, args) -> int:
     return 0 if report.clean else 1
 
 
+@functools.cache  # built once per process; parse_args does not change it
 def _make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fg", description="Flow-graph analysis for mini-Java programs"
@@ -204,6 +209,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "validate" and args.file == "-" and args.spec == "-":
         print("fg: error: program and spec cannot both come from stdin", file=sys.stderr)
         return 2
+    # One command builds its whole model and then drops it; the analysis
+    # makes no reference cycles, so reference counting frees it all and the
+    # cyclic collector would only walk live objects. Pause it for the
+    # command and give the caller back the setting it had.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         analysis = analyze(_read_input(args.file))
         return args.func(analysis, args)
@@ -213,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("fg: error: program nesting is too deep to analyze", file=sys.stderr)
         return 2
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

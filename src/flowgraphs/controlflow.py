@@ -1,6 +1,6 @@
 """Control-flow edges over the flow graph.
 
-One walk, `lower(nid, cont)`, visits every statement once. `cont` is the
+One walk, `_lower(nid, cont)`, visits every statement once. `cont` is the
 flow instruction control reaches after the statement completes normally;
 the walk adds the statement's outgoing edges and returns its entry, the
 flow instruction control reaches when the statement starts:
@@ -23,9 +23,11 @@ valid target, so the walk has no error path.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
-from .model import FlowGraph, NodeKind
+from .model import FlowGraph, FlowNode, NodeKind
 
 FLOW_INSTR_KINDS = frozenset({
     NodeKind.METHOD,
@@ -62,47 +64,62 @@ def flow_instructions(graph: FlowGraph) -> list[int]:
 
 def compute_cf_edges(graph: FlowGraph) -> EdgeTable:
     edges = EdgeTable()
-    nodes = graph.nodes
-    root = nodes[graph.method]
-    targets: list[tuple[str | None, int, int | None]] = []
-
-    def lower_seq(stmts: list[int], cont: int) -> int:
-        for nid in reversed(stmts):
-            cont = lower(nid, cont)
-        return cont
-
-    def lower(nid: int, cont: int) -> int:
-        node = nodes[nid]
-        kind = node.kind
-        if kind is NodeKind.BLOCK:
-            return lower_seq(node.stmts, cont)
-        if kind is NodeKind.SIMPLE:
-            edges.add(nid, cont)
-        elif kind is NodeKind.RETURN:
-            edges.add(nid, root.exit)
-        elif kind is NodeKind.LOOP:
-            targets.append((None, cont, node.expr))
-            body = lower(node.body, node.expr)
-            targets.pop()
-            edges.add(node.expr, cont)
-            edges.add(node.expr, body)
-            return node.expr
-        elif kind is NodeKind.IF:
-            then = lower(node.then, cont)
-            orelse = cont if node.orelse is None else lower(node.orelse, cont)
-            edges.add(node.expr, then)
-            edges.add(node.expr, orelse)
-            return node.expr
-        elif kind is NodeKind.LABEL:
-            inner = nodes[node.stmt]
-            targets.append((node.label, cont, inner.expr if inner.kind is NodeKind.LOOP else None))
-            entry = lower(node.stmt, cont)
-            targets.pop()
-            return entry
-        else:  # Break, Continue
-            _, break_to, continue_to = next(t for t in reversed(targets) if t[0] == node.label)
-            edges.add(nid, break_to if kind is NodeKind.BREAK else continue_to)
-        return nid
-
-    edges.add(root.id, lower_seq(root.stmts, root.exit))
+    root = graph.nodes[graph.method]
+    walk = _Walk(graph.nodes, edges.add, root.exit, [])
+    edges.add(root.id, _lower_seq(root.stmts, root.exit, walk))
     return edges
+
+
+class _Walk(NamedTuple):
+    """The state `_lower` threads through the walk.
+
+    Passed as an argument rather than closed over: a recursive closure is
+    a reference cycle, which would keep the graph alive until the cyclic
+    collector runs.
+    """
+
+    nodes: list[FlowNode]
+    add: Callable[[int, int], None]  # EdgeTable.add
+    exit: int
+    targets: list[tuple[str | None, int, int | None]]  # jump targets, innermost last
+
+
+def _lower_seq(stmts: Sequence[int], cont: int, walk: _Walk) -> int:
+    for nid in reversed(stmts):
+        cont = _lower(nid, cont, walk)
+    return cont
+
+
+def _lower(nid: int, cont: int, walk: _Walk) -> int:
+    node = walk.nodes[nid]
+    kind = node.kind
+    add = walk.add
+    if kind is NodeKind.BLOCK:
+        return _lower_seq(node.stmts, cont, walk)
+    if kind is NodeKind.SIMPLE:
+        add(nid, cont)
+    elif kind is NodeKind.RETURN:
+        add(nid, walk.exit)
+    elif kind is NodeKind.LOOP:
+        walk.targets.append((None, cont, node.expr))
+        body = _lower(node.body, node.expr, walk)
+        walk.targets.pop()
+        add(node.expr, cont)
+        add(node.expr, body)
+        return node.expr
+    elif kind is NodeKind.IF:
+        then = _lower(node.then, cont, walk)
+        orelse = cont if node.orelse is None else _lower(node.orelse, cont, walk)
+        add(node.expr, then)
+        add(node.expr, orelse)
+        return node.expr
+    elif kind is NodeKind.LABEL:
+        inner = walk.nodes[node.stmt]
+        walk.targets.append((node.label, cont, inner.expr if inner.kind is NodeKind.LOOP else None))
+        entry = _lower(node.stmt, cont, walk)
+        walk.targets.pop()
+        return entry
+    else:  # Break, Continue
+        _, break_to, continue_to = next(t for t in reversed(walk.targets) if t[0] == node.label)
+        add(nid, break_to if kind is NodeKind.BREAK else continue_to)
+    return nid

@@ -312,7 +312,10 @@ class _Parser:
         self.scopes: list[dict[str, Param | LocalVarDecl]] = []
         self.labels: list[tuple[str, bool]] = []  # (name, wraps a While)
         self.loop_depth = 0
-        self.error: SourcePosError | None = None  # first name error, raised after parsing
+        # The first name error, raised after parsing. Kept as its arguments:
+        # a stored exception would be reachable from its own traceback
+        # (through this parser in parse_program's frame), a reference cycle.
+        self.error: tuple[type[SourcePosError], str, Token] | None = None
         # Declarations read and written since the last take_sets, in occurrence order
         self.reads: list[Param | LocalVarDecl | None] = []
         self.writes: list[Param | LocalVarDecl | None] = []
@@ -346,7 +349,7 @@ class _Parser:
 
     def fail(self, error_class: type[SourcePosError], message: str, tok: Token) -> None:
         if self.error is None:
-            self.error = error_class(message, tok.line, tok.col)
+            self.error = (error_class, message, tok)
 
     def lookup(self, tok: Token) -> Param | LocalVarDecl | None:
         for scope in reversed(self.scopes):
@@ -565,5 +568,6 @@ def parse_program(source: str) -> Method:
     parser = _Parser(tokenize(source))
     method = parser.parse_method()
     if parser.error is not None:
-        raise parser.error
+        error_class, message, tok = parser.error
+        raise error_class(message, tok.line, tok.col)
     return method

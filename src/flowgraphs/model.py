@@ -11,6 +11,7 @@ beside the graph, in a `DefUseAttr`.
 from __future__ import annotations
 
 import enum
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import minijava as mj
@@ -36,20 +37,20 @@ class NodeKind(str, enum.Enum):
         return self.value
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class FlowNode:
     id: int
     kind: NodeKind
     txt: str
     # containment links, populated per kind
-    stmts: list[int] = field(default_factory=list)  # Method, Block
+    stmts: Sequence[int] = ()  # Method, Block
     expr: int | None = None  # Loop, If condition
     body: int | None = None  # Loop
     then: int | None = None  # If
     orelse: int | None = None  # If
     stmt: int | None = None  # Label
     exit: int | None = None  # Method
-    vars: list[int] = field(default_factory=list)  # Method
+    vars: Sequence[int] = ()  # Method
     label: str | None = None  # jump label on Break/Continue, own name on Label
 
 
@@ -113,6 +114,10 @@ def lower(method: mj.Method) -> tuple[FlowGraph, DefUseAttr]:
     whatever block declares it. Those come after every statement node, so
     the walk records def/use sets by declaration index and shifts them to
     node ids at the end.
+
+    The walk is module-level functions that take their state as
+    arguments, not closures: a recursive closure is a reference cycle,
+    which would keep the graph alive until the cyclic collector runs.
     """
     graph = FlowGraph()
     du = DefUseAttr()
@@ -121,46 +126,9 @@ def lower(method: mj.Method) -> tuple[FlowGraph, DefUseAttr]:
     root = graph.new_node(NodeKind.METHOD, method.txt)
     root.exit = graph.new_node(NodeKind.EXIT, EXIT_TEXT).id
     du.add(root.id, [], list(var_of.values()))
-
-    def add_sets(nid: int, s: mj.Statement) -> None:
-        writes = [var_of[d] for d in s.writes]
-        if isinstance(s, mj.LocalVarDecl):
-            writes.append(var_of[s])  # a declaration defines its variable last
-        du.add(nid, [var_of[d] for d in s.reads], writes)
-
-    def map_condition(s: mj.While | mj.If) -> int:
-        nid = graph.new_node(NodeKind.EXPR, s.cond.txt).id
-        add_sets(nid, s)
-        return nid
-
-    def map_stmt(s: mj.Statement) -> int:
-        if isinstance(s, mj.While):
-            node = graph.new_node(NodeKind.LOOP, s.txt)
-            node.expr = map_condition(s)
-            node.body = map_stmt(s.body)
-        elif isinstance(s, mj.If):
-            node = graph.new_node(NodeKind.IF, s.txt)
-            node.expr = map_condition(s)
-            node.then = map_stmt(s.then)
-            if s.orelse is not None:
-                node.orelse = map_stmt(s.orelse)
-        elif isinstance(s, mj.Labeled):
-            node = graph.new_node(NodeKind.LABEL, s.txt, label=s.name)
-            node.stmt = map_stmt(s.stmt)
-        elif isinstance(s, mj.Block):
-            node = graph.new_node(NodeKind.BLOCK, s.txt)
-            node.stmts = [map_stmt(child) for child in s.stmts]
-        else:
-            kind = _STMT_KIND[type(s)]
-            jump = s.label if isinstance(s, (mj.Break, mj.Continue)) else None
-            node = graph.new_node(kind, s.txt, label=jump)
-            if isinstance(s, mj.LocalVarDecl):
-                var_of[s] = len(var_of)
-            add_sets(node.id, s)
-        return node.id
-
-    root.stmts = [map_stmt(s) for s in method.body]
+    root.stmts = [_map_stmt(s, graph, du, var_of) for s in method.body]
     base = len(graph.nodes)
+    root.vars = []
     for decl in var_of:
         kind = NodeKind.PARAM if isinstance(decl, mj.Param) else NodeKind.VAR
         root.vars.append(graph.new_node(kind, decl.name).id)
@@ -168,3 +136,43 @@ def lower(method: mj.Method) -> tuple[FlowGraph, DefUseAttr]:
         for var_ids in table.values():
             var_ids[:] = [base + v for v in var_ids]
     return graph, du
+
+
+def _add_sets(nid: int, s: mj.Statement, du: DefUseAttr, var_of: dict) -> None:
+    writes = [var_of[d] for d in s.writes]
+    if isinstance(s, mj.LocalVarDecl):
+        writes.append(var_of[s])  # a declaration defines its variable last
+    du.add(nid, [var_of[d] for d in s.reads], writes)
+
+
+def _map_condition(s: mj.While | mj.If, graph: FlowGraph, du: DefUseAttr, var_of: dict) -> int:
+    nid = graph.new_node(NodeKind.EXPR, s.cond.txt).id
+    _add_sets(nid, s, du, var_of)
+    return nid
+
+
+def _map_stmt(s: mj.Statement, graph: FlowGraph, du: DefUseAttr, var_of: dict) -> int:
+    if isinstance(s, mj.While):
+        node = graph.new_node(NodeKind.LOOP, s.txt)
+        node.expr = _map_condition(s, graph, du, var_of)
+        node.body = _map_stmt(s.body, graph, du, var_of)
+    elif isinstance(s, mj.If):
+        node = graph.new_node(NodeKind.IF, s.txt)
+        node.expr = _map_condition(s, graph, du, var_of)
+        node.then = _map_stmt(s.then, graph, du, var_of)
+        if s.orelse is not None:
+            node.orelse = _map_stmt(s.orelse, graph, du, var_of)
+    elif isinstance(s, mj.Labeled):
+        node = graph.new_node(NodeKind.LABEL, s.txt, label=s.name)
+        node.stmt = _map_stmt(s.stmt, graph, du, var_of)
+    elif isinstance(s, mj.Block):
+        node = graph.new_node(NodeKind.BLOCK, s.txt)
+        node.stmts = [_map_stmt(child, graph, du, var_of) for child in s.stmts]
+    else:
+        kind = _STMT_KIND[type(s)]
+        jump = s.label if isinstance(s, (mj.Break, mj.Continue)) else None
+        node = graph.new_node(kind, s.txt, label=jump)
+        if isinstance(s, mj.LocalVarDecl):
+            var_of[s] = len(var_of)
+        _add_sets(node.id, s, du, var_of)
+    return node.id

@@ -1,14 +1,18 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from helpers import CORPUS, CORPUS_DIR, golden, run_cli
+from helpers import CORPUS, CORPUS_DIR, TESTS_DIR, golden, run_cli
 
 EX01 = str(CORPUS_DIR / "ex01_min.mj")
 EX02 = str(CORPUS_DIR / "ex02_straight.mj")
 EX09 = str(CORPUS_DIR / "ex09_labeled.mj")
 EX10 = str(CORPUS_DIR / "ex10_unary_loop.mj")
+SRC_DIR = TESTS_DIR.parent / "src"
 
 
 def test_build_listing_minimal():
@@ -249,3 +253,24 @@ def test_fg_color_toggles_ansi(tmp_path, monkeypatch):
     monkeypatch.setenv("FG_COLOR", "0")
     code, out, _ = run_cli(["validate", EX01, "--spec", str(spec)])
     assert "\x1b[" not in out
+
+
+def test_repeated_calls_match_a_fresh_process():
+    # The argument parser is built once per process; later calls, whatever
+    # ran before them, must behave as the first call of a new process.
+    cases = [
+        ["dfg", EX10],
+        ["validate", EX02, "--emit"],
+        ["validate", EX01],  # no --spec
+        ["frobnicate", EX01],
+    ]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    fresh = []
+    for argv in cases:
+        proc = subprocess.run([sys.executable, "-m", "flowgraphs", *argv],
+                              capture_output=True, text=True, env=env, timeout=60)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 2]
+    for i in [0, 1, 2, 3, 3, 2, 1, 0, 2, 0, 3, 1]:
+        assert run_cli(cases[i]) == fresh[i], cases[i]

@@ -265,10 +265,11 @@ def test_render_roundtrip_on_corpus(path):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_render_roundtrip_on_random_programs(seed):
-    source = progen.gen_program(seed, strict=False, max_stmts=30)
-    method = parse_program(source)
-    again = parse_program(render_method(method))
-    assert repr(again) == repr(method)
+    # 500 cached programs in all, 12 or 13 per seed; every fourth is strict
+    for source in random_sources()[seed:500:40]:
+        method = parse_program(source)
+        again = parse_program(render_method(method))
+        assert repr(again) == repr(method)
 
 
 @pytest.mark.parametrize("seed", range(40))
