@@ -18,6 +18,7 @@ import gc
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .controlflow import flow_instructions
 from .errors import FlowgraphsError
@@ -86,19 +87,28 @@ def _dot_listing(graph: FlowGraph, cf_edges, df_edges) -> list[str]:
     return lines
 
 
-def _json_doc(analysis: Analysis, with_df: bool) -> dict:
-    graph = analysis.graph
-    doc = {
-        "nodes": [{"id": n.id, "kind": n.kind.value, "txt": n.txt} for n in graph.nodes],
-        "cfNext": analysis.cf.edges(),  # (src, dst) tuples dump as JSON arrays
-        "dfNext": analysis.df.edges() if with_df else [],
-        "def": {},
-        "use": {},
-    }
-    if with_df:
-        doc["def"] = {str(n): analysis.def_use.defs[n] for n in sorted(analysis.def_use.defs)}
-        doc["use"] = {str(n): analysis.def_use.uses[n] for n in sorted(analysis.def_use.uses)}
-    return doc
+# Containers go through one encoder; it has no cycle check, since edge
+# lists and def/use tables hold only ints.
+_encode = json.JSONEncoder(check_circular=False).encode
+
+
+def _json_text(analysis: Analysis, with_df: bool) -> str:
+    """The JSON document, as `json.dumps` writes it, without building it.
+
+    Each node object is one f-string; `_value_` is the kind's plain string,
+    read without the enum's `value` property.
+    """
+    quote = encode_basestring_ascii
+    nodes = ", ".join([f'{{"id": {n.id}, "kind": "{n.kind._value_}", "txt": {quote(n.txt)}}}'
+                       for n in analysis.graph.nodes])
+    if not with_df:
+        tail = '"dfNext": [], "def": {}, "use": {}'
+    else:
+        du = analysis.def_use
+        tail = (f'"dfNext": {_encode(analysis.df.edges())}, '
+                f'"def": {_encode({n: du.defs[n] for n in sorted(du.defs)})}, '
+                f'"use": {_encode({n: du.uses[n] for n in sorted(du.uses)})}')
+    return f'{{"nodes": [{nodes}], "cfNext": {_encode(analysis.cf.edges())}, {tail}}}'
 
 
 def _txt_pair(graph: FlowGraph, a: int, b: int) -> str:
@@ -120,7 +130,7 @@ def _cmd_cfg(analysis: Analysis, args) -> int:
     if args.dot:
         print("\n".join(_dot_listing(graph, analysis.cf.edges(), [])))
     elif args.json:
-        print(json.dumps(_json_doc(analysis, with_df=False)))
+        print(_json_text(analysis, with_df=False))
     else:
         for a, b in analysis.cf.edges():
             print(_txt_pair(graph, a, b))
@@ -133,7 +143,7 @@ def _cmd_dfg(analysis: Analysis, args) -> int:
     if args.dot:
         print("\n".join(_dot_listing(graph, analysis.cf.edges(), analysis.df.edges())))
     elif args.json:
-        print(json.dumps(_json_doc(analysis, with_df=True)))
+        print(_json_text(analysis, with_df=True))
     else:
         for a, b in analysis.cf.edges():
             print(f"cfNext: {_txt_pair(graph, a, b)}")

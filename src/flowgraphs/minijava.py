@@ -11,13 +11,14 @@ Expressions are flat n-ary chains per precedence level (equality,
 relational, additive, multiplicative) over identifiers, decimal
 integer literals, assignments, and the suffix `++`/`--` forms.
 
-`tokenize` makes one `finditer` scan over a single pattern that skips the
-blanks before each token, so each token (and each line end) costs one
-match; an unexpected character is caught by the pattern itself. Statements
-are parsed by recursive descent and expressions by precedence climbing
-(Pratt, "Top Down Operator Precedence", POPL 1973): one operator table
-gives each binary operator its level, and a run of operators of one level
-becomes one Chain. A level of grouping parentheses costs two stack frames.
+`tokenize` makes one `finditer` scan over a single pattern that matches
+every character but a blank, so `finditer` skips blanks in C and each token
+(and each line end) costs one match; an unexpected character is caught by
+the pattern itself. Statements are parsed by recursive descent and
+expressions by precedence climbing (Pratt, "Top Down Operator Precedence",
+POPL 1973): one operator table gives each binary operator its level, and a
+run of operators of one level becomes one Chain. A level of grouping
+parentheses costs two stack frames.
 
 The parser also binds names as it goes: every identifier use, assignment
 and suffix `++`/`--` gets a `decl` link to the Param or LocalVarDecl it
@@ -237,24 +238,20 @@ class IntLit(Expression):
 
 KEYWORDS = {"int", "while", "if", "else", "return", "break", "continue"}
 
-# One match per token: the blanks before it are skipped inside the match, a
-# newline is its own match (so lines can be counted), any other character is
-# caught by `bad`, and blanks at the very end are consumed by `end`, so
-# `finditer` never has to search forward past text it could not match.
+# One match per token, told apart by `lastindex`. A newline is its own match
+# (so lines can be counted), a comment has no group, and any character but a
+# blank that starts no token is caught by group 5; so the only text no
+# alternative matches is blanks, which `finditer` skips in C.
 _TOKEN_RE = re.compile(
     r"""
-    [ \t\r]*
-    (?:
-      (?P<nl>\n)
-    | (?P<comment>//[^\n]*)
-    | (?P<num>\d+)
-    | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
-    | (?P<op>\+\+|--|==|[-+*/<>=(){};:,])
-    | (?P<bad>.)
-    | (?P<end>\Z)
-    )
+      (\n)
+    | //[^\n]*
+    | ([A-Za-z_][A-Za-z_0-9]*)
+    | (\+\+|--|==|[-+*/<>=(){};:,])
+    | (\d+)
+    | ([^ \t\r])
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
 
 
@@ -266,34 +263,31 @@ class Token(NamedTuple):
 
     @property
     def pos(self) -> Pos:
-        return Pos(self.line, self.col)
+        return tuple.__new__(Pos, self[2:])  # Pos(line, col), without its Python-level __new__
 
 
 def tokenize(source: str) -> list[Token]:
     tokens: list[Token] = []
     append = tokens.append
-    line, line_start = 1, 0
+    new = tuple.__new__  # Token(...), without its Python-level __new__
+    line, before_line = 1, -1  # the line number, and the index just before its start
     for m in _TOKEN_RE.finditer(source):
-        group = m.lastgroup
-        if group == "nl":
+        group = m.lastindex
+        if group == 2:
+            text = m[0]
+            kind = text if text in KEYWORDS else "ident"
+            append(new(Token, (kind, text, line, m.start() - before_line)))
+        elif group == 3:
+            text = m[0]
+            append(new(Token, (text, text, line, m.start() - before_line)))
+        elif group == 4:
+            append(new(Token, ("num", m[0], line, m.start() - before_line)))
+        elif group == 1:
             line += 1
-            line_start = m.end()
-        elif group == "comment":
-            continue
-        elif group == "end":
-            break
-        else:
-            text = m[group]
-            col = m.end() - len(text) - line_start + 1
-            if group == "word":
-                append(Token(text if text in KEYWORDS else "ident", text, line, col))
-            elif group == "op":
-                append(Token(text, text, line, col))
-            elif group == "num":
-                append(Token("num", text, line, col))
-            else:
-                raise ParseError(f"unexpected character {text!r}", line, col)
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+            before_line = m.start()
+        elif group == 5:
+            raise ParseError(f"unexpected character {m[0]!r}", line, m.start() - before_line)
+    tokens.append(Token("eof", "", line, len(source) - before_line))
     return tokens
 
 
@@ -321,20 +315,9 @@ class _Parser:
         self.writes: list[Param | LocalVarDecl | None] = []
         self.shared_sets: dict[tuple, tuple] = {}  # one tuple per distinct set, to save memory
 
-    # The last token is 'eof' and `i` never moves past it, so looking one
-    # token ahead is safe whenever the current token is not 'eof'.
-
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[self.i + ahead]
-
-    def at(self, kind: str, ahead: int = 0) -> bool:
-        return self.tokens[self.i + ahead].kind == kind
-
-    def advance(self) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != "eof":
-            self.i += 1
-        return tok
+    # The parser reads `self.tokens[self.i]` directly. The last token is
+    # 'eof' and `i` never moves past it, so stepping over a token, or looking
+    # one token ahead, is safe whenever the current token is not 'eof'.
 
     def expect(self, kind: str) -> Token:
         tok = self.tokens[self.i]
@@ -384,16 +367,16 @@ class _Parser:
         name = self.expect("ident").text
         self.expect("(")
         params: list[Param] = []
-        if not self.at(")"):
+        if self.tokens[self.i].kind != ")":
             while True:
                 self.expect("int")
                 ptok = self.expect("ident")
                 if any(p.name == ptok.text for p in params):
                     raise ParseError(f"duplicate parameter {ptok.text!r}", ptok.line, ptok.col)
                 params.append(Param(ptok.text, pos=ptok.pos))
-                if not self.at(","):
+                if self.tokens[self.i].kind != ",":
                     break
-                self.advance()
+                self.i += 1
         self.expect(")")
         self.scopes.append({p.name: p for p in params})
         body = self.parse_block().stmts
@@ -405,22 +388,35 @@ class _Parser:
     def parse_block(self) -> Block:
         start = self.expect("{")
         self.scopes.append({})
+        tokens = self.tokens
         stmts = []
-        while not self.at("}"):
-            if self.at("eof"):
-                raise ParseError("expected '}', found end of input",
-                                 self.peek().line, self.peek().col)
+        while (tok := tokens[self.i]).kind != "}":
+            if tok.kind == "eof":
+                raise ParseError("expected '}', found end of input", tok.line, tok.col)
             stmts.append(self.parse_statement())
-        self.expect("}")
+        self.i += 1
         self.scopes.pop()
         return Block(stmts, pos=start.pos, txt="{...}")
 
     def parse_statement(self) -> Statement:
-        tok = self.peek()
-        if tok.kind == "{":
+        tokens = self.tokens
+        tok = tokens[self.i]
+        kind = tok.kind
+        if kind == "int":
+            self.i += 1
+            name = self.expect("ident").text
+            self.expect("=")
+            init = self.parse_expression()  # bound before the declared name is in scope
+            self.expect(";")
+            reads, writes = self.take_sets()
+            decl = LocalVarDecl(name, init, pos=tok.pos, txt="int " + name + " = " + init.txt + ";",
+                                reads=reads, writes=writes)
+            self.scopes[-1][name] = decl
+            return decl
+        if kind == "{":
             return self.parse_block()
-        if tok.kind == "while":
-            self.advance()
+        if kind == "while":
+            self.i += 1
             self.expect("(")
             cond = self.parse_condition()
             reads, writes = self.take_sets()
@@ -431,8 +427,8 @@ class _Parser:
             self.loop_depth -= 1
             self.scopes.pop()
             return While(cond, body, pos=tok.pos, txt="while", reads=reads, writes=writes)
-        if tok.kind == "if":
-            self.advance()
+        if kind == "if":
+            self.i += 1
             self.expect("(")
             cond = self.parse_condition()
             reads, writes = self.take_sets()
@@ -441,56 +437,50 @@ class _Parser:
             then = self.parse_statement()
             self.scopes.pop()
             orelse = None
-            if self.at("else"):
-                self.advance()
+            if tokens[self.i].kind == "else":
+                self.i += 1
                 self.scopes.append({})
                 orelse = self.parse_statement()
                 self.scopes.pop()
             return If(cond, then, orelse, pos=tok.pos, txt="if", reads=reads, writes=writes)
-        if tok.kind == "return":
-            self.advance()
-            value = None if self.at(";") else self.parse_condition()
+        if kind == "return":
+            self.i += 1
+            value = None if tokens[self.i].kind == ";" else self.parse_condition()
             self.expect(";")
             txt = "return;" if value is None else "return " + value.txt + ";"
             reads, writes = self.take_sets()
             return Return(value, pos=tok.pos, txt=txt, reads=reads, writes=writes)
-        if tok.kind in ("break", "continue"):
-            self.advance()
-            label = self.advance().text if self.at("ident") else None
+        if kind == "break" or kind == "continue":
+            self.i += 1
+            label = None
+            if tokens[self.i].kind == "ident":
+                label = tokens[self.i].text
+                self.i += 1
             self.expect(";")
             self.check_jump(tok, label)
-            return (Break if tok.kind == "break" else Continue)(label, pos=tok.pos, txt=tok.kind)
-        if tok.kind == "int":
-            self.advance()
-            name = self.expect("ident").text
-            self.expect("=")
-            init = self.parse_expression()  # bound before the declared name is in scope
-            self.expect(";")
-            reads, writes = self.take_sets()
-            decl = LocalVarDecl(name, init, pos=tok.pos, txt="int " + name + " = " + init.txt + ";",
-                                reads=reads, writes=writes)
-            self.scopes[-1][name] = decl
-            return decl
-        if tok.kind == "ident" and self.at(":", 1):
-            self.advance()
-            self.advance()
-            self.labels.append((tok.text, self.at("while")))
+            return (Break if kind == "break" else Continue)(label, pos=tok.pos, txt=kind)
+        if kind == "ident" and tokens[self.i + 1].kind == ":":
+            self.i += 2
+            self.labels.append((tok.text, tokens[self.i].kind == "while"))
             stmt = self.parse_statement()
             self.labels.pop()
             return Labeled(tok.text, stmt, pos=tok.pos, txt=tok.text + ":")
         expr = self.parse_expression()
         self.expect(";")
         reads, writes = self.take_sets()
-        return ExprStmt(expr, pos=tok.pos, txt=expr.txt + ";", reads=reads, writes=writes)
+        # Share the expression's Pos when it starts at this statement's first token.
+        pos = expr.pos if expr.pos == (tok.line, tok.col) else tok.pos
+        return ExprStmt(expr, pos=pos, txt=expr.txt + ";", reads=reads, writes=writes)
 
     # ---- expressions ----
     # Assignments are legal only at statement/initializer top level, so
     # parenthesized groups and chain operands go through parse_condition.
 
     def parse_expression(self) -> Expression:
-        if self.at("ident") and self.at("=", 1):
-            tok = self.advance()
-            self.advance()
+        tokens = self.tokens
+        tok = tokens[self.i]
+        if tok.kind == "ident" and tokens[self.i + 1].kind == "=":
+            self.i += 2
             value = self.parse_expression()  # bound before the target
             decl = self.lookup(tok)
             self.writes.append(decl)

@@ -59,11 +59,6 @@ class FlowGraph:
     nodes: list[FlowNode] = field(default_factory=list)
     method: int = 0
 
-    def new_node(self, kind: NodeKind, txt: str, **links) -> FlowNode:
-        node = FlowNode(len(self.nodes), kind, txt, **links)
-        self.nodes.append(node)
-        return node
-
     def node(self, nid: int) -> FlowNode:
         return self.nodes[nid]
 
@@ -85,22 +80,6 @@ class DefUseAttr:
     def use_of(self, nid: int) -> list[int]:
         return self.uses.get(nid, [])
 
-    def add(self, nid: int, reads: list[int], writes: list[int]) -> None:
-        """Record a node's sets, duplicates dropped, first occurrence kept."""
-        if reads:
-            self.uses[nid] = list(dict.fromkeys(reads))
-        if writes:
-            self.defs[nid] = list(dict.fromkeys(writes))
-
-
-_STMT_KIND = {
-    mj.LocalVarDecl: NodeKind.SIMPLE,
-    mj.ExprStmt: NodeKind.SIMPLE,
-    mj.Return: NodeKind.RETURN,
-    mj.Break: NodeKind.BREAK,
-    mj.Continue: NodeKind.CONTINUE,
-}
-
 
 def lower(method: mj.Method) -> tuple[FlowGraph, DefUseAttr]:
     """Map the AST onto the flow-graph model and record def/use sets.
@@ -119,60 +98,84 @@ def lower(method: mj.Method) -> tuple[FlowGraph, DefUseAttr]:
     arguments, not closures: a recursive closure is a reference cycle,
     which would keep the graph alive until the cyclic collector runs.
     """
-    graph = FlowGraph()
+    nodes: list[FlowNode] = []
     du = DefUseAttr()
     var_of = {p: i for i, p in enumerate(method.params)}  # declaration -> index
 
-    root = graph.new_node(NodeKind.METHOD, method.txt)
-    root.exit = graph.new_node(NodeKind.EXIT, EXIT_TEXT).id
-    du.add(root.id, [], list(var_of.values()))
-    root.stmts = [_map_stmt(s, graph, du, var_of) for s in method.body]
-    base = len(graph.nodes)
-    root.vars = []
-    for decl in var_of:
-        kind = NodeKind.PARAM if isinstance(decl, mj.Param) else NodeKind.VAR
-        root.vars.append(graph.new_node(kind, decl.name).id)
+    root = FlowNode(0, NodeKind.METHOD, method.txt)
+    nodes.append(root)
+    nodes.append(FlowNode(1, NodeKind.EXIT, EXIT_TEXT))
+    root.exit = 1
+    if var_of:
+        du.defs[0] = list(var_of.values())
+    root.stmts = [_map_stmt(s, nodes, du, var_of) for s in method.body]
+    base = len(nodes)
+    root.vars = list(range(base, base + len(var_of)))
+    for nid, decl in enumerate(var_of, base):
+        nodes.append(FlowNode(nid, NodeKind.PARAM if type(decl) is mj.Param else NodeKind.VAR,
+                              decl.name))
     for table in (du.defs, du.uses):
         for var_ids in table.values():
             var_ids[:] = [base + v for v in var_ids]
-    return graph, du
+    return FlowGraph(nodes), du
+
+
+def _sets_list(decls: tuple, var_of: dict) -> list[int]:
+    """Variable indices of `decls`, duplicates dropped, first occurrence kept."""
+    if len(decls) == 1:
+        return [var_of[decls[0]]]
+    return list(dict.fromkeys([var_of[d] for d in decls]))
 
 
 def _add_sets(nid: int, s: mj.Statement, du: DefUseAttr, var_of: dict) -> None:
-    writes = [var_of[d] for d in s.writes]
-    if isinstance(s, mj.LocalVarDecl):
-        writes.append(var_of[s])  # a declaration defines its variable last
-    du.add(nid, [var_of[d] for d in s.reads], writes)
+    if s.reads:
+        du.uses[nid] = _sets_list(s.reads, var_of)
+    if type(s) is mj.LocalVarDecl:  # a declaration defines its variable last
+        du.defs[nid] = _sets_list(s.writes + (s,), var_of)
+    elif s.writes:
+        du.defs[nid] = _sets_list(s.writes, var_of)
 
 
-def _map_condition(s: mj.While | mj.If, graph: FlowGraph, du: DefUseAttr, var_of: dict) -> int:
-    nid = graph.new_node(NodeKind.EXPR, s.cond.txt).id
+def _map_condition(s: mj.While | mj.If, nodes: list[FlowNode], du: DefUseAttr,
+                   var_of: dict) -> int:
+    nid = len(nodes)
+    nodes.append(FlowNode(nid, NodeKind.EXPR, s.cond.txt))
     _add_sets(nid, s, du, var_of)
     return nid
 
 
-def _map_stmt(s: mj.Statement, graph: FlowGraph, du: DefUseAttr, var_of: dict) -> int:
-    if isinstance(s, mj.While):
-        node = graph.new_node(NodeKind.LOOP, s.txt)
-        node.expr = _map_condition(s, graph, du, var_of)
-        node.body = _map_stmt(s.body, graph, du, var_of)
-    elif isinstance(s, mj.If):
-        node = graph.new_node(NodeKind.IF, s.txt)
-        node.expr = _map_condition(s, graph, du, var_of)
-        node.then = _map_stmt(s.then, graph, du, var_of)
-        if s.orelse is not None:
-            node.orelse = _map_stmt(s.orelse, graph, du, var_of)
-    elif isinstance(s, mj.Labeled):
-        node = graph.new_node(NodeKind.LABEL, s.txt, label=s.name)
-        node.stmt = _map_stmt(s.stmt, graph, du, var_of)
-    elif isinstance(s, mj.Block):
-        node = graph.new_node(NodeKind.BLOCK, s.txt)
-        node.stmts = [_map_stmt(child, graph, du, var_of) for child in s.stmts]
-    else:
-        kind = _STMT_KIND[type(s)]
-        jump = s.label if isinstance(s, (mj.Break, mj.Continue)) else None
-        node = graph.new_node(kind, s.txt, label=jump)
-        if isinstance(s, mj.LocalVarDecl):
+def _map_stmt(s: mj.Statement, nodes: list[FlowNode], du: DefUseAttr, var_of: dict) -> int:
+    nid = len(nodes)
+    t = type(s)
+    if t is mj.LocalVarDecl or t is mj.ExprStmt:
+        nodes.append(FlowNode(nid, NodeKind.SIMPLE, s.txt))
+        if t is mj.LocalVarDecl:
             var_of[s] = len(var_of)
-        _add_sets(node.id, s, du, var_of)
-    return node.id
+        _add_sets(nid, s, du, var_of)
+    elif t is mj.While:
+        node = FlowNode(nid, NodeKind.LOOP, s.txt)
+        nodes.append(node)
+        node.expr = _map_condition(s, nodes, du, var_of)
+        node.body = _map_stmt(s.body, nodes, du, var_of)
+    elif t is mj.If:
+        node = FlowNode(nid, NodeKind.IF, s.txt)
+        nodes.append(node)
+        node.expr = _map_condition(s, nodes, du, var_of)
+        node.then = _map_stmt(s.then, nodes, du, var_of)
+        if s.orelse is not None:
+            node.orelse = _map_stmt(s.orelse, nodes, du, var_of)
+    elif t is mj.Block:
+        node = FlowNode(nid, NodeKind.BLOCK, s.txt)
+        nodes.append(node)
+        node.stmts = [_map_stmt(child, nodes, du, var_of) for child in s.stmts]
+    elif t is mj.Return:
+        nodes.append(FlowNode(nid, NodeKind.RETURN, s.txt))
+        _add_sets(nid, s, du, var_of)
+    elif t is mj.Labeled:
+        node = FlowNode(nid, NodeKind.LABEL, s.txt, label=s.name)
+        nodes.append(node)
+        node.stmt = _map_stmt(s.stmt, nodes, du, var_of)
+    else:  # Break, Continue
+        kind = NodeKind.BREAK if t is mj.Break else NodeKind.CONTINUE
+        nodes.append(FlowNode(nid, kind, s.txt, label=s.label))
+    return nid

@@ -16,6 +16,7 @@ is connected.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .controlflow import EdgeTable
@@ -69,70 +70,54 @@ class ValidationReport:
         return out
 
 
-def _scan_string(text: str, i: int, line: int, col: int) -> tuple[str, int, int]:
-    """Scan a double-quoted label starting at text[i] == '"'."""
-    out = []
-    j = i + 1
-    c = col + 1
-    while j < len(text):
-        ch = text[j]
-        if ch == '"':
-            return "".join(out), j + 1, c + 1
-        if ch == "\n":
-            break
-        if ch == "\\":
-            if j + 1 < len(text) and text[j + 1] in ('"', "\\"):
-                out.append(text[j + 1])
-                j += 2
-                c += 2
-                continue
-            raise ValidateSyntaxError("invalid escape in label", line, c)
-        out.append(ch)
-        j += 1
-        c += 1
-    raise ValidateSyntaxError("unterminated label string", line, col)
+# One match per token, told apart by `lastindex`; a comment has no group.
+# A label's body takes every character but a quote, a backslash or a line
+# end, and the escapes \" and \\; group 3, the closing quote, is missing
+# when an invalid escape, a line end or the end of text stops it. A word is
+# \w+, which is exactly the characters `str.isalnum` accepts plus "_"; one
+# that does not start with a letter or "_" is an unexpected character. Any
+# other character but a blank is caught by group 6, so `finditer` skips
+# only blanks.
+_SPEC_TOKEN_RE = re.compile(
+    r"""
+      (\n)
+    | //[^\n]*
+    | "((?:[^"\\\n]|\\["\\])*)(")?
+    | (-->|:)
+    | (\w+)
+    | ([^ \t\r])
+    """,
+    re.VERBOSE,
+)
+_ESCAPE_RE = re.compile(r"\\(.)")
 
 
 def _tokenize_spec(text: str) -> list[tuple[str, str, int, int]]:
     """(kind, value, line, col) tuples; kinds: ident, string, ':', '-->'."""
     tokens = []
-    i, line, line_start = 0, 1, 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
+    line, before_line = 1, -1  # the line number, and the index just before its start
+    for m in _SPEC_TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == 1:
             line += 1
-            i += 1
-            line_start = i
+            before_line = m.start()
             continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        col = i - line_start + 1
-        if text.startswith("//", i):
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        if ch == '"':
-            value, j, _ = _scan_string(text, i, line, col)
+        col = m.start() - before_line
+        if group == 3:
+            value = m[2]
+            if "\\" in value:
+                value = _ESCAPE_RE.sub(r"\1", value)
             tokens.append(("string", value, line, col))
-            i = j
-            continue
-        if text.startswith("-->", i):
-            tokens.append(("-->", "-->", line, col))
-            i += 3
-            continue
-        if ch == ":":
-            tokens.append((":", ":", line, col))
-            i += 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("ident", text[i:j], line, col))
-            i = j
-            continue
-        raise ValidateSyntaxError(f"unexpected character {ch!r}", line, col)
+        elif group == 2:  # no closing quote
+            if text.startswith("\\", m.end()):
+                raise ValidateSyntaxError("invalid escape in label", line, m.end() - before_line)
+            raise ValidateSyntaxError("unterminated label string", line, col)
+        elif group == 4:
+            tokens.append((m[0], m[0], line, col))
+        elif group == 5 and (m[0][0].isalpha() or m[0][0] == "_"):
+            tokens.append(("ident", m[0], line, col))
+        elif group is not None:
+            raise ValidateSyntaxError(f"unexpected character {m[0][0]!r}", line, col)
     return tokens
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -9,6 +10,8 @@ from pathlib import Path
 
 from flowgraphs import minijava as mj
 from flowgraphs.cli import main as cli_main
+
+import progen
 
 TESTS_DIR = Path(__file__).parent
 CORPUS_DIR = TESTS_DIR / "corpus"
@@ -29,6 +32,13 @@ def run_cli(args: list[str], stdin_text: str | None = None) -> tuple[int, str, s
     finally:
         sys.stdin = old_stdin
     return code, out.getvalue(), err.getvalue()
+
+
+@functools.cache
+def random_sources() -> tuple[str, ...]:
+    """The 1,000 cached `progen` programs; every fourth one is strict."""
+    return tuple(progen.gen_program(seed, strict=seed % 4 == 0, max_stmts=10 + seed % 50)
+                 for seed in range(1000))
 
 
 def golden(name: str) -> str:

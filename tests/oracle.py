@@ -22,6 +22,18 @@ the loop. It is the reference for the package's `tokenize`.
 parsed AST that the package ran before the parser synthesized both: the
 references for each node's stored `txt` and each statement's stored
 `reads` and `writes`.
+
+`lower` is the AST-to-model walk the package had before it built nodes
+positionally: the reference for the package's `lower`, node for node and
+set for set. It runs on subclasses that keep `FlowGraph.new_node` and
+`DefUseAttr.add`, which only it called.
+
+`json_doc` is the document `fg cfg --json` and `fg dfg --json` dumped with
+`json.dumps` before the CLI wrote the same bytes directly: the reference
+for that writer.
+
+`tokenize_spec` is the `.validate` tokenizer that walked the text one
+character at a time: the reference for the package's one-scan tokenizer.
 """
 
 from __future__ import annotations
@@ -59,7 +71,10 @@ from flowgraphs.minijava import (
     UnresolvedVariableError,
     While,
 )
-from flowgraphs.model import DefUseAttr, FlowGraph
+from flowgraphs.model import DefUseAttr, FlowGraph, FlowNode, NodeKind
+from flowgraphs.pipeline import Analysis
+from flowgraphs.textgen import EXIT_TEXT
+from flowgraphs.validator import ValidateSyntaxError
 
 
 def brute_force_df_edges(graph: FlowGraph, cf: EdgeTable, du: DefUseAttr) -> set[tuple[int, int]]:
@@ -325,3 +340,186 @@ def expr_reads_writes(
     if isinstance(e, mj.IntLit):
         return [], []
     raise TypeError(f"no def/use rule for {type(e).__name__}")
+
+
+class _Graph(FlowGraph):
+    def new_node(self, kind: NodeKind, txt: str, **links) -> FlowNode:
+        node = FlowNode(len(self.nodes), kind, txt, **links)
+        self.nodes.append(node)
+        return node
+
+
+class _DefUseAttr(DefUseAttr):
+    def add(self, nid: int, reads: list[int], writes: list[int]) -> None:
+        """Record a node's sets, duplicates dropped, first occurrence kept."""
+        if reads:
+            self.uses[nid] = list(dict.fromkeys(reads))
+        if writes:
+            self.defs[nid] = list(dict.fromkeys(writes))
+
+
+_STMT_KIND = {
+    mj.LocalVarDecl: NodeKind.SIMPLE,
+    mj.ExprStmt: NodeKind.SIMPLE,
+    mj.Return: NodeKind.RETURN,
+    mj.Break: NodeKind.BREAK,
+    mj.Continue: NodeKind.CONTINUE,
+}
+
+
+def lower(method: mj.Method) -> tuple[FlowGraph, DefUseAttr]:
+    """Map the AST onto the flow-graph model and record def/use sets.
+
+    One pre-order walk over the statements creates the Method plus its
+    Exit, one node per statement, and an Expr node for each loop/if
+    condition; expressions in any other position have no image. Every
+    created node carries its source node's label, and a statement's reads
+    and writes go to its own node, or to its condition's Expr node. Each
+    Param and LocalVarDecl becomes a Param/Var node on the Method,
+    whatever block declares it. Those come after every statement node, so
+    the walk records def/use sets by declaration index and shifts them to
+    node ids at the end.
+
+    The walk is module-level functions that take their state as
+    arguments, not closures: a recursive closure is a reference cycle,
+    which would keep the graph alive until the cyclic collector runs.
+    """
+    graph = _Graph()
+    du = _DefUseAttr()
+    var_of = {p: i for i, p in enumerate(method.params)}  # declaration -> index
+
+    root = graph.new_node(NodeKind.METHOD, method.txt)
+    root.exit = graph.new_node(NodeKind.EXIT, EXIT_TEXT).id
+    du.add(root.id, [], list(var_of.values()))
+    root.stmts = [_map_stmt(s, graph, du, var_of) for s in method.body]
+    base = len(graph.nodes)
+    root.vars = []
+    for decl in var_of:
+        kind = NodeKind.PARAM if isinstance(decl, mj.Param) else NodeKind.VAR
+        root.vars.append(graph.new_node(kind, decl.name).id)
+    for table in (du.defs, du.uses):
+        for var_ids in table.values():
+            var_ids[:] = [base + v for v in var_ids]
+    return graph, du
+
+
+def _add_sets(nid: int, s: mj.Statement, du: DefUseAttr, var_of: dict) -> None:
+    writes = [var_of[d] for d in s.writes]
+    if isinstance(s, mj.LocalVarDecl):
+        writes.append(var_of[s])  # a declaration defines its variable last
+    du.add(nid, [var_of[d] for d in s.reads], writes)
+
+
+def _map_condition(s: mj.While | mj.If, graph: FlowGraph, du: DefUseAttr, var_of: dict) -> int:
+    nid = graph.new_node(NodeKind.EXPR, s.cond.txt).id
+    _add_sets(nid, s, du, var_of)
+    return nid
+
+
+def _map_stmt(s: mj.Statement, graph: FlowGraph, du: DefUseAttr, var_of: dict) -> int:
+    if isinstance(s, mj.While):
+        node = graph.new_node(NodeKind.LOOP, s.txt)
+        node.expr = _map_condition(s, graph, du, var_of)
+        node.body = _map_stmt(s.body, graph, du, var_of)
+    elif isinstance(s, mj.If):
+        node = graph.new_node(NodeKind.IF, s.txt)
+        node.expr = _map_condition(s, graph, du, var_of)
+        node.then = _map_stmt(s.then, graph, du, var_of)
+        if s.orelse is not None:
+            node.orelse = _map_stmt(s.orelse, graph, du, var_of)
+    elif isinstance(s, mj.Labeled):
+        node = graph.new_node(NodeKind.LABEL, s.txt, label=s.name)
+        node.stmt = _map_stmt(s.stmt, graph, du, var_of)
+    elif isinstance(s, mj.Block):
+        node = graph.new_node(NodeKind.BLOCK, s.txt)
+        node.stmts = [_map_stmt(child, graph, du, var_of) for child in s.stmts]
+    else:
+        kind = _STMT_KIND[type(s)]
+        jump = s.label if isinstance(s, (mj.Break, mj.Continue)) else None
+        node = graph.new_node(kind, s.txt, label=jump)
+        if isinstance(s, mj.LocalVarDecl):
+            var_of[s] = len(var_of)
+        _add_sets(node.id, s, du, var_of)
+    return node.id
+
+
+def json_doc(analysis: Analysis, with_df: bool) -> dict:
+    graph = analysis.graph
+    doc = {
+        "nodes": [{"id": n.id, "kind": n.kind.value, "txt": n.txt} for n in graph.nodes],
+        "cfNext": analysis.cf.edges(),  # (src, dst) tuples dump as JSON arrays
+        "dfNext": analysis.df.edges() if with_df else [],
+        "def": {},
+        "use": {},
+    }
+    if with_df:
+        doc["def"] = {str(n): analysis.def_use.defs[n] for n in sorted(analysis.def_use.defs)}
+        doc["use"] = {str(n): analysis.def_use.uses[n] for n in sorted(analysis.def_use.uses)}
+    return doc
+
+
+def _scan_string(text: str, i: int, line: int, col: int) -> tuple[str, int, int]:
+    """Scan a double-quoted label starting at text[i] == '"'."""
+    out = []
+    j = i + 1
+    c = col + 1
+    while j < len(text):
+        ch = text[j]
+        if ch == '"':
+            return "".join(out), j + 1, c + 1
+        if ch == "\n":
+            break
+        if ch == "\\":
+            if j + 1 < len(text) and text[j + 1] in ('"', "\\"):
+                out.append(text[j + 1])
+                j += 2
+                c += 2
+                continue
+            raise ValidateSyntaxError("invalid escape in label", line, c)
+        out.append(ch)
+        j += 1
+        c += 1
+    raise ValidateSyntaxError("unterminated label string", line, col)
+
+
+def tokenize_spec(text: str) -> list[tuple[str, str, int, int]]:
+    """(kind, value, line, col) tuples; kinds: ident, string, ':', '-->'."""
+    tokens = []
+    i, line, line_start = 0, 1, 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+            line_start = i
+            continue
+        if ch in " \t\r":
+            i += 1
+            continue
+        col = i - line_start + 1
+        if text.startswith("//", i):
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        if ch == '"':
+            value, j, _ = _scan_string(text, i, line, col)
+            tokens.append(("string", value, line, col))
+            i = j
+            continue
+        if text.startswith("-->", i):
+            tokens.append(("-->", "-->", line, col))
+            i += 3
+            continue
+        if ch == ":":
+            tokens.append((":", ":", line, col))
+            i += 1
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], line, col))
+            i = j
+            continue
+        raise ValidateSyntaxError(f"unexpected character {ch!r}", line, col)
+    return tokens

@@ -6,7 +6,14 @@ import sys
 
 import pytest
 
-from helpers import CORPUS, CORPUS_DIR, TESTS_DIR, golden, run_cli
+from flowgraphs.cli import _json_text
+from flowgraphs.controlflow import compute_cf_edges
+from flowgraphs.dataflow import compute_data_flow
+from flowgraphs.model import DefUseAttr, FlowGraph, FlowNode, NodeKind
+from flowgraphs.pipeline import Analysis, analyze
+
+import oracle
+from helpers import CORPUS, CORPUS_DIR, TESTS_DIR, golden, random_sources, run_cli
 
 EX01 = str(CORPUS_DIR / "ex01_min.mj")
 EX02 = str(CORPUS_DIR / "ex02_straight.mj")
@@ -115,6 +122,46 @@ def test_dfg_json_schema():
             assert int(nid) in by_id
             for vid in var_ids:
                 assert by_id[vid]["kind"] in ("Var", "Param")
+
+
+def assert_json_matches_reference(source: str):
+    analysis = analyze(source)
+    for command, with_df in (("cfg", False), ("dfg", True)):
+        code, out, _ = run_cli([command, "-", "--json"], source)
+        assert code == 0
+        assert out == json.dumps(oracle.json_doc(analysis, with_df)) + "\n"
+
+
+@pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
+def test_json_matches_reference_on_corpus(path):
+    assert_json_matches_reference(path.read_text())
+
+
+def test_json_matches_reference_on_random_programs():
+    for source in random_sources():
+        assert_json_matches_reference(source)
+
+
+def test_json_escapes_labels_as_json_dumps_does():
+    # Labels mini-Java cannot produce: quotes, backslashes, control
+    # characters, non-ASCII text and a lone surrogate.
+    labels = ['say "hi";', "a\\b;", "tab\t nul\x00 bell\x07 del\x7f;", "caf\u00e9 \u2211 \U0001f600;",
+              "\u2028 \ud800 </script>;"]
+    first = 2
+    nodes = [FlowNode(0, NodeKind.METHOD, 'm"()', stmts=list(range(first, first + len(labels))),
+                      exit=1, vars=[first + len(labels)]),
+             FlowNode(1, NodeKind.EXIT, "EXIT \\ \"")]
+    nodes += [FlowNode(first + k, NodeKind.SIMPLE, label) for k, label in enumerate(labels)]
+    var = len(nodes)
+    nodes.append(FlowNode(var, NodeKind.VAR, "v\u00e9\\"))
+    graph = FlowGraph(nodes)
+    # Keys out of id order: the document sorts them.
+    du = DefUseAttr(defs={first + 2: [var], first: [var]}, uses={first + 4: [var], first + 3: [var]})
+    cf = compute_cf_edges(graph)
+    analysis = Analysis(None, graph, cf, du, compute_data_flow(graph, cf, du))
+    assert analysis.df.edges()
+    for with_df in (False, True):
+        assert _json_text(analysis, with_df) == json.dumps(oracle.json_doc(analysis, with_df))
 
 
 def test_stdin_input():

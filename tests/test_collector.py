@@ -7,7 +7,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from flowgraphs.cli import _json_doc
+from flowgraphs.cli import _json_text
 from flowgraphs.pipeline import analyze
 
 import progen
@@ -35,7 +35,7 @@ def test_dropped_analysis_leaves_no_cyclic_garbage(name):
     # Collector off, so that no automatic pass frees a cycle before the count.
     with collector(enabled=False):
         gc.collect()
-        _json_doc(analyze(PROGRAMS[name]), with_df=True)
+        _json_text(analyze(PROGRAMS[name]), with_df=True)
         assert gc.collect() == 0
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import random
 import re
 
@@ -22,7 +21,7 @@ from flowgraphs.textgen import render_method
 
 import oracle
 import progen
-from helpers import CORPUS
+from helpers import CORPUS, random_sources
 
 
 def test_minimal_program():
@@ -305,12 +304,6 @@ def test_chain_invariants_on_random_programs(seed):
 # ---- the parser's name binding against tests/oracle.py::resolve ----
 
 
-@functools.cache
-def random_sources() -> tuple[str, ...]:
-    return tuple(progen.gen_program(seed, strict=seed % 4 == 0, max_stmts=10 + seed % 50)
-                 for seed in range(1000))
-
-
 def assert_links_match_reference(method):
     for occ, decl in oracle.resolve(method).items():
         assert occ.decl is decl
@@ -523,3 +516,42 @@ def test_every_node_has_a_position():
     assert relational.pos == relational.children[0].pos == Pos(2, 8)
     for source in random_sources():
         assert all(node.pos is not None for node in ast_nodes(parse_program(source)))
+
+
+# The first token of each node with a fixed one; the rest are checked below.
+FIRST_TOKEN = {mj.Method: "int", mj.LocalVarDecl: "int", mj.While: "while", mj.If: "if",
+               mj.Return: "return", mj.Break: "break", mj.Continue: "continue",
+               mj.Block: "{"}
+
+
+def test_positions_are_shared_and_point_at_first_tokens():
+    source = progen.gen_scale(3, 2_000)
+    method = parse_program(source)
+    nodes = [method, *method.params, *ast_nodes(method)]
+    # One Pos object per source position: an expression statement shares its
+    # expression's, a chain its first operand's, a suffix form its variable's.
+    assert len({id(node.pos) for node in nodes}) == len({node.pos for node in nodes})
+    tokens = {(t.line, t.col): t.text for t in mj.tokenize(source)}
+    for node in nodes:
+        text = tokens[node.pos]
+        if type(node) in FIRST_TOKEN:
+            assert text == FIRST_TOKEN[type(node)]
+        elif isinstance(node, (mj.Param, mj.Labeled, mj.IdentRef)):
+            assert text == node.name
+        elif isinstance(node, (mj.Assign, mj.SuffixUnary)):
+            assert text == node.target
+        elif isinstance(node, mj.IntLit):
+            assert int(text) == node.value
+        elif isinstance(node, mj.Chain):
+            assert node.pos is node.children[0].pos
+        else:
+            assert isinstance(node, mj.ExprStmt)
+            assert node.pos is node.expr.pos
+    statements = [node.pos for node in nodes if isinstance(node, mj.Statement)]
+    assert statements == sorted(statements)
+
+
+def test_statement_starting_with_a_parenthesis_keeps_its_own_position():
+    stmt = parse_program("int m(int a) {\n  (a)++; a = 1;\n}").body
+    assert (stmt[0].pos, stmt[0].expr.pos) == (Pos(2, 3), Pos(2, 4))
+    assert stmt[1].pos is stmt[1].expr.pos

@@ -5,8 +5,9 @@ from flowgraphs.minijava import parse_program
 from flowgraphs.model import NodeKind, lower
 from flowgraphs.textgen import EXIT_TEXT, text_of
 
+import oracle
 import progen
-from helpers import CORPUS, images
+from helpers import CORPUS, images, random_sources
 
 
 def build(source: str):
@@ -158,3 +159,21 @@ def test_shadowing_creates_distinct_var_nodes():
     inner = graph.node(block).stmts[0]
     assert du.def_of(outer) == [root.vars[0]]
     assert du.def_of(inner) == [root.vars[1]]
+
+
+def assert_lower_matches_reference(method):
+    graph, du = lower(method)
+    want_graph, want_du = oracle.lower(method)
+    assert graph.method == want_graph.method
+    assert [repr(n) for n in graph.nodes] == [repr(n) for n in want_graph.nodes]
+    assert list(du.defs.items()) == list(want_du.defs.items())
+    assert list(du.uses.items()) == list(want_du.uses.items())
+
+
+def test_lower_matches_reference_on_random_programs():
+    for source in random_sources():
+        assert_lower_matches_reference(parse_program(source))
+
+
+def test_lower_matches_reference_on_scale_program():
+    assert_lower_matches_reference(parse_program(progen.gen_scale(1, 2_000)))

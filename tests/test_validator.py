@@ -1,15 +1,19 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flowgraphs.pipeline import analyze
 from flowgraphs.validator import (
     LinkAssertion,
     OrderError,
     ValidateSyntaxError,
+    _tokenize_spec,
     check,
     emit_spec,
     parse_spec,
 )
 
+import oracle
 from helpers import CORPUS
 
 
@@ -164,3 +168,33 @@ def test_emit_quotes_and_names():
     text = emit_spec(a.graph, a.cf, a.df)
     assert text.startswith("validate count\n")
     assert 'cfNext : "count()" --> "int a = 1;"' in text
+
+
+# ---- the one-scan tokenizer against tests/oracle.py::tokenize_spec ----
+
+SPEC_PIECES = ("validate", "cfNext", "dfNext", " ", "\t", "\r", "\n", ":", "-->", "->", "-",
+               ">", '"', "\\", '\\"', "\\\\", "\\n", "//", "/", "a", "_x1", "1", "2b", "\u00b2",
+               "a\u00b2", "\u00df", "\u00e9", "\u0661", "\u2167", "\x0b", "\xa0", '"int a = 1;"',
+               '"a \\"b\\" \\\\"', '"m()"', "\U0001f600")
+spec_text = st.lists(st.sampled_from(SPEC_PIECES), max_size=30).map("".join)
+
+
+def lex_spec(tokenize, text):
+    try:
+        return tokenize(text)
+    except ValidateSyntaxError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(st.one_of(spec_text, st.text()))
+@example("")
+@example('validate t\ncfNext : "a\\"b" --> "c\\\\"\r\n// done')
+@example('x "abc\\')
+@example('x "ab\\\ncd"')
+@example('x "abc\n"')
+@example("\u00b2a")
+@example("a\u00b2\u00bd \u00bd")
+@example("x --- y")
+def test_tokenize_spec_matches_reference(text):
+    assert lex_spec(_tokenize_spec, text) == lex_spec(oracle.tokenize_spec, text)
