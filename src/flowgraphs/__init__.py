@@ -15,10 +15,10 @@ from .minijava import (
     UnresolvedLabelError,
     UnresolvedVariableError,
     parse_program,
+    render_method,
 )
 from .model import DefUseAttr, FlowGraph, NodeKind, lower
 from .pipeline import Analysis, analyze
-from .textgen import render_method, text_of
 from .validator import (
     OrderError,
     ValidateSyntaxError,
@@ -55,7 +55,6 @@ __all__ = [
     "parse_program",
     "parse_spec",
     "render_method",
-    "text_of",
 ]
 
 __version__ = "0.1.0"

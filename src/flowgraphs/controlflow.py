@@ -46,10 +46,7 @@ class EdgeTable:
     cf_prev: dict[int, list[int]] = field(default_factory=dict)
 
     def add(self, src: int, dst: int) -> None:
-        succs = self.cf_next.setdefault(src, [])
-        if dst in succs:
-            return
-        succs.append(dst)
+        self.cf_next.setdefault(src, []).append(dst)
         self.cf_prev.setdefault(dst, []).append(src)
 
     def edges(self) -> list[tuple[int, int]]:
@@ -111,7 +108,8 @@ def _lower(nid: int, cont: int, walk: _Walk) -> int:
         then = _lower(node.then, cont, walk)
         orelse = cont if node.orelse is None else _lower(node.orelse, cont, walk)
         add(node.expr, then)
-        add(node.expr, orelse)
+        if orelse != then:  # both are `cont` when neither branch has a flow instruction
+            add(node.expr, orelse)
         return node.expr
     elif kind is NodeKind.LABEL:
         inner = walk.nodes[node.stmt]

@@ -43,12 +43,13 @@ class UndefinedUseWarning:
 class DfEdgeTable:
     df_next: dict[int, list[int]] = field(default_factory=dict)
     warnings: list[UndefinedUseWarning] = field(default_factory=list)
-    _seen: set[tuple[int, int]] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def add(self, src: int, dst: int) -> None:
-        if (src, dst) not in self._seen:
-            self._seen.add((src, dst))
-            self.df_next.setdefault(src, []).append(dst)
+        # Callers add all of one use's edges together, and every one of them
+        # ends at the use, so an edge already there is the last one added.
+        targets = self.df_next.setdefault(src, [])
+        if not targets or targets[-1] != dst:
+            targets.append(dst)
 
     def edges(self) -> list[tuple[int, int]]:
         """(src, dst) pairs, sources ascending, targets in insertion order."""

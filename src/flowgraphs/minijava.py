@@ -1,4 +1,4 @@
-"""Lexer, AST, and parser for the mini-Java subset.
+"""Lexer, AST, parser and printer for the mini-Java subset.
 
 The accepted language is a single method of the form
 
@@ -34,7 +34,8 @@ Context-Free Languages", 1968). Structured statements use fixed labels
 ("while", "if", "{...}", "break", "continue", "name:"); simple statements
 and expressions are written with one canonical spacing (`OP_TEXT`), so
 `a+1` and `a + 1` in the source both label as "a + 1". These labels are
-the keys the validation DSL matches on.
+the keys the validation DSL matches on; `render_method` prints the AST
+back as source around them.
 
 Binding a name also records it in the reads or writes of the statement
 whose expression (initializer, expression, return value, or `while`/`if`
@@ -91,18 +92,7 @@ class Op(enum.Enum):
     DEC = "--"
 
 
-OP_TEXT = {
-    Op.ASSIGN: " = ",
-    Op.MUL: " * ",
-    Op.ADD: " + ",
-    Op.DIV: " / ",
-    Op.SUB: " - ",
-    Op.EQ: " == ",
-    Op.GT: " > ",
-    Op.LT: " < ",
-    Op.INC: "++",
-    Op.DEC: "--",
-}
+OP_TEXT = {op: op.value if op in (Op.INC, Op.DEC) else " " + op.value + " " for op in Op}
 
 
 class ChainKind(enum.Enum):
@@ -561,3 +551,35 @@ def parse_program(source: str) -> Method:
         error_class, message, tok = parser.error
         raise error_class(message, tok.line, tok.col)
     return method
+
+
+def render_method(method: Method) -> str:
+    """Compose the AST back into parseable source text.
+
+    Simple statements and jumps reuse their labels (the former are complete
+    statements); structured statements are rebuilt around their parts.
+    Grouping parentheses are not reproduced, so the round trip is only
+    structure-preserving for sources that never relied on them.
+    """
+    params = ", ".join("int " + p.name for p in method.params)
+    return "int " + method.name + "(" + params + ") { " + " ".join(map(_render, method.body)) + " }"
+
+
+def _render(s: Statement) -> str:
+    # Module-level rather than a closure: a recursive closure is a reference
+    # cycle, left for the cyclic collector after every call.
+    t = type(s)
+    if t is LocalVarDecl or t is ExprStmt or t is Return:
+        return s.txt
+    if t is While:
+        return "while (" + s.cond.txt + ") " + _render(s.body)
+    if t is If:
+        out = "if (" + s.cond.txt + ") " + _render(s.then)
+        return out if s.orelse is None else out + " else " + _render(s.orelse)
+    if t is Block:
+        return "{ " + " ".join(map(_render, s.stmts)) + " }"
+    if t is Labeled:
+        return s.txt + " " + _render(s.stmt)  # txt is "name:"
+    if t is Break or t is Continue:
+        return s.txt + (" " + s.label if s.label else "") + ";"  # txt is the keyword
+    raise TypeError(f"no source rule for {t.__name__}")

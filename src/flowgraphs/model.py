@@ -15,7 +15,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from . import minijava as mj
-from .textgen import EXIT_TEXT
+
+EXIT_TEXT = "Exit"  # the Exit node has no AST node to take a label from
 
 
 class NodeKind(str, enum.Enum):

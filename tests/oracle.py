@@ -71,9 +71,8 @@ from flowgraphs.minijava import (
     UnresolvedVariableError,
     While,
 )
-from flowgraphs.model import DefUseAttr, FlowGraph, FlowNode, NodeKind
+from flowgraphs.model import EXIT_TEXT, DefUseAttr, FlowGraph, FlowNode, NodeKind
 from flowgraphs.pipeline import Analysis
-from flowgraphs.textgen import EXIT_TEXT
 from flowgraphs.validator import ValidateSyntaxError
 
 

@@ -9,10 +9,9 @@ import time
 from contextlib import contextmanager
 
 from flowgraphs.controlflow import flow_instructions
-from flowgraphs.minijava import parse_program
+from flowgraphs.minijava import OP_TEXT, parse_program
 from flowgraphs.model import NodeKind
 from flowgraphs.pipeline import analyze
-from flowgraphs.textgen import OP_TEXT, text_of
 from flowgraphs import minijava as mj
 from flowgraphs.validator import check, emit_spec, parse_spec
 
@@ -179,29 +178,29 @@ def test_criterion_6_text_attribution_rules():
         def stmt(src):
             return parse_program(f"int m(int a, int b, int c) {{ {src} }}").body[0]
 
-        assert text_of(parse_program("int f() { return; }")) == "f()"
-        assert text_of(stmt("int x = 1;")) == "int x = 1;"
-        assert text_of(stmt("a = b;")) == "a = b;"
-        assert text_of(stmt("a = b;").expr) == "a = b"
-        assert text_of(stmt("a++;").expr) == "a++"
-        assert text_of(stmt("a--;").expr) == "a--"
-        assert text_of(stmt("a * b / c;").expr) == "a * b / c"
-        assert text_of(stmt("a + b - c;").expr) == "a + b - c"
-        assert text_of(stmt("while (a < b) a++;").cond) == "a < b"
-        assert text_of(stmt("while (a > b) a++;").cond) == "a > b"
-        assert text_of(stmt("if (a == b) a++;").cond) == "a == b"
-        assert text_of(stmt("a;").expr) == "a"
-        assert text_of(stmt("12;").expr) == "12"
-        assert text_of(stmt("while (a < 1) a++;")) == "while"
-        assert text_of(stmt("if (a < 1) a++;")) == "if"
-        assert text_of(stmt("{ a++; }")) == "{...}"
-        assert text_of(stmt("while (a < 1) continue;").body) == "continue"
-        assert text_of(stmt("while (a < 1) break;").body) == "break"
-        assert text_of(stmt("return;")) == "return;"
-        assert text_of(stmt("return a;")) == "return a;"
-        assert text_of(stmt("lbl: a++;")) == "lbl:"
+        assert parse_program("int f() { return; }").txt == "f()"
+        assert stmt("int x = 1;").txt == "int x = 1;"
+        assert stmt("a = b;").txt == "a = b;"
+        assert stmt("a = b;").expr.txt == "a = b"
+        assert stmt("a++;").expr.txt == "a++"
+        assert stmt("a--;").expr.txt == "a--"
+        assert stmt("a * b / c;").expr.txt == "a * b / c"
+        assert stmt("a + b - c;").expr.txt == "a + b - c"
+        assert stmt("while (a < b) a++;").cond.txt == "a < b"
+        assert stmt("while (a > b) a++;").cond.txt == "a > b"
+        assert stmt("if (a == b) a++;").cond.txt == "a == b"
+        assert stmt("a;").expr.txt == "a"
+        assert stmt("12;").expr.txt == "12"
+        assert stmt("while (a < 1) a++;").txt == "while"
+        assert stmt("if (a < 1) a++;").txt == "if"
+        assert stmt("{ a++; }").txt == "{...}"
+        assert stmt("while (a < 1) continue;").body.txt == "continue"
+        assert stmt("while (a < 1) break;").body.txt == "break"
+        assert stmt("return;").txt == "return;"
+        assert stmt("return a;").txt == "return a;"
+        assert stmt("lbl: a++;").txt == "lbl:"
         assert analyze("int m() {}").graph.node(1).txt == "Exit"
-        assert text_of(stmt("int y = 2;")).startswith("int ")  # type rule
+        assert stmt("int y = 2;").txt.startswith("int ")  # type rule
         assert [OP_TEXT[op] for op in (
             mj.Op.ASSIGN, mj.Op.MUL, mj.Op.ADD, mj.Op.DIV, mj.Op.SUB,
             mj.Op.EQ, mj.Op.GT, mj.Op.LT, mj.Op.INC, mj.Op.DEC,

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+import flowgraphs
 from flowgraphs.cli import _json_text
 from flowgraphs.controlflow import compute_cf_edges
 from flowgraphs.dataflow import compute_data_flow
@@ -300,6 +301,14 @@ def test_fg_color_toggles_ansi(tmp_path, monkeypatch):
     monkeypatch.setenv("FG_COLOR", "0")
     code, out, _ = run_cli(["validate", EX01, "--spec", str(spec)])
     assert "\x1b[" not in out
+
+
+def test_public_api_is_documented_in_readme():
+    # Inline code spans and fenced code blocks both count as documentation.
+    readme = (TESTS_DIR.parent / "README.md").read_text()
+    documented = {word for span in re.findall(r"`+([^`]+)`+", readme)
+                  for word in re.findall(r"\w+", span)}
+    assert [name for name in flowgraphs.__all__ if name not in documented] == []
 
 
 def test_repeated_calls_match_a_fresh_process():

@@ -3,7 +3,7 @@ import pytest
 from flowgraphs.pipeline import analyze
 
 import progen
-from helpers import CORPUS
+from helpers import CORPUS, random_sources
 from oracle import bfs_data_flow, brute_force_df_edges
 
 
@@ -108,9 +108,21 @@ def test_oracle_equivalence_on_random_programs(seed):
 
 
 def test_edge_table_is_deduplicated():
-    a = analyze("int m(int c) { int x = 1; if (c == 1) c = 2; else c = 3; return x; }")
-    for targets in a.df.df_next.values():
-        assert len(targets) == len(set(targets))
+    # The tables add without a membership check: an if whose branches enter
+    # the same instruction adds that edge once, and a definition that reaches
+    # one use through two variables (`x = a = 1`) adds that edge once.
+    sources = [
+        "int m(int c) { int x = 1; if (c == 1) c = 2; else c = 3; return x; }",
+        "int m(int a) { if (a < 1) {} else {} }",
+        "int m(int a) { if (a < 2) {} }",
+        "int m(int a) { int x = a = 1; return x + a; }",
+        *random_sources(),
+    ]
+    for source in sources:
+        a = analyze(source)
+        for table in (a.cf.cf_next, a.cf.cf_prev, a.df.df_next):
+            for targets in table.values():
+                assert len(targets) == len(set(targets)), source
 
 
 def block_vs_bfs(source):

@@ -14,10 +14,10 @@ from flowgraphs.minijava import (
     UnresolvedLabelError,
     UnresolvedVariableError,
     parse_program,
+    render_method,
 )
 from flowgraphs.model import NodeKind
 from flowgraphs.pipeline import Analysis, analyze
-from flowgraphs.textgen import render_method
 
 import oracle
 import progen
@@ -260,6 +260,35 @@ def test_render_roundtrip_on_corpus(path):
     method = parse_program(path.read_text())
     again = parse_program(render_method(method))
     assert repr(again) == repr(method)
+
+
+EVERY_STATEMENT_KIND = """
+int m(int a, int b) {
+    int x = a+1;
+    x = x * b;
+    outer: while (x < 10) {
+        if (x == 3) { x++; continue outer; } else break;
+        inner: { if (a > b) break inner; }
+        while (b < 1) { { continue; } }
+        {}
+    }
+    if (a < b) return a;
+    return;
+}
+"""
+
+
+def test_render_text_is_pinned():
+    assert render_method(parse_program(EVERY_STATEMENT_KIND)) == (
+        "int m(int a, int b) { int x = a + 1; x = x * b; outer: while (x < 10) {"
+        " if (x == 3) { x++; continue outer; } else break;"
+        " inner: { if (a > b) break inner; } while (b < 1) { { continue; } } {  } }"
+        " if (a < b) return a; return; }")
+
+
+def test_render_rejects_unknown_statement_type():
+    with pytest.raises(TypeError, match="no source rule for Statement"):
+        render_method(mj.Method("m", [], [mj.Statement()]))
 
 
 @pytest.mark.parametrize("seed", range(40))

@@ -2,8 +2,7 @@ import pytest
 
 from flowgraphs import minijava as mj
 from flowgraphs.minijava import parse_program
-from flowgraphs.model import NodeKind, lower
-from flowgraphs.textgen import EXIT_TEXT, text_of
+from flowgraphs.model import EXIT_TEXT, NodeKind, lower
 
 import oracle
 import progen
@@ -117,7 +116,7 @@ def test_trace_roundtrip(path):
         else:
             kind = NodeKind.EXPR if isinstance(ast_node, mj.Expression) else KIND_OF[type(ast_node)]
             assert node.kind is kind
-            assert node.txt == text_of(ast_node)
+            assert node.txt == ast_node.txt
 
 
 def test_block_order_preserved():

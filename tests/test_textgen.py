@@ -3,8 +3,8 @@
 import pytest
 
 from flowgraphs import minijava as mj
-from flowgraphs.minijava import parse_program
-from flowgraphs.textgen import EXIT_TEXT, OP_TEXT, text_of
+from flowgraphs.minijava import OP_TEXT, parse_program
+from flowgraphs.model import EXIT_TEXT
 
 
 def stmt_of(body_src: str) -> mj.Statement:
@@ -17,90 +17,90 @@ def expr_of(expr_src: str) -> mj.Expression:
 
 
 def test_method_label():
-    assert text_of(parse_program("int check() { return; }")) == "check()"
+    assert parse_program("int check() { return; }").txt == "check()"
 
 
 def test_local_var_decl_label():
-    assert text_of(stmt_of("int x = 1;")) == "int x = 1;"
+    assert stmt_of("int x = 1;").txt == "int x = 1;"
 
 
 def test_expr_stmt_label():
-    assert text_of(stmt_of("a++;")) == "a++;"
+    assert stmt_of("a++;").txt == "a++;"
 
 
 def test_assignment_label():
-    assert text_of(expr_of("a = b")) == "a = b"
-    assert text_of(expr_of("a=b+1")) == "a = b + 1"
+    assert expr_of("a = b").txt == "a = b"
+    assert expr_of("a=b+1").txt == "a = b + 1"
 
 
 def test_suffix_unary_labels():
-    assert text_of(expr_of("a++")) == "a++"
-    assert text_of(expr_of("a--")) == "a--"
+    assert expr_of("a++").txt == "a++"
+    assert expr_of("a--").txt == "a--"
 
 
 def test_multiplicative_chain_label():
-    assert text_of(expr_of("a * b / c")) == "a * b / c"
+    assert expr_of("a * b / c").txt == "a * b / c"
 
 
 def test_additive_chain_label():
-    assert text_of(expr_of("a + b - c")) == "a + b - c"
+    assert expr_of("a + b - c").txt == "a + b - c"
 
 
 def test_relational_chain_label():
     cond = stmt_of("while (a < 3) a++;").cond
-    assert text_of(cond) == "a < 3"
+    assert cond.txt == "a < 3"
     cond = stmt_of("while (a > b) a++;").cond
-    assert text_of(cond) == "a > b"
+    assert cond.txt == "a > b"
 
 
 def test_equality_chain_label():
     cond = stmt_of("if (a == b) a++;").cond
-    assert text_of(cond) == "a == b"
+    assert cond.txt == "a == b"
 
 
 def test_identifier_label():
-    assert text_of(expr_of("a")) == "a"
+    assert expr_of("a").txt == "a"
 
 
 def test_int_literal_label():
-    assert text_of(expr_of("42")) == "42"
+    assert expr_of("42").txt == "42"
 
 
 def test_while_fixed_label():
-    assert text_of(stmt_of("while (a < 1) a++;")) == "while"
+    assert stmt_of("while (a < 1) a++;").txt == "while"
 
 
 def test_if_fixed_label():
-    assert text_of(stmt_of("if (a < 1) a++;")) == "if"
+    assert stmt_of("if (a < 1) a++;").txt == "if"
 
 
 def test_block_fixed_label():
-    assert text_of(stmt_of("{ a++; }")) == "{...}"
+    assert stmt_of("{ a++; }").txt == "{...}"
 
 
 def test_continue_fixed_label():
     loop = stmt_of("while (a < 1) continue;")
-    assert text_of(loop.body) == "continue"
+    assert loop.body.txt == "continue"
 
 
 def test_break_fixed_label():
     loop = stmt_of("while (a < 1) break;")
-    assert text_of(loop.body) == "break"
+    assert loop.body.txt == "break"
 
 
 def test_labeled_jump_keeps_plain_label():
     loop = stmt_of("foo: while (a < 1) { break foo; }").stmt
-    assert text_of(loop.body.stmts[0]) == "break"
+    assert loop.body.stmts[0].txt == "break"
 
 
 def test_return_labels():
-    assert text_of(stmt_of("return;")) == "return;"
-    assert text_of(stmt_of("return a;")) == "return a;"
-    assert text_of(stmt_of("return a + 1;")) == "return a + 1;"
+    assert stmt_of("return;").txt == "return;"
+    assert stmt_of("return a;").txt == "return a;"
+    assert stmt_of("return a + 1;").txt == "return a + 1;"
 
 
 def test_label_statement_label():
-    assert text_of(stmt_of("foo: a++;")) == "foo:"
+    assert stmt_of("foo: a++;").txt == "foo:"
 
 
 def test_exit_fixed_label():
@@ -109,7 +109,7 @@ def test_exit_fixed_label():
 
 def test_int_type_marker_in_declaration():
     # the lone type rule surfaces as the "int " prefix of declarations
-    assert text_of(stmt_of("int y = a;")).startswith("int ")
+    assert stmt_of("int y = a;").txt.startswith("int ")
 
 
 @pytest.mark.parametrize(
@@ -132,12 +132,12 @@ def test_operator_spacing(op, expected):
 
 
 def test_spacing_is_canonical():
-    assert text_of(expr_of("a+1")) == text_of(expr_of("a + 1")) == "a + 1"
+    assert expr_of("a+1").txt == expr_of("a + 1").txt == "a + 1"
 
 
 def test_fold_appends_operator_then_child():
-    assert text_of(expr_of("1 + 2 + 3")) == "1 + 2 + 3"
-    assert text_of(expr_of("a + b * c")) == "a + b * c"
+    assert expr_of("1 + 2 + 3").txt == "1 + 2 + 3"
+    assert expr_of("a + b * c").txt == "a + b * c"
 
 
 def test_compute_text_is_total_and_idempotent():
@@ -145,6 +145,5 @@ def test_compute_text_is_total_and_idempotent():
     loop = method.body[0]
     assign = loop.body.stmts[0]
     nodes = (method, loop, loop.cond, loop.body, assign, assign.expr, method.body[1])
-    first = [text_of(node) for node in nodes]
-    assert first == [text_of(node) for node in nodes]
-    assert first == ["m()", "while", "a < 3", "{...}", "a = a + 1;", "a = a + 1", "return a;"]
+    assert [node.txt for node in nodes] == [
+        "m()", "while", "a < 3", "{...}", "a = a + 1;", "a = a + 1", "return a;"]
