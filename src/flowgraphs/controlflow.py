@@ -24,7 +24,6 @@ valid target, so the walk has no error path.
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .model import FlowGraph, FlowNode, NodeKind
@@ -40,10 +39,10 @@ FLOW_INSTR_KINDS = frozenset({
 })
 
 
-@dataclass
 class EdgeTable:
-    cf_next: dict[int, list[int]] = field(default_factory=dict)
-    cf_prev: dict[int, list[int]] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.cf_next: dict[int, list[int]] = {}
+        self.cf_prev: dict[int, list[int]] = {}
 
     def add(self, src: int, dst: int) -> None:
         self.cf_next.setdefault(src, []).append(dst)

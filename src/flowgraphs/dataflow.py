@@ -21,14 +21,13 @@ blocks crossed, not statements crossed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .controlflow import EdgeTable, flow_instructions
 from .model import DefUseAttr, FlowGraph
 
 
-@dataclass(frozen=True)
-class UndefinedUseWarning:
+class UndefinedUseWarning(NamedTuple):
     var: int  # variable node id
     node: int  # flow instruction using it
 
@@ -39,10 +38,10 @@ class UndefinedUseWarning:
         )
 
 
-@dataclass
 class DfEdgeTable:
-    df_next: dict[int, list[int]] = field(default_factory=dict)
-    warnings: list[UndefinedUseWarning] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.df_next: dict[int, list[int]] = {}
+        self.warnings: list[UndefinedUseWarning] = []
 
     def add(self, src: int, dst: int) -> None:
         # Callers add all of one use's edges together, and every one of them

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import SourcePosError
@@ -110,120 +109,237 @@ CHAIN_OPS = {
 }
 
 
-# AST nodes use identity equality/hash so they can key attribute maps;
-# structural comparison goes through repr (positions, labels and def/use
-# sets are excluded).
+# AST nodes are plain slotted classes: importing `dataclasses` (which loads
+# `inspect`) and generating each class's methods tripled the package's
+# start-up. `__slots__` lists a class's own attributes; `_fields` those its
+# repr shows, leaving out positions, labels, def/use sets and `decl` links.
+# Nodes use identity equality/hash so they can key attribute maps;
+# structural comparison goes through repr. Each `__init__` stores every
+# attribute itself, with no call to its base's, since a 10k-statement
+# program builds about 37k nodes.
 
-@dataclass(eq=False, slots=True)
 class Node:
-    pos: Pos | None = field(default=None, repr=False, kw_only=True)
-    txt: str = field(default="", repr=False, kw_only=True)  # the canonical label
+    __slots__ = ("pos", "txt")  # txt is the canonical label
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *, pos: Pos | None = None, txt: str = "") -> None:
+        self.pos = pos
+        self.txt = txt
+
+    def __repr__(self) -> str:
+        return (type(self).__qualname__ + "("
+                + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields) + ")")
 
 
-@dataclass(eq=False, slots=True)
 class Param(Node):
-    name: str
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: str, *, pos: Pos | None = None, txt: str = "") -> None:
+        self.pos = pos
+        self.txt = txt
+        self.name = name
 
 
-@dataclass(eq=False, slots=True)
 class Method(Node):
-    name: str
-    params: list[Param]
-    body: list[Statement]
+    __slots__ = _fields = ("name", "params", "body")
+
+    def __init__(self, name: str, params: list[Param], body: list[Statement], *,
+                 pos: Pos | None = None, txt: str = "") -> None:
+        self.pos = pos
+        self.txt = txt
+        self.name = name
+        self.params = params
+        self.body = body
 
 
-@dataclass(eq=False, slots=True)
 class Statement(Node):
-    # What the statement's own expression reads and writes, in occurrence order.
-    reads: tuple[Param | LocalVarDecl, ...] = field(default=(), repr=False, kw_only=True)
-    writes: tuple[Param | LocalVarDecl, ...] = field(default=(), repr=False, kw_only=True)
+    # What the statement's own expression reads and writes, in occurrence
+    # order: tuples of Param and LocalVarDecl.
+    __slots__ = ("reads", "writes")
+
+    def __init__(self, *, pos: Pos | None = None, txt: str = "", reads: tuple = (),
+                 writes: tuple = ()) -> None:
+        self.pos = pos
+        self.txt = txt
+        self.reads = reads
+        self.writes = writes
 
 
-@dataclass(eq=False, slots=True)
 class LocalVarDecl(Statement):
-    name: str
-    init: Expression
+    __slots__ = _fields = ("name", "init")
+
+    def __init__(self, name: str, init: Expression, *, pos: Pos | None = None, txt: str = "",
+                 reads: tuple = (), writes: tuple = ()) -> None:
+        self.pos = pos
+        self.txt = txt
+        self.reads = reads
+        self.writes = writes
+        self.name = name
+        self.init = init
 
 
-@dataclass(eq=False, slots=True)
 class ExprStmt(Statement):
-    expr: Expression
+    __slots__ = _fields = ("expr",)
+
+    def __init__(self, expr: Expression, *, pos: Pos | None = None, txt: str = "",
+                 reads: tuple = (), writes: tuple = ()) -> None:
+        self.pos = pos
+        self.txt = txt
+        self.reads = reads
+        self.writes = writes
+        self.expr = expr
 
 
-@dataclass(eq=False, slots=True)
 class While(Statement):
-    cond: Expression
-    body: Statement
+    __slots__ = _fields = ("cond", "body")
+
+    def __init__(self, cond: Expression, body: Statement, *, pos: Pos | None = None,
+                 txt: str = "", reads: tuple = (), writes: tuple = ()) -> None:
+        self.pos = pos
+        self.txt = txt
+        self.reads = reads
+        self.writes = writes
+        self.cond = cond
+        self.body = body
 
 
-@dataclass(eq=False, slots=True)
 class If(Statement):
-    cond: Expression
-    then: Statement
-    orelse: Statement | None
+    __slots__ = _fields = ("cond", "then", "orelse")
+
+    def __init__(self, cond: Expression, then: Statement, orelse: Statement | None, *,
+                 pos: Pos | None = None, txt: str = "", reads: tuple = (),
+                 writes: tuple = ()) -> None:
+        self.pos = pos
+        self.txt = txt
+        self.reads = reads
+        self.writes = writes
+        self.cond = cond
+        self.then = then
+        self.orelse = orelse
 
 
-@dataclass(eq=False, slots=True)
 class Return(Statement):
-    value: Expression | None
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: Expression | None, *, pos: Pos | None = None, txt: str = "",
+                 reads: tuple = (), writes: tuple = ()) -> None:
+        self.pos = pos
+        self.txt = txt
+        self.reads = reads
+        self.writes = writes
+        self.value = value
 
 
-@dataclass(eq=False, slots=True)
 class Break(Statement):
-    label: str | None
+    __slots__ = _fields = ("label",)
+
+    def __init__(self, label: str | None, *, pos: Pos | None = None, txt: str = "",
+                 reads: tuple = (), writes: tuple = ()) -> None:
+        self.pos = pos
+        self.txt = txt
+        self.reads = reads
+        self.writes = writes
+        self.label = label
 
 
-@dataclass(eq=False, slots=True)
 class Continue(Statement):
-    label: str | None
+    __slots__ = _fields = ("label",)
+
+    def __init__(self, label: str | None, *, pos: Pos | None = None, txt: str = "",
+                 reads: tuple = (), writes: tuple = ()) -> None:
+        self.pos = pos
+        self.txt = txt
+        self.reads = reads
+        self.writes = writes
+        self.label = label
 
 
-@dataclass(eq=False, slots=True)
 class Labeled(Statement):
-    name: str
-    stmt: Statement
+    __slots__ = _fields = ("name", "stmt")
+
+    def __init__(self, name: str, stmt: Statement, *, pos: Pos | None = None, txt: str = "",
+                 reads: tuple = (), writes: tuple = ()) -> None:
+        self.pos = pos
+        self.txt = txt
+        self.reads = reads
+        self.writes = writes
+        self.name = name
+        self.stmt = stmt
 
 
-@dataclass(eq=False, slots=True)
 class Block(Statement):
-    stmts: list[Statement]
+    __slots__ = _fields = ("stmts",)
+
+    def __init__(self, stmts: list[Statement], *, pos: Pos | None = None, txt: str = "",
+                 reads: tuple = (), writes: tuple = ()) -> None:
+        self.pos = pos
+        self.txt = txt
+        self.reads = reads
+        self.writes = writes
+        self.stmts = stmts
 
 
-@dataclass(eq=False, slots=True)
 class Expression(Node):
-    pass
+    __slots__ = ()
 
 
-@dataclass(eq=False, slots=True)
 class Assign(Expression):
-    target: str
-    value: Expression
-    decl: Param | LocalVarDecl | None = field(default=None, repr=False)
+    __slots__ = ("target", "value", "decl")
+    _fields = ("target", "value")
+
+    def __init__(self, target: str, value: Expression, decl: Param | LocalVarDecl | None = None,
+                 *, pos: Pos | None = None, txt: str = "") -> None:
+        self.pos = pos
+        self.txt = txt
+        self.target = target
+        self.value = value
+        self.decl = decl
 
 
-@dataclass(eq=False, slots=True)
 class SuffixUnary(Expression):
-    target: str
-    op: Op
-    decl: Param | LocalVarDecl | None = field(default=None, repr=False)
+    __slots__ = ("target", "op", "decl")
+    _fields = ("target", "op")
+
+    def __init__(self, target: str, op: Op, decl: Param | LocalVarDecl | None = None, *,
+                 pos: Pos | None = None, txt: str = "") -> None:
+        self.pos = pos
+        self.txt = txt
+        self.target = target
+        self.op = op
+        self.decl = decl
 
 
-@dataclass(eq=False, slots=True)
 class Chain(Expression):
-    kind: ChainKind
-    children: list[Expression]
-    operators: list[Op]
+    __slots__ = _fields = ("kind", "children", "operators")
+
+    def __init__(self, kind: ChainKind, children: list[Expression], operators: list[Op], *,
+                 pos: Pos | None = None, txt: str = "") -> None:
+        self.pos = pos
+        self.txt = txt
+        self.kind = kind
+        self.children = children
+        self.operators = operators
 
 
-@dataclass(eq=False, slots=True)
 class IdentRef(Expression):
-    name: str
-    decl: Param | LocalVarDecl | None = field(default=None, repr=False)
+    __slots__ = ("name", "decl")
+    _fields = ("name",)
+
+    def __init__(self, name: str, decl: Param | LocalVarDecl | None = None, *,
+                 pos: Pos | None = None, txt: str = "") -> None:
+        self.pos = pos
+        self.txt = txt
+        self.name = name
+        self.decl = decl
 
 
-@dataclass(eq=False, slots=True)
 class IntLit(Expression):
-    value: int
+    __slots__ = _fields = ("value",)
+
+    def __init__(self, value: int, *, pos: Pos | None = None, txt: str = "") -> None:
+        self.pos = pos
+        self.txt = txt
+        self.value = value
 
 
 KEYWORDS = {"int", "while", "if", "else", "return", "break", "continue"}

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 from . import minijava as mj
 
@@ -38,27 +37,36 @@ class NodeKind(str, enum.Enum):
         return self.value
 
 
-@dataclass(eq=False, slots=True)
 class FlowNode:
-    id: int
-    kind: NodeKind
-    txt: str
-    # containment links, populated per kind
-    stmts: Sequence[int] = ()  # Method, Block
-    expr: int | None = None  # Loop, If condition
-    body: int | None = None  # Loop
-    then: int | None = None  # If
-    orelse: int | None = None  # If
-    stmt: int | None = None  # Label
-    exit: int | None = None  # Method
-    vars: Sequence[int] = ()  # Method
-    label: str | None = None  # jump label on Break/Continue, own name on Label
+    # Containment links, populated per kind: stmts (Method, Block), expr (Loop,
+    # If condition), body (Loop), then and orelse (If), stmt (Label), exit and
+    # vars (Method); label is the jump label on Break/Continue, own name on Label.
+    __slots__ = _fields = ("id", "kind", "txt", "stmts", "expr", "body", "then", "orelse",
+                           "stmt", "exit", "vars", "label")
+    __repr__ = mj.Node.__repr__  # every field, in constructor order
+
+    def __init__(self, id: int, kind: NodeKind, txt: str, stmts: Sequence[int] = (),
+                 expr: int | None = None, body: int | None = None, then: int | None = None,
+                 orelse: int | None = None, stmt: int | None = None, exit: int | None = None,
+                 vars: Sequence[int] = (), label: str | None = None) -> None:
+        self.id = id
+        self.kind = kind
+        self.txt = txt
+        self.stmts = stmts
+        self.expr = expr
+        self.body = body
+        self.then = then
+        self.orelse = orelse
+        self.stmt = stmt
+        self.exit = exit
+        self.vars = vars
+        self.label = label
 
 
-@dataclass
 class FlowGraph:
-    nodes: list[FlowNode] = field(default_factory=list)
-    method: int = 0
+    def __init__(self, nodes: list[FlowNode] | None = None) -> None:
+        self.nodes = [] if nodes is None else nodes
+        self.method = 0  # the Method node's id
 
     def node(self, nid: int) -> FlowNode:
         return self.nodes[nid]
@@ -68,12 +76,13 @@ class FlowGraph:
         return self.nodes[self.method].exit
 
 
-@dataclass
 class DefUseAttr:
     """Definition and use sets per flow instruction: node id -> variable node ids."""
 
-    defs: dict[int, list[int]] = field(default_factory=dict)
-    uses: dict[int, list[int]] = field(default_factory=dict)
+    def __init__(self, defs: dict[int, list[int]] | None = None,
+                 uses: dict[int, list[int]] | None = None) -> None:
+        self.defs = {} if defs is None else defs
+        self.uses = {} if uses is None else uses
 
     def def_of(self, nid: int) -> list[int]:
         return self.defs.get(nid, [])

@@ -2,21 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import minijava as mj
 from .controlflow import EdgeTable, compute_cf_edges
 from .dataflow import DfEdgeTable, compute_data_flow
 from .model import DefUseAttr, FlowGraph, lower
 
 
-@dataclass
 class Analysis:
-    method: mj.Method
-    graph: FlowGraph
-    cf: EdgeTable
-    def_use: DefUseAttr
-    df: DfEdgeTable
+    def __init__(self, method: mj.Method, graph: FlowGraph, cf: EdgeTable, def_use: DefUseAttr,
+                 df: DfEdgeTable) -> None:
+        self.method = method
+        self.graph = graph
+        self.cf = cf
+        self.def_use = def_use
+        self.df = df
 
 
 def analyze(source: str) -> Analysis:

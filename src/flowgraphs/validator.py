@@ -17,7 +17,7 @@ is connected.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .controlflow import EdgeTable
 from .dataflow import DfEdgeTable
@@ -33,25 +33,24 @@ class OrderError(ValidateSyntaxError):
     """A cfNext assertion appeared after a dfNext assertion."""
 
 
-@dataclass(frozen=True)
-class LinkAssertion:
+class LinkAssertion(NamedTuple):
     left: str
     right: str
 
 
-@dataclass
 class ValidationSpec:
-    name: str
-    cf_links: list[LinkAssertion] = field(default_factory=list)
-    df_links: list[LinkAssertion] = field(default_factory=list)
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.cf_links: list[LinkAssertion] = []
+        self.df_links: list[LinkAssertion] = []
 
 
-@dataclass
 class ValidationReport:
-    false_cf: list[tuple[str, str]] = field(default_factory=list)
-    false_df: list[tuple[str, str]] = field(default_factory=list)
-    missing_cf: list[tuple[str, str]] = field(default_factory=list)
-    missing_df: list[tuple[str, str]] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.false_cf: list[tuple[str, str]] = []
+        self.false_df: list[tuple[str, str]] = []
+        self.missing_cf: list[tuple[str, str]] = []
+        self.missing_df: list[tuple[str, str]] = []
 
     @property
     def clean(self) -> bool:

@@ -330,3 +330,15 @@ def test_repeated_calls_match_a_fresh_process():
     assert [code for code, _, _ in fresh] == [0, 0, 2, 2]
     for i in [0, 1, 2, 3, 3, 2, 1, 0, 2, 0, 3, 1]:
         assert run_cli(cases[i]) == fresh[i], cases[i]
+
+
+def test_import_loads_no_dataclasses():
+    # Start-up is most of a small program's run; `dataclasses`, with the
+    # `inspect` it imports and the code it generates per class, tripled it.
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+             "import flowgraphs.cli; print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC_DIR)],
+                          capture_output=True, text=True, timeout=60, check=True)
+    added = proc.stdout.split()
+    assert "flowgraphs.cli" in added
+    assert [name for name in ("dataclasses", "inspect") if name in added] == []

@@ -1,4 +1,5 @@
-import dataclasses
+import importlib
+import pkgutil
 import random
 import re
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import flowgraphs
 from flowgraphs import minijava as mj
 from flowgraphs.errors import FlowgraphsError
 from flowgraphs.minijava import (
@@ -291,6 +293,125 @@ def test_render_rejects_unknown_statement_type():
         render_method(mj.Method("m", [], [mj.Statement()]))
 
 
+# Every statement and expression kind, jumps with and without a label, a
+# nested assignment, every binary and suffix operator, and unreachable code
+# whose uses warn.
+EVERY_NODE_KIND = """
+int m(int a) {
+    int x = a + 1 - 2 * a / 3;
+    l: while (x < a) {
+        if (x == 1) break l; else continue l;
+        x++;
+    }
+    while (a > 0) { a--; continue; break; }
+    if (a == 0) return;
+    x = a = 4;
+    return x;
+}
+"""
+
+
+def test_repr_is_pinned():
+    # The reprs the classes printed as dataclasses, exactly, so that a repr
+    # that drops, adds or reorders a field fails.
+    analysis = analyze(EVERY_NODE_KIND)
+    assert repr(analysis.method) == (
+        "Method(name='m', params=[Param(name='a')], body=[LocalVarDecl(name='x', "
+        "init=Chain(kind=<ChainKind.ADDITIVE: 'additive'>, children=[IdentRef(name='a'), "
+        "IntLit(value=1), Chain(kind=<ChainKind.MULTIPLICATIVE: 'multiplicative'>, "
+        "children=[IntLit(value=2), IdentRef(name='a'), IntLit(value=3)], "
+        "operators=[<Op.MUL: '*'>, <Op.DIV: '/'>])], operators=[<Op.ADD: '+'>, <Op.SUB: '-'>])), "
+        "Labeled(name='l', stmt=While(cond=Chain(kind=<ChainKind.RELATIONAL: 'relational'>, "
+        "children=[IdentRef(name='x'), IdentRef(name='a')], operators=[<Op.LT: '<'>]), "
+        "body=Block(stmts=[If(cond=Chain(kind=<ChainKind.EQUALITY: 'equality'>, "
+        "children=[IdentRef(name='x'), IntLit(value=1)], operators=[<Op.EQ: '=='>]), "
+        "then=Break(label='l'), orelse=Continue(label='l')), "
+        "ExprStmt(expr=SuffixUnary(target='x', op=<Op.INC: '++'>))]))), "
+        "While(cond=Chain(kind=<ChainKind.RELATIONAL: 'relational'>, "
+        "children=[IdentRef(name='a'), IntLit(value=0)], operators=[<Op.GT: '>'>]), "
+        "body=Block(stmts=[ExprStmt(expr=SuffixUnary(target='a', op=<Op.DEC: '--'>)), "
+        "Continue(label=None), Break(label=None)])), "
+        "If(cond=Chain(kind=<ChainKind.EQUALITY: 'equality'>, children=[IdentRef(name='a'), "
+        "IntLit(value=0)], operators=[<Op.EQ: '=='>]), then=Return(value=None), orelse=None), "
+        "ExprStmt(expr=Assign(target='x', value=Assign(target='a', value=IntLit(value=4)))), "
+        "Return(value=IdentRef(name='x'))])")
+    assert [repr(node) for node in analysis.graph.nodes] == [
+        "FlowNode(id=0, kind=<NodeKind.METHOD: 'Method'>, txt='m()', stmts=[2, 3, 12, 18, 21, "
+        "22], expr=None, body=None, then=None, orelse=None, stmt=None, exit=1, vars=[23, 24], "
+        "label=None)",
+        "FlowNode(id=1, kind=<NodeKind.EXIT: 'Exit'>, txt='Exit', stmts=(), expr=None, "
+        "body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=2, kind=<NodeKind.SIMPLE: 'SimpleStmt'>, txt='int x = a + 1 - 2 * a / 3;', "
+        "stmts=(), expr=None, body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), "
+        "label=None)",
+        "FlowNode(id=3, kind=<NodeKind.LABEL: 'Label'>, txt='l:', stmts=(), expr=None, "
+        "body=None, then=None, orelse=None, stmt=4, exit=None, vars=(), label='l')",
+        "FlowNode(id=4, kind=<NodeKind.LOOP: 'Loop'>, txt='while', stmts=(), expr=5, body=6, "
+        "then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=5, kind=<NodeKind.EXPR: 'Expr'>, txt='x < a', stmts=(), expr=None, "
+        "body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=6, kind=<NodeKind.BLOCK: 'Block'>, txt='{...}', stmts=[7, 11], expr=None, "
+        "body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=7, kind=<NodeKind.IF: 'If'>, txt='if', stmts=(), expr=8, body=None, then=9, "
+        "orelse=10, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=8, kind=<NodeKind.EXPR: 'Expr'>, txt='x == 1', stmts=(), expr=None, "
+        "body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=9, kind=<NodeKind.BREAK: 'Break'>, txt='break', stmts=(), expr=None, "
+        "body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label='l')",
+        "FlowNode(id=10, kind=<NodeKind.CONTINUE: 'Continue'>, txt='continue', stmts=(), "
+        "expr=None, body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label='l')",
+        "FlowNode(id=11, kind=<NodeKind.SIMPLE: 'SimpleStmt'>, txt='x++;', stmts=(), expr=None, "
+        "body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=12, kind=<NodeKind.LOOP: 'Loop'>, txt='while', stmts=(), expr=13, body=14, "
+        "then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=13, kind=<NodeKind.EXPR: 'Expr'>, txt='a > 0', stmts=(), expr=None, "
+        "body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=14, kind=<NodeKind.BLOCK: 'Block'>, txt='{...}', stmts=[15, 16, 17], "
+        "expr=None, body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=15, kind=<NodeKind.SIMPLE: 'SimpleStmt'>, txt='a--;', stmts=(), expr=None, "
+        "body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=16, kind=<NodeKind.CONTINUE: 'Continue'>, txt='continue', stmts=(), "
+        "expr=None, body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=17, kind=<NodeKind.BREAK: 'Break'>, txt='break', stmts=(), expr=None, "
+        "body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=18, kind=<NodeKind.IF: 'If'>, txt='if', stmts=(), expr=19, body=None, "
+        "then=20, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=19, kind=<NodeKind.EXPR: 'Expr'>, txt='a == 0', stmts=(), expr=None, "
+        "body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=20, kind=<NodeKind.RETURN: 'Return'>, txt='return;', stmts=(), expr=None, "
+        "body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=21, kind=<NodeKind.SIMPLE: 'SimpleStmt'>, txt='x = a = 4;', stmts=(), "
+        "expr=None, body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=22, kind=<NodeKind.RETURN: 'Return'>, txt='return x;', stmts=(), expr=None, "
+        "body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=23, kind=<NodeKind.PARAM: 'Param'>, txt='a', stmts=(), expr=None, "
+        "body=None, then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+        "FlowNode(id=24, kind=<NodeKind.VAR: 'Var'>, txt='x', stmts=(), expr=None, body=None, "
+        "then=None, orelse=None, stmt=None, exit=None, vars=(), label=None)",
+    ]
+    assert repr(analysis.df.warnings) == (
+        "[UndefinedUseWarning(var=23, node=5), UndefinedUseWarning(var=23, node=13), "
+        "UndefinedUseWarning(var=23, node=15), UndefinedUseWarning(var=23, node=19)]")
+
+
+def test_no_class_repeats_a_base_slot():
+    # A repeated slot wastes 8 bytes per instance and hides the base's.
+    for info in pkgutil.iter_modules(flowgraphs.__path__, "flowgraphs."):
+        module = importlib.import_module(info.name)
+        for cls in vars(module).values():
+            if isinstance(cls, type) and cls.__module__ == module.__name__:
+                own = set(vars(cls).get("__slots__", ()))
+                for base in cls.__mro__[1:]:
+                    assert own.isdisjoint(vars(base).get("__slots__", ())), (cls, base)
+
+
+def test_ast_and_flow_nodes_have_no_instance_dict():
+    analysis = analyze(EVERY_NODE_KIND)
+    method = analysis.method
+    for node in [method, *method.params, *ast_nodes(method), *analysis.graph.nodes]:
+        assert not hasattr(node, "__dict__"), type(node).__name__
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_render_roundtrip_on_random_programs(seed):
     # 500 cached programs in all, 12 or 13 per seed; every fourth is strict
@@ -489,16 +610,15 @@ def test_any_text_gives_analysis_or_flowgraphs_error(source):
 def ast_nodes(node):
     """The statement and expression nodes below `node`, in pre-order.
 
-    Child fields are the ones in the repr; `decl` links, positions,
-    labels and def/use sets are left out of it.
+    Child fields are the ones in the repr (`_fields`); `decl` links,
+    positions, labels and def/use sets are left out of it.
     """
-    for f in dataclasses.fields(node):
-        if f.repr:
-            value = getattr(node, f.name)
-            for child in value if isinstance(value, list) else [value]:
-                if isinstance(child, (mj.Statement, mj.Expression)):
-                    yield child
-                    yield from ast_nodes(child)
+    for name in node._fields:
+        value = getattr(node, name)
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, (mj.Statement, mj.Expression)):
+                yield child
+                yield from ast_nodes(child)
 
 
 OWN_EXPRESSION = {mj.LocalVarDecl: "init", mj.ExprStmt: "expr", mj.Return: "value",

@@ -140,7 +140,7 @@ def test_fold_appends_operator_then_child():
     assert expr_of("a + b * c").txt == "a + b * c"
 
 
-def test_compute_text_is_total_and_idempotent():
+def test_labels_of_nested_statements_and_expressions():
     method = parse_program("int m(int a) { while (a < 3) { a = a + 1; } return a; }")
     loop = method.body[0]
     assign = loop.body.stmts[0]
