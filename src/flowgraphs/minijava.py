@@ -11,14 +11,16 @@ Expressions are flat n-ary chains per precedence level (equality,
 relational, additive, multiplicative) over identifiers, decimal
 integer literals, assignments, and the suffix `++`/`--` forms.
 
-`tokenize` makes one `finditer` scan over a single pattern that matches
-every character but a blank, so `finditer` skips blanks in C and each token
-(and each line end) costs one match; an unexpected character is caught by
-the pattern itself. Statements are parsed by recursive descent and
-expressions by precedence climbing (Pratt, "Top Down Operator Precedence",
-POPL 1973): one operator table gives each binary operator its level, and a
-run of operators of one level becomes one Chain. A level of grouping
-parentheses costs two stack frames.
+`tokenize` makes one `finditer` scan over a single pattern. Each match takes
+one token together with the blanks before it, so each token (and each line
+end) costs one match, and a blank costs none; an unexpected character is
+caught by the pattern itself. Tokens come back as parallel lists of kinds,
+texts, lines and columns, with no object per token, and the parser builds a
+`Pos` only for the nodes that store one. Statements are parsed by recursive
+descent and expressions by precedence climbing (Pratt, "Top Down Operator
+Precedence", POPL 1973): one operator table gives each binary operator its
+level and label text, and a run of operators of one level becomes one
+Chain. A level of grouping parentheses costs two stack frames.
 
 The parser also binds names as it goes: every identifier use, assignment
 and suffix `++`/`--` gets a `decl` link to the Param or LocalVarDecl it
@@ -344,107 +346,131 @@ class IntLit(Expression):
 
 KEYWORDS = {"int", "while", "if", "else", "return", "break", "continue"}
 
-# One match per token, told apart by `lastindex`. A newline is its own match
-# (so lines can be counted), a comment has no group, and any character but a
-# blank that starts no token is caught by group 5; so the only text no
-# alternative matches is blanks, which `finditer` skips in C.
+# One match per token, with the blanks before it, told apart by `lastindex`.
+# A newline is its own match (so lines can be counted), a comment has no
+# group, and any other character but a blank is caught by group 5.
+# Identifiers, the commonest tokens, are tried first; comments go before
+# the operators, so that "//" is not read as two divisions. Blanks at the
+# end of input match with no group: whatever follows a run of blanks
+# matches at once, so no run is ever backtracked into and scanned again.
 _TOKEN_RE = re.compile(
     r"""
-      (\n)
-    | //[^\n]*
-    | ([A-Za-z_][A-Za-z_0-9]*)
-    | (\+\+|--|==|[-+*/<>=(){};:,])
-    | (\d+)
-    | ([^ \t\r])
+    [ \t\r]*
+    (?: ([A-Za-z_][A-Za-z_0-9]*)
+      | //[^\n]*
+      | (\+\+|--|==|[-+*/<>=(){};:,])
+      | (\d+)
+      | (\n)
+      | ([^ \t\r])
+      | \Z
+    )
     """,
     re.VERBOSE,
 )
 
+_new = tuple.__new__  # Pos(line, col) is _new(Pos, (line, col)), without its Python-level __new__
 
-class Token(NamedTuple):
-    kind: str  # 'num', 'ident', a keyword, an operator/punctuation text, or 'eof'
-    text: str
-    line: int
-    col: int
-
-    @property
-    def pos(self) -> Pos:
-        return tuple.__new__(Pos, self[2:])  # Pos(line, col), without its Python-level __new__
+Tokens = tuple[list[str], list[str], list[int], list[int]]
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__  # Token(...), without its Python-level __new__
+def tokenize(source: str) -> Tokens:
+    """The tokens of `source` as parallel lists: kinds, texts, lines and columns.
+
+    A kind is 'ident', 'num', a keyword, an operator or punctuation text, or
+    'eof' for the end of input, which is always the last token.
+    """
+    kinds: list[str] = []
+    texts: list[str] = []
+    lines: list[int] = []
+    cols: list[int] = []
+    add_kind, add_text, add_line, add_col = kinds.append, texts.append, lines.append, cols.append
     line, before_line = 1, -1  # the line number, and the index just before its start
     for m in _TOKEN_RE.finditer(source):
         group = m.lastindex
-        if group == 2:
-            text = m[0]
-            kind = text if text in KEYWORDS else "ident"
-            append(new(Token, (kind, text, line, m.start() - before_line)))
+        if group == 1:
+            text = m[1]
+            add_kind(text if text in KEYWORDS else "ident")
+        elif group == 2:
+            text = m[2]
+            add_kind(text)
         elif group == 3:
-            text = m[0]
-            append(new(Token, (text, text, line, m.start() - before_line)))
-        elif group == 4:
-            append(new(Token, ("num", m[0], line, m.start() - before_line)))
-        elif group == 1:
-            line += 1
-            before_line = m.start()
-        elif group == 5:
-            raise ParseError(f"unexpected character {m[0]!r}", line, m.start() - before_line)
-    tokens.append(Token("eof", "", line, len(source) - before_line))
-    return tokens
+            text = m[3]
+            add_kind("num")
+        else:
+            if group == 4:
+                line += 1
+                before_line = m.start(4)
+            elif group == 5:
+                raise ParseError(f"unexpected character {m[5]!r}", line, m.start(5) - before_line)
+            continue
+        add_text(text)
+        add_line(line)
+        add_col(m.start(group) - before_line)
+    add_kind("eof")
+    add_text("")
+    add_line(line)
+    add_col(len(source) - before_line)
+    return kinds, texts, lines, cols
 
 
 class _Parser:
-    # Operator text -> (level, chain kind, Op) for the binary operators; a
-    # higher level binds tighter.
+    # Operator text -> (level, chain kind, Op, label text) for the binary
+    # operators; a higher level binds tighter.
     _LEVELS = (ChainKind.EQUALITY, ChainKind.RELATIONAL, ChainKind.ADDITIVE,
                ChainKind.MULTIPLICATIVE)
-    _BINARY = {op.value: (level, kind, op)
+    _BINARY = {op.value: (level, kind, op, OP_TEXT[op])
                for level, kind in enumerate(_LEVELS) for op in CHAIN_OPS[kind]}
     _TOP = len(_LEVELS) - 1
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
+    def __init__(self, tokens: Tokens):
+        self.kinds, self.texts, self.lines, self.cols = tokens
         self.i = 0
         self.scopes: list[dict[str, Param | LocalVarDecl]] = []
         self.labels: list[tuple[str, bool]] = []  # (name, wraps a While)
         self.loop_depth = 0
-        # The first name error, raised after parsing. Kept as its arguments:
-        # a stored exception would be reachable from its own traceback
-        # (through this parser in parse_program's frame), a reference cycle.
-        self.error: tuple[type[SourcePosError], str, Token] | None = None
+        # The first name error, raised after parsing, as (class, message,
+        # line, col): a stored exception would be reachable from its own
+        # traceback (through this parser in parse_program's frame), a
+        # reference cycle.
+        self.error: tuple[type[SourcePosError], str, int, int] | None = None
         # Declarations read and written since the last take_sets, in occurrence order
         self.reads: list[Param | LocalVarDecl | None] = []
         self.writes: list[Param | LocalVarDecl | None] = []
         self.shared_sets: dict[tuple, tuple] = {}  # one tuple per distinct set, to save memory
 
-    # The parser reads `self.tokens[self.i]` directly. The last token is
-    # 'eof' and `i` never moves past it, so stepping over a token, or looking
-    # one token ahead, is safe whenever the current token is not 'eof'.
+    # The parser reads token `self.i` from the parallel lists directly. The
+    # last token is 'eof' and `i` never moves past it, so stepping over a
+    # token, or looking one token ahead, is safe whenever the current token
+    # is not 'eof'.
 
-    def expect(self, kind: str) -> Token:
-        tok = self.tokens[self.i]
-        if tok.kind != kind:
-            found = tok.text if tok.kind != "eof" else "end of input"
-            raise ParseError(f"expected {kind!r}, found {found!r}", tok.line, tok.col)
+    def pos(self, i: int) -> Pos:
+        return _new(Pos, (self.lines[i], self.cols[i]))
+
+    def unexpected(self, expected: str, i: int) -> ParseError:
+        found = "end of input" if self.kinds[i] == "eof" else repr(self.texts[i])
+        return ParseError(f"expected {expected}, found {found}", self.lines[i], self.cols[i])
+
+    def expect(self, kind: str) -> int:
+        """The index of the current token, which must be `kind`; steps over it."""
+        i = self.i
+        if self.kinds[i] != kind:
+            raise self.unexpected(repr(kind), i)
         if kind != "eof":
-            self.i += 1
-        return tok
+            self.i = i + 1
+        return i
 
     # ---- name binding ----
 
-    def fail(self, error_class: type[SourcePosError], message: str, tok: Token) -> None:
+    def fail(self, error_class: type[SourcePosError], message: str, i: int) -> None:
         if self.error is None:
-            self.error = (error_class, message, tok)
+            self.error = (error_class, message, self.lines[i], self.cols[i])
 
-    def lookup(self, tok: Token) -> Param | LocalVarDecl | None:
+    def lookup(self, i: int) -> Param | LocalVarDecl | None:
+        name = self.texts[i]
         for scope in reversed(self.scopes):
-            if tok.text in scope:
-                return scope[tok.text]
-        self.fail(UnresolvedVariableError, f"undeclared variable {tok.text!r}", tok)
+            if name in scope:
+                return scope[name]
+        self.fail(UnresolvedVariableError, f"undeclared variable {name!r}", i)
         return None
 
     def take_sets(self) -> tuple[tuple, tuple]:
@@ -455,67 +481,70 @@ class _Parser:
         self.writes.clear()
         return share(reads, reads), share(writes, writes)
 
-    def check_jump(self, tok: Token, label: str | None) -> None:
+    def check_jump(self, i: int, label: str | None) -> None:
+        keyword = self.kinds[i]
         if label is None:
             if self.loop_depth == 0:
-                self.fail(MissingEnclosingLoopError, f"'{tok.text}' has no enclosing loop", tok)
+                self.fail(MissingEnclosingLoopError, f"'{keyword}' has no enclosing loop", i)
             return
         wraps_loop = next((w for name, w in reversed(self.labels) if name == label), None)
         if wraps_loop is None:
-            self.fail(UnresolvedLabelError, f"no enclosing label {label!r}", tok)
-        elif tok.kind == "continue" and not wraps_loop:
-            self.fail(MissingEnclosingLoopError, f"label {label!r} does not name a loop", tok)
+            self.fail(UnresolvedLabelError, f"no enclosing label {label!r}", i)
+        elif keyword == "continue" and not wraps_loop:
+            self.fail(MissingEnclosingLoopError, f"label {label!r} does not name a loop", i)
 
     # ---- declarations ----
 
     def parse_method(self) -> Method:
         start = self.expect("int")
-        name = self.expect("ident").text
+        name = self.texts[self.expect("ident")]
         self.expect("(")
         params: list[Param] = []
-        if self.tokens[self.i].kind != ")":
+        if self.kinds[self.i] != ")":
             while True:
                 self.expect("int")
-                ptok = self.expect("ident")
-                if any(p.name == ptok.text for p in params):
-                    raise ParseError(f"duplicate parameter {ptok.text!r}", ptok.line, ptok.col)
-                params.append(Param(ptok.text, pos=ptok.pos))
-                if self.tokens[self.i].kind != ",":
+                j = self.expect("ident")
+                pname = self.texts[j]
+                if any(p.name == pname for p in params):
+                    raise ParseError(f"duplicate parameter {pname!r}", self.lines[j], self.cols[j])
+                params.append(Param(pname, pos=self.pos(j)))
+                if self.kinds[self.i] != ",":
                     break
                 self.i += 1
         self.expect(")")
         self.scopes.append({p.name: p for p in params})
         body = self.parse_block().stmts
         self.expect("eof")
-        return Method(name, params, body, pos=start.pos, txt=name + "()")
+        return Method(name, params, body, pos=self.pos(start), txt=name + "()")
 
     # ---- statements ----
 
     def parse_block(self) -> Block:
         start = self.expect("{")
         self.scopes.append({})
-        tokens = self.tokens
+        kinds = self.kinds
         stmts = []
-        while (tok := tokens[self.i]).kind != "}":
-            if tok.kind == "eof":
-                raise ParseError("expected '}', found end of input", tok.line, tok.col)
+        while (kind := kinds[self.i]) != "}":
+            if kind == "eof":
+                raise self.unexpected("'}'", self.i)
             stmts.append(self.parse_statement())
         self.i += 1
         self.scopes.pop()
-        return Block(stmts, pos=start.pos, txt="{...}")
+        return Block(stmts, pos=self.pos(start), txt="{...}")
 
     def parse_statement(self) -> Statement:
-        tokens = self.tokens
-        tok = tokens[self.i]
-        kind = tok.kind
+        kinds = self.kinds
+        i = self.i
+        kind = kinds[i]
         if kind == "int":
             self.i += 1
-            name = self.expect("ident").text
+            name = self.texts[self.expect("ident")]
             self.expect("=")
             init = self.parse_expression()  # bound before the declared name is in scope
             self.expect(";")
             reads, writes = self.take_sets()
-            decl = LocalVarDecl(name, init, pos=tok.pos, txt="int " + name + " = " + init.txt + ";",
+            decl = LocalVarDecl(name, init, pos=self.pos(i),
+                                txt="int " + name + " = " + init.txt + ";",
                                 reads=reads, writes=writes)
             self.scopes[-1][name] = decl
             return decl
@@ -532,7 +561,7 @@ class _Parser:
             body = self.parse_statement()
             self.loop_depth -= 1
             self.scopes.pop()
-            return While(cond, body, pos=tok.pos, txt="while", reads=reads, writes=writes)
+            return While(cond, body, pos=self.pos(i), txt="while", reads=reads, writes=writes)
         if kind == "if":
             self.i += 1
             self.expect("(")
@@ -543,39 +572,41 @@ class _Parser:
             then = self.parse_statement()
             self.scopes.pop()
             orelse = None
-            if tokens[self.i].kind == "else":
+            if kinds[self.i] == "else":
                 self.i += 1
                 self.scopes.append({})
                 orelse = self.parse_statement()
                 self.scopes.pop()
-            return If(cond, then, orelse, pos=tok.pos, txt="if", reads=reads, writes=writes)
+            return If(cond, then, orelse, pos=self.pos(i), txt="if", reads=reads, writes=writes)
         if kind == "return":
             self.i += 1
-            value = None if tokens[self.i].kind == ";" else self.parse_condition()
+            value = None if kinds[self.i] == ";" else self.parse_condition()
             self.expect(";")
             txt = "return;" if value is None else "return " + value.txt + ";"
             reads, writes = self.take_sets()
-            return Return(value, pos=tok.pos, txt=txt, reads=reads, writes=writes)
+            return Return(value, pos=self.pos(i), txt=txt, reads=reads, writes=writes)
         if kind == "break" or kind == "continue":
             self.i += 1
             label = None
-            if tokens[self.i].kind == "ident":
-                label = tokens[self.i].text
+            if kinds[self.i] == "ident":
+                label = self.texts[self.i]
                 self.i += 1
             self.expect(";")
-            self.check_jump(tok, label)
-            return (Break if kind == "break" else Continue)(label, pos=tok.pos, txt=kind)
-        if kind == "ident" and tokens[self.i + 1].kind == ":":
+            self.check_jump(i, label)
+            return (Break if kind == "break" else Continue)(label, pos=self.pos(i), txt=kind)
+        if kind == "ident" and kinds[i + 1] == ":":
             self.i += 2
-            self.labels.append((tok.text, tokens[self.i].kind == "while"))
+            name = self.texts[i]
+            self.labels.append((name, kinds[self.i] == "while"))
             stmt = self.parse_statement()
             self.labels.pop()
-            return Labeled(tok.text, stmt, pos=tok.pos, txt=tok.text + ":")
+            return Labeled(name, stmt, pos=self.pos(i), txt=name + ":")
         expr = self.parse_expression()
         self.expect(";")
         reads, writes = self.take_sets()
-        # Share the expression's Pos when it starts at this statement's first token.
-        pos = expr.pos if expr.pos == (tok.line, tok.col) else tok.pos
+        # An expression starts at this statement's first token, and shares its
+        # Pos, unless that token opens grouping parentheses.
+        pos = self.pos(i) if kind == "(" else expr.pos
         return ExprStmt(expr, pos=pos, txt=expr.txt + ";", reads=reads, writes=writes)
 
     # ---- expressions ----
@@ -583,14 +614,14 @@ class _Parser:
     # parenthesized groups and chain operands go through parse_condition.
 
     def parse_expression(self) -> Expression:
-        tokens = self.tokens
-        tok = tokens[self.i]
-        if tok.kind == "ident" and tokens[self.i + 1].kind == "=":
+        i = self.i
+        if self.kinds[i] == "ident" and self.kinds[i + 1] == "=":
             self.i += 2
             value = self.parse_expression()  # bound before the target
-            decl = self.lookup(tok)
+            decl = self.lookup(i)
             self.writes.append(decl)
-            return Assign(tok.text, value, pos=tok.pos, decl=decl, txt=tok.text + " = " + value.txt)
+            target = self.texts[i]
+            return Assign(target, value, decl, pos=self.pos(i), txt=target + " = " + value.txt)
         return self.parse_condition()
 
     def parse_condition(self, min_level: int = 0) -> Expression:
@@ -600,57 +631,60 @@ class _Parser:
         operands are parsed at the next level; an operator of a lower
         level then continues with that Chain as its first operand.
         """
-        tokens, binary = self.tokens, self._BINARY
+        kinds, binary = self.kinds, self._BINARY
         left = self.parse_unary()
-        entry = binary.get(tokens[self.i].kind)
+        entry = binary.get(kinds[self.i])
         while entry is not None and entry[0] >= min_level:
-            level, kind, _ = entry
+            level, kind = entry[0], entry[1]
             children, operators, txt = [left], [], left.txt
             while entry is not None and entry[0] == level:
                 self.i += 1
-                op = entry[2]
                 child = (self.parse_unary() if level == self._TOP
                          else self.parse_condition(level + 1))
-                operators.append(op)
+                operators.append(entry[2])
                 children.append(child)
-                txt += OP_TEXT[op] + child.txt
-                entry = binary.get(tokens[self.i].kind)
-            left = Chain(kind, children, operators, pos=children[0].pos, txt=txt)
+                txt += entry[3] + child.txt
+                entry = binary.get(kinds[self.i])
+            left = Chain(kind, children, operators, pos=left.pos, txt=txt)
         return left
 
     def parse_unary(self) -> Expression:
         """A primary expression, with its suffix `++`/`--` if one follows."""
-        tok = self.tokens[self.i]
-        kind = tok.kind
+        # Identifiers and literals are the commonest nodes, so they build
+        # their Pos inline rather than through self.pos.
+        i = self.i
+        kind = self.kinds[i]
         if kind == "ident":
             self.i += 1
-            decl = self.lookup(tok)
+            decl = self.lookup(i)
             self.reads.append(decl)
-            expr = IdentRef(tok.text, pos=tok.pos, decl=decl, txt=tok.text)
+            name = self.texts[i]
+            expr = IdentRef(name, decl, pos=_new(Pos, (self.lines[i], self.cols[i])), txt=name)
         elif kind == "num":
             self.i += 1
-            value = int(tok.text)
-            text = str(value)  # canonical; reuse the token's string when equal, to save memory
-            expr = IntLit(value, pos=tok.pos, txt=tok.text if tok.text == text else text)
+            text = self.texts[i]
+            value = int(text)
+            canonical = str(value)  # reuse the token's string when equal, to save memory
+            expr = IntLit(value, pos=_new(Pos, (self.lines[i], self.cols[i])),
+                          txt=text if text == canonical else canonical)
         elif kind == "(":
             # Grouping parentheses only; they leave no trace in the AST.
             self.i += 1
             expr = self.parse_condition()
             self.expect(")")
         elif kind == "++" or kind == "--":
-            raise ParseError(f"prefix '{tok.text}' is not supported", tok.line, tok.col)
+            raise ParseError(f"prefix '{kind}' is not supported", self.lines[i], self.cols[i])
         else:
-            found = tok.text if kind != "eof" else "end of input"
-            raise ParseError(f"expected an expression, found {found!r}", tok.line, tok.col)
-        tok = self.tokens[self.i]
-        if tok.kind == "++" or tok.kind == "--":
+            raise self.unexpected("an expression", i)
+        i = self.i
+        kind = self.kinds[i]
+        if kind == "++" or kind == "--":
             self.i += 1
             if not isinstance(expr, IdentRef):
-                raise ParseError(f"'{tok.text}' target must be a variable", tok.line, tok.col)
-            op = Op.INC if tok.kind == "++" else Op.DEC
+                raise ParseError(f"'{kind}' target must be a variable", self.lines[i], self.cols[i])
             self.writes.append(expr.decl)  # the variable is read, then written
-            return SuffixUnary(expr.name, op, pos=expr.pos, decl=expr.decl,
-                               txt=expr.name + OP_TEXT[op])
+            return SuffixUnary(expr.name, Op.INC if kind == "++" else Op.DEC, expr.decl,
+                               pos=expr.pos, txt=expr.name + kind)
         return expr
 
 
@@ -664,8 +698,8 @@ def parse_program(source: str) -> Method:
     parser = _Parser(tokenize(source))
     method = parser.parse_method()
     if parser.error is not None:
-        error_class, message, tok = parser.error
-        raise error_class(message, tok.line, tok.col)
+        error_class, message, line, col = parser.error
+        raise error_class(message, line, col)
     return method
 
 

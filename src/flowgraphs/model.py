@@ -101,90 +101,88 @@ def lower(method: mj.Method) -> tuple[FlowGraph, DefUseAttr]:
     and writes go to its own node, or to its condition's Expr node. Each
     Param and LocalVarDecl becomes a Param/Var node on the Method,
     whatever block declares it. Those come after every statement node, so
-    the walk records def/use sets by declaration index and shifts them to
-    node ids at the end.
+    the walk records (node id, statement) pairs, and the def/use sets are
+    built from them once the variables' ids are known.
 
     The walk is module-level functions that take their state as
     arguments, not closures: a recursive closure is a reference cycle,
     which would keep the graph alive until the cyclic collector runs.
     """
     nodes: list[FlowNode] = []
-    du = DefUseAttr()
-    var_of = {p: i for i, p in enumerate(method.params)}  # declaration -> index
-
+    # (node id, statement whose reads and writes it takes), for every simple
+    # statement and condition
+    owners: list[tuple[int, mj.Statement]] = []
     root = FlowNode(0, NodeKind.METHOD, method.txt)
     nodes.append(root)
     nodes.append(FlowNode(1, NodeKind.EXIT, EXIT_TEXT))
     root.exit = 1
-    if var_of:
-        du.defs[0] = list(var_of.values())
-    root.stmts = [_map_stmt(s, nodes, du, var_of) for s in method.body]
+    root.stmts = [_map_stmt(s, nodes, owners) for s in method.body]
+
+    # Variable ids follow declaration order: the parameters, then each
+    # LocalVarDecl in walk order, which is the order of `owners`.
     base = len(nodes)
-    root.vars = list(range(base, base + len(var_of)))
-    for nid, decl in enumerate(var_of, base):
+    var_id = {p: nid for nid, p in enumerate(method.params, base)}
+    du = DefUseAttr()
+    if var_id:
+        du.defs[0] = list(var_id.values())
+    for nid, s in owners:
+        if s.reads:
+            du.uses[nid] = _ids(s.reads, var_id)
+        if type(s) is mj.LocalVarDecl:  # a declaration defines its variable last
+            var_id[s] = base + len(var_id)
+            du.defs[nid] = _ids(s.writes + (s,), var_id)
+        elif s.writes:
+            du.defs[nid] = _ids(s.writes, var_id)
+    root.vars = list(var_id.values())
+    for decl, nid in var_id.items():
         nodes.append(FlowNode(nid, NodeKind.PARAM if type(decl) is mj.Param else NodeKind.VAR,
                               decl.name))
-    for table in (du.defs, du.uses):
-        for var_ids in table.values():
-            var_ids[:] = [base + v for v in var_ids]
     return FlowGraph(nodes), du
 
 
-def _sets_list(decls: tuple, var_of: dict) -> list[int]:
-    """Variable indices of `decls`, duplicates dropped, first occurrence kept."""
+def _ids(decls: tuple, var_id: dict) -> list[int]:
+    """Variable node ids of `decls`, duplicates dropped, first occurrence kept."""
     if len(decls) == 1:
-        return [var_of[decls[0]]]
-    return list(dict.fromkeys([var_of[d] for d in decls]))
+        return [var_id[decls[0]]]
+    return list(dict.fromkeys([var_id[d] for d in decls]))
 
 
-def _add_sets(nid: int, s: mj.Statement, du: DefUseAttr, var_of: dict) -> None:
-    if s.reads:
-        du.uses[nid] = _sets_list(s.reads, var_of)
-    if type(s) is mj.LocalVarDecl:  # a declaration defines its variable last
-        du.defs[nid] = _sets_list(s.writes + (s,), var_of)
-    elif s.writes:
-        du.defs[nid] = _sets_list(s.writes, var_of)
-
-
-def _map_condition(s: mj.While | mj.If, nodes: list[FlowNode], du: DefUseAttr,
-                   var_of: dict) -> int:
+def _map_condition(s: mj.While | mj.If, nodes: list[FlowNode], owners: list) -> int:
     nid = len(nodes)
     nodes.append(FlowNode(nid, NodeKind.EXPR, s.cond.txt))
-    _add_sets(nid, s, du, var_of)
+    owners.append((nid, s))
     return nid
 
 
-def _map_stmt(s: mj.Statement, nodes: list[FlowNode], du: DefUseAttr, var_of: dict) -> int:
+def _map_stmt(s: mj.Statement, nodes: list[FlowNode], owners: list) -> int:
     nid = len(nodes)
     t = type(s)
     if t is mj.LocalVarDecl or t is mj.ExprStmt:
         nodes.append(FlowNode(nid, NodeKind.SIMPLE, s.txt))
-        if t is mj.LocalVarDecl:
-            var_of[s] = len(var_of)
-        _add_sets(nid, s, du, var_of)
+        owners.append((nid, s))
     elif t is mj.While:
         node = FlowNode(nid, NodeKind.LOOP, s.txt)
         nodes.append(node)
-        node.expr = _map_condition(s, nodes, du, var_of)
-        node.body = _map_stmt(s.body, nodes, du, var_of)
+        node.expr = _map_condition(s, nodes, owners)
+        node.body = _map_stmt(s.body, nodes, owners)
     elif t is mj.If:
         node = FlowNode(nid, NodeKind.IF, s.txt)
         nodes.append(node)
-        node.expr = _map_condition(s, nodes, du, var_of)
-        node.then = _map_stmt(s.then, nodes, du, var_of)
+        node.expr = _map_condition(s, nodes, owners)
+        node.then = _map_stmt(s.then, nodes, owners)
         if s.orelse is not None:
-            node.orelse = _map_stmt(s.orelse, nodes, du, var_of)
+            node.orelse = _map_stmt(s.orelse, nodes, owners)
     elif t is mj.Block:
         node = FlowNode(nid, NodeKind.BLOCK, s.txt)
         nodes.append(node)
-        node.stmts = [_map_stmt(child, nodes, du, var_of) for child in s.stmts]
+        node.stmts = [_map_stmt(child, nodes, owners) for child in s.stmts]
     elif t is mj.Return:
         nodes.append(FlowNode(nid, NodeKind.RETURN, s.txt))
-        _add_sets(nid, s, du, var_of)
+        owners.append((nid, s))
     elif t is mj.Labeled:
         node = FlowNode(nid, NodeKind.LABEL, s.txt, label=s.name)
         nodes.append(node)
-        node.stmt = _map_stmt(s.stmt, nodes, du, var_of)
+        node.stmt = _map_stmt(s.stmt, nodes, owners)
     else:  # Break, Continue
         kind = NodeKind.BREAK if t is mj.Break else NodeKind.CONTINUE
         nodes.append(FlowNode(nid, kind, s.txt, label=s.label))

@@ -9,9 +9,8 @@ from .model import DefUseAttr, FlowGraph, lower
 
 
 class Analysis:
-    def __init__(self, method: mj.Method, graph: FlowGraph, cf: EdgeTable, def_use: DefUseAttr,
+    def __init__(self, graph: FlowGraph, cf: EdgeTable, def_use: DefUseAttr,
                  df: DfEdgeTable) -> None:
-        self.method = method
         self.graph = graph
         self.cf = cf
         self.def_use = def_use
@@ -19,9 +18,11 @@ class Analysis:
 
 
 def analyze(source: str) -> Analysis:
-    """Parse source text and run every stage of the pipeline."""
-    method = mj.parse_program(source)
-    graph, def_use = lower(method)
+    """Parse source text and run every stage of the pipeline.
+
+    The AST is freed once `lower` has mapped it: no later stage reads it.
+    """
+    graph, def_use = lower(mj.parse_program(source))
     cf = compute_cf_edges(graph)
     df = compute_data_flow(graph, cf, def_use)
-    return Analysis(method, graph, cf, def_use, df)
+    return Analysis(graph, cf, def_use, df)

@@ -16,7 +16,8 @@ first name error it reports.
 
 `tokenize` is the tokenizer the package had before its one-scan rewrite:
 one regular-expression match per token and per blank run, checked from
-the loop. It is the reference for the package's `tokenize`.
+the loop. It gives one `(kind, text, line, col)` tuple per token, and is
+the reference for the package's `tokenize`.
 
 `text_of` and `expr_reads_writes` are the label and def/use walks over a
 parsed AST that the package ran before the parser synthesized both: the
@@ -66,7 +67,6 @@ from flowgraphs.minijava import (
     Return,
     Statement,
     SuffixUnary,
-    Token,
     UnresolvedLabelError,
     UnresolvedVariableError,
     While,
@@ -244,8 +244,8 @@ _TOKEN_RE = re.compile(
 )
 
 
-def tokenize(source: str) -> list[Token]:
-    tokens: list[Token] = []
+def tokenize(source: str) -> list[tuple]:
+    tokens: list[tuple] = []
     line, line_start = 1, 0
     i = 0
     while i < len(source):
@@ -267,8 +267,8 @@ def tokenize(source: str) -> list[Token]:
             kind = text if text in KEYWORDS else "ident"
         else:
             kind = text
-        tokens.append(Token(kind, text, line, col))
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+        tokens.append((kind, text, line, col))
+    tokens.append(("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 

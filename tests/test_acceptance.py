@@ -68,9 +68,9 @@ def test_criterion_2_structural_properties():
         while checked < 200:
             source = progen.gen_program(seed, strict=True, max_stmts=40)
             seed += 1
-            a = analyze(source)
-            if progen.count_statements(a.method) > 50:
+            if progen.count_statements(parse_program(source)) > 50:
                 continue
+            a = analyze(source)
             checked += 1
             graph = a.graph
 

@@ -159,7 +159,7 @@ def test_json_escapes_labels_as_json_dumps_does():
     # Keys out of id order: the document sorts them.
     du = DefUseAttr(defs={first + 2: [var], first: [var]}, uses={first + 4: [var], first + 3: [var]})
     cf = compute_cf_edges(graph)
-    analysis = Analysis(None, graph, cf, du, compute_data_flow(graph, cf, du))
+    analysis = Analysis(graph, cf, du, compute_data_flow(graph, cf, du))
     assert analysis.df.edges()
     for with_df in (False, True):
         assert _json_text(analysis, with_df) == json.dumps(oracle.json_doc(analysis, with_df))

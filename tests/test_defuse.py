@@ -153,7 +153,7 @@ def assert_suffix_unary_in_def_and_use(source):
             return out
         return []
 
-    sources = images(a.method)
+    sources = images(parse_program(source))
     owned = a.graph.node(a.graph.method).vars
     var_id = {sources[vid]: vid for vid in owned}
     checked = 0

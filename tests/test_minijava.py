@@ -2,6 +2,7 @@ import importlib
 import pkgutil
 import random
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from flowgraphs.pipeline import Analysis, analyze
 
 import oracle
 import progen
+import ref_parser
 from helpers import CORPUS, random_sources
 
 
@@ -224,9 +226,9 @@ def test_relational_chain_of_three():
 def test_deep_grouping_parentheses_are_accepted():
     # Each level of parentheses costs the parser two stack frames, so 150
     # levels stay well inside Python's default recursion limit.
-    deep = analyze("int m(int a) { a = " + "(" * 150 + "a + 1" + ")" * 150 + "; return a; }")
-    flat = analyze("int m(int a) { a = a + 1; return a; }")
-    assert repr(deep.method) == repr(flat.method)
+    deep = "int m(int a) { a = " + "(" * 150 + "a + 1" + ")" * 150 + "; return a; }"
+    analyze(deep)
+    assert repr(parse_program(deep)) == repr(parse_program("int m(int a) { a = a + 1; return a; }"))
 
 
 def test_comments_and_crlf_accepted():
@@ -250,6 +252,28 @@ def test_syntax_error_reports_position_and_expectation():
     assert err.column == 20
     assert "expected ';'" in str(err)
     assert "expected" in str(err)
+
+
+@pytest.mark.parametrize("source,message", [
+    ("int m() {\n  return 1", "2:11: expected ';', found end of input"),  # expect
+    ("int m() {\n  return 1 +", "2:13: expected an expression, found end of input"),  # an operand
+    ("int m() {\n  return;", "2:10: expected '}', found end of input"),  # a block's end
+])
+def test_end_of_input_is_named_unquoted(source, message):
+    with pytest.raises(ParseError) as exc_info:
+        parse_program(source)
+    assert str(exc_info.value) == message
+
+
+def test_blanks_before_the_end_of_input_take_linear_time():
+    # A token's match takes the blanks before it; a run of blanks with no
+    # token after it must not be scanned again from each of its positions.
+    # Rescanning this tail takes seconds; one scan takes about a millisecond.
+    tail = " \t\r" * 5_000
+    start = time.perf_counter()
+    kinds, _, lines, cols = mj.tokenize("int m() { return; }" + tail)
+    assert time.perf_counter() - start < 1.0
+    assert (kinds[-1], lines[-1], cols[-1]) == ("eof", 1, 20 + len(tail))
 
 
 def test_trailing_garbage_rejected():
@@ -314,8 +338,7 @@ int m(int a) {
 def test_repr_is_pinned():
     # The reprs the classes printed as dataclasses, exactly, so that a repr
     # that drops, adds or reorders a field fails.
-    analysis = analyze(EVERY_NODE_KIND)
-    assert repr(analysis.method) == (
+    assert repr(parse_program(EVERY_NODE_KIND)) == (
         "Method(name='m', params=[Param(name='a')], body=[LocalVarDecl(name='x', "
         "init=Chain(kind=<ChainKind.ADDITIVE: 'additive'>, children=[IdentRef(name='a'), "
         "IntLit(value=1), Chain(kind=<ChainKind.MULTIPLICATIVE: 'multiplicative'>, "
@@ -335,6 +358,7 @@ def test_repr_is_pinned():
         "IntLit(value=0)], operators=[<Op.EQ: '=='>]), then=Return(value=None), orelse=None), "
         "ExprStmt(expr=Assign(target='x', value=Assign(target='a', value=IntLit(value=4)))), "
         "Return(value=IdentRef(name='x'))])")
+    analysis = analyze(EVERY_NODE_KIND)
     assert [repr(node) for node in analysis.graph.nodes] == [
         "FlowNode(id=0, kind=<NodeKind.METHOD: 'Method'>, txt='m()', stmts=[2, 3, 12, 18, 21, "
         "22], expr=None, body=None, then=None, orelse=None, stmt=None, exit=1, vars=[23, 24], "
@@ -406,9 +430,9 @@ def test_no_class_repeats_a_base_slot():
 
 
 def test_ast_and_flow_nodes_have_no_instance_dict():
-    analysis = analyze(EVERY_NODE_KIND)
-    method = analysis.method
-    for node in [method, *method.params, *ast_nodes(method), *analysis.graph.nodes]:
+    method = parse_program(EVERY_NODE_KIND)
+    flow_nodes = analyze(EVERY_NODE_KIND).graph.nodes
+    for node in [method, *method.params, *ast_nodes(method), *flow_nodes]:
         assert not hasattr(node, "__dict__"), type(node).__name__
 
 
@@ -515,8 +539,8 @@ def outcome(parse, source):
 
 def reference_outcome(source):
     """The error of parsing without binding, then resolving separately."""
-    return outcome(lambda text: oracle.resolve(mj._Parser(mj.tokenize(text)).parse_method()),
-                   source)
+    return outcome(lambda text: oracle.resolve(ref_parser._Parser(ref_parser.tokenize(text))
+                                               .parse_method()), source)
 
 
 @pytest.mark.parametrize("mutate,min_errors", [
@@ -572,8 +596,9 @@ def edited_programs(draw):
 
 
 def lex(tokenize, text):
+    """The (kind, text, line, col) tuple of every token, or the error."""
     try:
-        return [(t.kind, t.text, t.line, t.col) for t in tokenize(text)]
+        return tokenize(text)
     except ParseError as exc:
         return str(exc), exc.line, exc.column
 
@@ -589,7 +614,47 @@ def lex(tokenize, text):
 @example("int x = 1; // a lone \r does not end a comment\n")
 @example("int m() { }  \t\r\n \n\t ")
 def test_tokenize_matches_reference(text):
-    assert lex(mj.tokenize, text) == lex(oracle.tokenize, text)
+    assert lex(lambda t: list(zip(*mj.tokenize(t))), text) == lex(oracle.tokenize, text)
+
+
+# ---- the parser against tests/ref_parser.py ----
+
+
+def front_end(parse, source):
+    """What `parse` makes of `source`: the error, or the AST's repr and, per
+    node in walk order, its position, label, def/use sets and `decl` link,
+    with declarations given by their walk position."""
+    try:
+        method = parse(source)
+    except FlowgraphsError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    nodes = [method, *method.params, *ast_nodes(method)]
+    at = {id(node): k for k, node in enumerate(nodes)}
+    return repr(method), [
+        (type(node.pos), node.pos, node.txt,
+         [at[id(decl)] for decl in getattr(node, "reads", ())],
+         [at[id(decl)] for decl in getattr(node, "writes", ())],
+         at[id(node.decl)] if hasattr(node, "decl") else None)
+        for node in nodes]
+
+
+def assert_parsers_agree(source):
+    assert front_end(parse_program, source) == front_end(ref_parser.parse_program, source)
+
+
+def test_parser_matches_reference_parser():
+    for source in (*random_sources(), progen.gen_scale(1, 2_000)):
+        assert_parsers_agree(source)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.one_of(mini_java_text, edited_programs(), st.text()))
+@example("int m() { return 1")
+@example("int m() { return 1 +")
+@example("int m() { return;")
+@example("int m(int a) {\n  (a)++; ((a + 1)) * a; a = (a);\n}")
+def test_parser_matches_reference_parser_on_any_text(source):
+    assert_parsers_agree(source)
 
 
 # Bounded sizes keep nesting far below the depth at which Python's default
@@ -680,7 +745,8 @@ def test_positions_are_shared_and_point_at_first_tokens():
     # One Pos object per source position: an expression statement shares its
     # expression's, a chain its first operand's, a suffix form its variable's.
     assert len({id(node.pos) for node in nodes}) == len({node.pos for node in nodes})
-    tokens = {(t.line, t.col): t.text for t in mj.tokenize(source)}
+    _, texts, lines, cols = mj.tokenize(source)
+    tokens = dict(zip(zip(lines, cols), texts))
     for node in nodes:
         text = tokens[node.pos]
         if type(node) in FIRST_TOKEN:
