@@ -22,9 +22,9 @@ from json.encoder import encode_basestring_ascii
 
 from .controlflow import flow_instructions
 from .errors import FlowgraphsError
-from .model import FlowGraph, NodeKind
+from .model import FlowGraph, sorted_pairs
 from .pipeline import Analysis, analyze
-from .validator import check, emit_spec, parse_spec
+from .validator import FINDINGS, check, emit_spec, parse_spec
 
 _RED = "\x1b[31m"
 _RESET = "\x1b[0m"
@@ -37,29 +37,16 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-def _build_listing(graph: FlowGraph) -> list[str]:
-    lines: list[str] = []
-    _emit_listing(graph, graph.method, 0, lines)
-    return lines
-
-
 def _emit_listing(graph: FlowGraph, nid: int, depth: int, lines: list[str]) -> None:
     # A module-level function, not a closure: a recursive closure is a
     # reference cycle, left for the cyclic collector to free.
     node = graph.node(nid)
     lines.append(f'{"  " * depth}{node.kind} "{node.txt}"')
-    if node.kind is NodeKind.METHOD:
-        for vid in node.vars:
-            _emit_listing(graph, vid, depth + 1, lines)
-        for sid in node.stmts:
-            _emit_listing(graph, sid, depth + 1, lines)
-        _emit_listing(graph, node.exit, depth + 1, lines)
-        return
-    for link in (node.expr, node.then, node.orelse, node.stmt, node.body):
-        if link is not None:
-            _emit_listing(graph, link, depth + 1, lines)
-    for sid in node.stmts:
-        _emit_listing(graph, sid, depth + 1, lines)
+    # Only a Method has vars and an exit; it lists them around its statements.
+    for child in (*node.vars, node.expr, node.then, node.orelse, node.stmt, node.body,
+                  *node.stmts, node.exit):
+        if child is not None:
+            _emit_listing(graph, child, depth + 1, lines)
 
 
 def _dot_escape(text: str) -> str:
@@ -111,51 +98,40 @@ def _json_text(analysis: Analysis, with_df: bool) -> str:
     return f'{{"nodes": [{nodes}], "cfNext": {_encode(analysis.cf.edges())}, {tail}}}'
 
 
-def _txt_pair(graph: FlowGraph, a: int, b: int) -> str:
-    return f"{graph.node(a).txt} --> {graph.node(b).txt}"
-
-
 def _print_warnings(analysis: Analysis) -> None:
     for warning in analysis.df.warnings:
         print(f"warning: {warning.message(analysis.graph)}", file=sys.stderr)
 
 
 def _cmd_build(analysis: Analysis, args) -> int:
-    print("\n".join(_build_listing(analysis.graph)))
+    lines: list[str] = []
+    _emit_listing(analysis.graph, analysis.graph.method, 0, lines)
+    print("\n".join(lines))
     return 0
 
 
-def _cmd_cfg(analysis: Analysis, args) -> int:
+def _cmd_graph(analysis: Analysis, args) -> int:
+    """`fg cfg`, or `fg dfg`, which adds warnings, data flow and def/use sets."""
     graph = analysis.graph
+    with_df = args.command == "dfg"
+    if with_df:
+        _print_warnings(analysis)
+    if args.json:
+        print(_json_text(analysis, with_df))
+        return 0
+    cf_edges = analysis.cf.edges()
+    df_edges = analysis.df.edges() if with_df else []
     if args.dot:
-        print("\n".join(_dot_listing(graph, analysis.cf.edges(), [])))
-    elif args.json:
-        print(_json_text(analysis, with_df=False))
-    else:
-        for a, b in analysis.cf.edges():
-            print(_txt_pair(graph, a, b))
-    return 0
-
-
-def _cmd_dfg(analysis: Analysis, args) -> int:
-    graph = analysis.graph
-    _print_warnings(analysis)
-    if args.dot:
-        print("\n".join(_dot_listing(graph, analysis.cf.edges(), analysis.df.edges())))
-    elif args.json:
-        print(_json_text(analysis, with_df=True))
-    else:
-        for a, b in analysis.cf.edges():
-            print(f"cfNext: {_txt_pair(graph, a, b)}")
-        for a, b in analysis.df.edges():
-            print(f"dfNext: {_txt_pair(graph, a, b)}")
+        print("\n".join(_dot_listing(graph, cf_edges, df_edges)))
+        return 0
+    sections = [("", cf_edges)]
+    if with_df:
         du = analysis.def_use
-        for nid in sorted(du.defs):
-            for vid in du.defs[nid]:
-                print(f"def: {graph.node(nid).txt} --> {graph.node(vid).txt}")
-        for nid in sorted(du.uses):
-            for vid in du.uses[nid]:
-                print(f"use: {graph.node(nid).txt} --> {graph.node(vid).txt}")
+        sections = [("cfNext: ", cf_edges), ("dfNext: ", df_edges),
+                    ("def: ", sorted_pairs(du.defs)), ("use: ", sorted_pairs(du.uses))]
+    for name, pairs in sections:
+        for a, b in pairs:
+            print(f"{name}{graph.node(a).txt} --> {graph.node(b).txt}")
     return 0
 
 
@@ -170,13 +146,9 @@ def _cmd_validate(analysis: Analysis, args) -> int:
     for line in report.lines():
         print(f"{_RED}{line}{_RESET}" if color else line)
     if args.json:
-        print(json.dumps({
-            "false_cf": [list(p) for p in report.false_cf],
-            "false_df": [list(p) for p in report.false_df],
-            "missing_cf": [list(p) for p in report.missing_cf],
-            "missing_df": [list(p) for p in report.missing_df],
-            "warnings": [w.message(analysis.graph) for w in analysis.df.warnings],
-        }))
+        doc = {name: getattr(report, name) for name, _ in FINDINGS}
+        doc["warnings"] = [w.message(analysis.graph) for w in analysis.df.warnings]
+        print(json.dumps(doc))
     return 0 if report.clean else 1
 
 
@@ -198,8 +170,8 @@ def _make_parser() -> argparse.ArgumentParser:
         return cmd
 
     add("build", _cmd_build, "print the flow-graph containment structure")
-    add("cfg", _cmd_cfg, "print control-flow edges", dot_json=True)
-    add("dfg", _cmd_dfg, "print control-flow, def/use, and data-flow edges", dot_json=True)
+    add("cfg", _cmd_graph, "print control-flow edges", dot_json=True)
+    add("dfg", _cmd_graph, "print control-flow, def/use, and data-flow edges", dot_json=True)
     val = add("validate", _cmd_validate, "check a .validate specification")
     val.add_argument("--spec", help="specification file, or - for stdin")
     val.add_argument("--emit", action="store_true",

@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Callable, Sequence
 from typing import NamedTuple
 
-from .model import FlowGraph, FlowNode, NodeKind
+from .model import FlowGraph, FlowNode, NodeKind, sorted_pairs
 
 FLOW_INSTR_KINDS = frozenset({
     NodeKind.METHOD,
@@ -50,7 +50,7 @@ class EdgeTable:
 
     def edges(self) -> list[tuple[int, int]]:
         """(src, dst) pairs, sources ascending, targets in insertion order."""
-        return [(src, dst) for src in sorted(self.cf_next) for dst in self.cf_next[src]]
+        return sorted_pairs(self.cf_next)
 
 
 def flow_instructions(graph: FlowGraph) -> list[int]:

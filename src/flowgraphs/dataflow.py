@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .controlflow import EdgeTable, flow_instructions
-from .model import DefUseAttr, FlowGraph
+from .model import DefUseAttr, FlowGraph, sorted_pairs
 
 
 class UndefinedUseWarning(NamedTuple):
@@ -52,7 +52,7 @@ class DfEdgeTable:
 
     def edges(self) -> list[tuple[int, int]]:
         """(src, dst) pairs, sources ascending, targets in insertion order."""
-        return [(src, dst) for src in sorted(self.df_next) for dst in self.df_next[src]]
+        return sorted_pairs(self.df_next)
 
 
 def compute_data_flow(graph: FlowGraph, cf: EdgeTable, du: DefUseAttr) -> DfEdgeTable:

@@ -499,23 +499,23 @@ class _Parser:
         start = self.expect("int")
         name = self.texts[self.expect("ident")]
         self.expect("(")
-        params: list[Param] = []
+        scope: dict[str, Param] = {}  # the parameters, in order
         if self.kinds[self.i] != ")":
             while True:
                 self.expect("int")
                 j = self.expect("ident")
                 pname = self.texts[j]
-                if any(p.name == pname for p in params):
+                if pname in scope:
                     raise ParseError(f"duplicate parameter {pname!r}", self.lines[j], self.cols[j])
-                params.append(Param(pname, pos=self.pos(j)))
+                scope[pname] = Param(pname, pos=self.pos(j))
                 if self.kinds[self.i] != ",":
                     break
                 self.i += 1
         self.expect(")")
-        self.scopes.append({p.name: p for p in params})
+        self.scopes.append(scope)
         body = self.parse_block().stmts
         self.expect("eof")
-        return Method(name, params, body, pos=self.pos(start), txt=name + "()")
+        return Method(name, list(scope.values()), body, pos=self.pos(start), txt=name + "()")
 
     # ---- statements ----
 
@@ -663,7 +663,10 @@ class _Parser:
         elif kind == "num":
             self.i += 1
             text = self.texts[i]
-            value = int(text)
+            try:
+                value = int(text)
+            except ValueError:  # more digits than int() converts
+                raise ParseError("integer literal is too long", *self.pos(i)) from None
             canonical = str(value)  # reuse the token's string when equal, to save memory
             expr = IntLit(value, pos=_new(Pos, (self.lines[i], self.cols[i])),
                           txt=text if text == canonical else canonical)

@@ -91,6 +91,11 @@ class DefUseAttr:
         return self.uses.get(nid, [])
 
 
+def sorted_pairs(table: dict[int, list[int]]) -> list[tuple[int, int]]:
+    """The (src, dst) pairs of an id -> [ids] table, sources ascending, targets in order."""
+    return [(src, dst) for src in sorted(table) for dst in table[src]]
+
+
 def lower(method: mj.Method) -> tuple[FlowGraph, DefUseAttr]:
     """Map the AST onto the flow-graph model and record def/use sets.
 

@@ -7,11 +7,17 @@ A specification names required links by node label:
     cfNext : "m()" --> "int a = 1;"
     dfNext : "int a = 1;" --> "return a;"
 
+The grammar is a table of token rules: `_HEADER`, then `_KEYWORD` and `_LINK`
+per assertion. `parse_spec` raises at the first token that breaks its rule:
+
+    spec      := 'validate' ident assertion*
+    assertion := ('cfNext' | 'dfNext') ':' label '-->' label
+
 Checking reports two kinds of findings: a *false link* is a graph edge
 whose label pair no assertion covers, a *missing link* is an assertion
 no connected node pair realizes. Matching is exact string equality on
 labels; with duplicated labels an assertion holds if any matching pair
-is connected.
+is connected. `FINDINGS` names the report's four lists in output order.
 """
 
 from __future__ import annotations
@@ -45,6 +51,11 @@ class ValidationSpec:
         self.df_links: list[LinkAssertion] = []
 
 
+# (report list, prefix of its report lines), in the order the lines come
+FINDINGS = (("false_cf", "Control false link"), ("false_df", "Data false link"),
+            ("missing_cf", "Control missing link"), ("missing_df", "Data missing link"))
+
+
 class ValidationReport:
     def __init__(self) -> None:
         self.false_cf: list[tuple[str, str]] = []
@@ -54,19 +65,11 @@ class ValidationReport:
 
     @property
     def clean(self) -> bool:
-        return not (self.false_cf or self.false_df or self.missing_cf or self.missing_df)
+        return not any(getattr(self, name) for name, _ in FINDINGS)
 
     def lines(self) -> list[str]:
-        out = []
-        for left, right in self.false_cf:
-            out.append(f"Control false link: {left} ==> {right}")
-        for left, right in self.false_df:
-            out.append(f"Data false link: {left} ==> {right}")
-        for left, right in self.missing_cf:
-            out.append(f"Control missing link: {left} ==> {right}")
-        for left, right in self.missing_df:
-            out.append(f"Data missing link: {left} ==> {right}")
-        return out
+        return [f"{prefix}: {left} ==> {right}"
+                for name, prefix in FINDINGS for left, right in getattr(self, name)]
 
 
 # One match per token, told apart by `lastindex`; a comment has no group.
@@ -120,6 +123,24 @@ def _tokenize_spec(text: str) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
+# Token rules: (kind, what an error calls it, accepted words or () for any)
+_HEADER = (("ident", "'validate'", ("validate",)), ("ident", "a specification name", ()))
+_KEYWORD = ("ident", "'cfNext' or 'dfNext'", ("cfNext", "dfNext"))
+_LABEL = ("string", "a quoted label", ())
+_LINK = ((":", "':'", ()), _LABEL, ("-->", "'-->'", ()), _LABEL)  # the rest of an assertion
+
+
+def _take(tokens: list, i: int, kind: str, what: str, words=()) -> tuple[str, str, int, int]:
+    """tokens[i], if it is of `kind` and, when `words` are given, one of them."""
+    if i < len(tokens):
+        tok = tokens[i]
+        if tok[0] == kind and (not words or tok[1] in words):
+            return tok
+        raise ValidateSyntaxError(f"expected {what}, found {tok[1]!r}", tok[2], tok[3])
+    _, _, line, col = tokens[-1] if tokens else ("", "", 1, 1)
+    raise ValidateSyntaxError(f"expected {what}, found end of input", line, col)
+
+
 def parse_spec(text: str) -> ValidationSpec:
     """Parse a `.validate` document.
 
@@ -127,45 +148,19 @@ def parse_spec(text: str) -> ValidationSpec:
     cfNext assertion follows a dfNext assertion.
     """
     tokens = _tokenize_spec(text)
-    pos = 0
-
-    def take(kind: str, what: str) -> tuple[str, str, int, int]:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos][0] != kind:
-            if pos < len(tokens):
-                _, value, line, col = tokens[pos]
-                raise ValidateSyntaxError(f"expected {what}, found {value!r}", line, col)
-            last = tokens[-1] if tokens else ("", "", 1, 1)
-            raise ValidateSyntaxError(f"expected {what}, found end of input", last[2], last[3])
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    kw = take("ident", "'validate'")
-    if kw[1] != "validate":
-        raise ValidateSyntaxError(f"expected 'validate', found {kw[1]!r}", kw[2], kw[3])
-    spec = ValidationSpec(name=take("ident", "a specification name")[1])
-
-    seen_df = False
-    while pos < len(tokens):
-        head = take("ident", "'cfNext' or 'dfNext'")
-        if head[1] not in ("cfNext", "dfNext"):
-            raise ValidateSyntaxError(
-                f"expected 'cfNext' or 'dfNext', found {head[1]!r}", head[2], head[3]
-            )
-        if head[1] == "cfNext" and seen_df:
-            raise OrderError(
-                "cfNext assertions must precede dfNext assertions", head[2], head[3]
-            )
-        take(":", "':'")
-        left = take("string", "a quoted label")[1]
-        take("-->", "'-->'")
-        right = take("string", "a quoted label")[1]
-        if head[1] == "cfNext":
-            spec.cf_links.append(LinkAssertion(left, right))
-        else:
-            seen_df = True
-            spec.df_links.append(LinkAssertion(left, right))
+    _, name = [_take(tokens, i, *rule)[1] for i, rule in enumerate(_HEADER)]
+    spec = ValidationSpec(name)
+    links = spec.cf_links
+    for i in range(len(_HEADER), len(tokens), 1 + len(_LINK)):
+        head = _take(tokens, i, *_KEYWORD)
+        if head[1] == "dfNext":
+            links = spec.df_links
+        elif links is spec.df_links:
+            raise OrderError("cfNext assertions must precede dfNext assertions", head[2], head[3])
+        # fields passed one by one: a call with *rule is not specialized
+        _, left, _, right = [_take(tokens, i + j, kind, what, words)[1]
+                             for j, (kind, what, words) in enumerate(_LINK, 1)]
+        links.append(LinkAssertion(left, right))
     return spec
 
 
@@ -178,22 +173,16 @@ def check(
     in specification order. Never raises; findings go in the report.
     """
     report = ValidationReport()
-
-    def labels(pairs: list[tuple[int, int]]) -> list[tuple[str, str]]:
-        return [(graph.node(a).txt, graph.node(b).txt) for a, b in pairs]
-
-    for edge_pairs, asserted, false_out, missing_out in (
-        (labels(cf.edges()), spec.cf_links, report.false_cf, report.missing_cf),
-        (labels(df.edges()), spec.df_links, report.false_df, report.missing_df),
+    nodes = graph.nodes
+    for table, asserted, false_out, missing_out in (
+        (cf, spec.cf_links, report.false_cf, report.missing_cf),
+        (df, spec.df_links, report.false_df, report.missing_df),
     ):
-        asserted_pairs = {(a.left, a.right) for a in asserted}
-        present_pairs = set(edge_pairs)
-        for pair in edge_pairs:
-            if pair not in asserted_pairs:
-                false_out.append(pair)
-        for a in asserted:
-            if (a.left, a.right) not in present_pairs:
-                missing_out.append((a.left, a.right))
+        present = [(nodes[a].txt, nodes[b].txt) for a, b in table.edges()]
+        asserted_pairs = set(asserted)  # a LinkAssertion is a (left, right) pair
+        false_out.extend(pair for pair in present if pair not in asserted_pairs)
+        present_pairs = set(present)
+        missing_out.extend(tuple(a) for a in asserted if a not in present_pairs)
     return report
 
 
@@ -201,15 +190,13 @@ def _quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def emit_spec(graph: FlowGraph, cf: EdgeTable, df: DfEdgeTable, name: str | None = None) -> str:
+def emit_spec(graph: FlowGraph, cf: EdgeTable, df: DfEdgeTable) -> str:
     """Generate a specification the given graph satisfies with a clean report.
 
-    Duplicate label pairs collapse to a single assertion line.
+    The specification is named after the method. Duplicate label pairs
+    collapse to a single assertion line.
     """
-    if name is None:
-        txt = graph.node(graph.method).txt
-        name = txt[:-2] if txt.endswith("()") else txt
-    lines = [f"validate {name}"]
+    lines = [f"validate {graph.node(graph.method).txt.removesuffix('()')}"]
     for keyword, table in (("cfNext", cf), ("dfNext", df)):
         seen: set[tuple[str, str]] = set()
         for a, b in table.edges():

@@ -333,7 +333,10 @@ class _Parser:
             expr = IdentRef(tok.text, pos=tok.pos, decl=decl, txt=tok.text)
         elif kind == "num":
             self.i += 1
-            value = int(tok.text)
+            try:
+                value = int(tok.text)
+            except ValueError:  # more digits than int() converts
+                raise ParseError("integer literal is too long", tok.line, tok.col) from None
             text = str(value)  # canonical; reuse the token's string when equal, to save memory
             expr = IntLit(value, pos=tok.pos, txt=tok.text if tok.text == text else text)
         elif kind == "(":

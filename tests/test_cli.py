@@ -207,6 +207,14 @@ def test_break_outside_loop_exit_2():
     assert "enclosing" in err
 
 
+def test_overlong_integer_literal_exit_2():
+    # More digits than int() converts: a ParseError at the literal, not a traceback.
+    code, out, err = run_cli(["dfg", "-"], stdin_text="int m() { return " + "9" * 5_000 + "; }")
+    assert code == 2
+    assert out == ""
+    assert err == "fg: error: 1:18: integer literal is too long\n"
+
+
 def test_pathological_nesting_exit_2():
     depth = 100_000
     source = "int m(int a) { " + "{ " * depth + "a++; " + "} " * depth + "}"
@@ -220,6 +228,14 @@ def test_dfg_prints_undefined_use_warning():
     assert code == 0
     assert "warning: no reaching definition for 'a' at 'int x = a;'" in err
     assert "warning" not in out
+
+
+def test_cfg_prints_no_warning():
+    # cfg and dfg share one command; only dfg reports undefined uses.
+    code, out, err = run_cli(["cfg", "-"], stdin_text="int m(int a) { return; int x = a; }")
+    assert code == 0
+    assert out == "m() --> return;\nreturn; --> Exit\nint x = a; --> Exit\n"
+    assert err == ""
 
 
 def test_validate_clean_exit_0(tmp_path):
@@ -289,6 +305,25 @@ def test_validate_json_report(tmp_path):
     assert doc["false_cf"] == [["return;", "Exit"]]
     assert doc["missing_cf"] == []
     assert doc["warnings"] == []
+
+
+def test_validate_json_report_is_one_exact_line(tmp_path):
+    # Every finding list is non-empty, and the keys keep the report's order.
+    spec = tmp_path / "all.validate"
+    spec.write_text('validate t\ncfNext : "m()" --> "int x = a;"\n'
+                    'cfNext : "a" --> "b"\ndfNext : "c" --> "d"\n')
+    code, out, err = run_cli(["validate", "-", "--spec", str(spec), "--json"],
+                             stdin_text="int m(int a) { int x = a; return x; int y = x; }")
+    assert code == 1
+    assert err == "warning: no reaching definition for 'x' at 'int y = x;'\n"
+    lines = out.splitlines()
+    assert len(lines) == 8 and not any(line.startswith("{") for line in lines[:-1])
+    assert lines[-1] == (
+        '{"false_cf": [["int x = a;", "return x;"], ["return x;", "Exit"], '
+        '["int y = x;", "Exit"]], "false_df": [["m()", "int x = a;"], '
+        '["int x = a;", "return x;"]], "missing_cf": [["a", "b"]], '
+        '"missing_df": [["c", "d"]], '
+        '"warnings": ["no reaching definition for \'x\' at \'int y = x;\'"]}')
 
 
 def test_fg_color_toggles_ansi(tmp_path, monkeypatch):

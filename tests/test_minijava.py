@@ -137,7 +137,7 @@ def test_assigned_value_is_bound_before_target():
 
 
 def test_duplicate_parameter_rejected():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=r"^1:18: duplicate parameter 'a'$"):
         parse_program("int m(int a, int a) { return; }")
 
 
@@ -274,6 +274,16 @@ def test_blanks_before_the_end_of_input_take_linear_time():
     kinds, _, lines, cols = mj.tokenize("int m() { return; }" + tail)
     assert time.perf_counter() - start < 1.0
     assert (kinds[-1], lines[-1], cols[-1]) == ("eof", 1, 20 + len(tail))
+
+
+def test_many_parameters_take_linear_time():
+    # Scanning the earlier parameters for each new one takes seconds at this
+    # size; a lookup in the method scope's dict takes about 0.2 s in all.
+    source = "int m(" + ", ".join(f"int p{k}" for k in range(20_000)) + ") { return; }"
+    start = time.perf_counter()
+    a = analyze(source)
+    assert time.perf_counter() - start < 1.0
+    assert len(a.graph.node(0).vars) == 20_000
 
 
 def test_trailing_garbage_rejected():
@@ -653,6 +663,7 @@ def test_parser_matches_reference_parser():
 @example("int m() { return 1 +")
 @example("int m() { return;")
 @example("int m(int a) {\n  (a)++; ((a + 1)) * a; a = (a);\n}")
+@example("int m() { return " + "9" * 5_000 + "; }")  # more digits than int() converts
 def test_parser_matches_reference_parser_on_any_text(source):
     assert_parsers_agree(source)
 
@@ -661,6 +672,7 @@ def test_parser_matches_reference_parser_on_any_text(source):
 # recursion limit stops the parser and the lowering walks.
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(st.text(max_size=200), mini_java_text, edited_programs()))
+@example("int m() { return " + "9" * 5_000 + "; }")  # more digits than int() converts
 def test_any_text_gives_analysis_or_flowgraphs_error(source):
     try:
         result = analyze(source)

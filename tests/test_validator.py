@@ -14,6 +14,7 @@ from flowgraphs.validator import (
 )
 
 import oracle
+import ref_spec
 from helpers import CORPUS
 
 
@@ -198,3 +199,39 @@ def lex_spec(tokenize, text):
 @example("x --- y")
 def test_tokenize_spec_matches_reference(text):
     assert lex_spec(_tokenize_spec, text) == lex_spec(oracle.tokenize_spec, text)
+
+
+# ---- the table-driven parser against tests/ref_spec.py::parse_spec ----
+
+# Whole assertions, so that parses get past the header and reach the order
+# check: sorted, the cfNext ones come first. One piece may follow them.
+spec_assertion = st.builds("{} : {} --> {}".format, st.sampled_from(("cfNext", "dfNext")),
+                           st.sampled_from(('"a"', '"int a = 1;"', '"a \\"b\\" \\\\"', '"m()"')),
+                           st.sampled_from(('"Exit"', '"return a;"', '""')))
+spec_document = st.builds(
+    lambda header, links, ordered, tail:
+        header + "\n".join(sorted(links) if ordered else links) + tail,
+    st.sampled_from(("validate t\n",) * 4 + ("validate t ", "validate\n", "validate 1\n", "")),
+    st.lists(spec_assertion, max_size=8), st.booleans(),
+    st.sampled_from(("",) * len(SPEC_PIECES) + SPEC_PIECES),
+)
+
+
+def parse_outcome(parse, text):
+    try:
+        spec = parse(text)
+    except ValidateSyntaxError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    return spec.name, spec.cf_links, spec.df_links
+
+
+@settings(max_examples=800, deadline=None, derandomize=True)
+@given(st.one_of(spec_document, spec_text, st.text()))
+@example("")
+@example("validate")
+@example("cfNext x")
+@example('validate t\ndfNext : "a" --> "b"\ncfNext : "c" --> "d"')
+@example('validate t\ndfNext : "a" --> "b"\ncfNext ???')
+@example('validate t\ncfNext : "a" -->')
+def test_parse_spec_matches_reference(text):
+    assert parse_outcome(parse_spec, text) == parse_outcome(ref_spec.parse_spec, text)
