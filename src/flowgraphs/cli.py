@@ -24,7 +24,7 @@ from .controlflow import flow_instructions
 from .errors import FlowgraphsError
 from .model import FlowGraph, sorted_pairs
 from .pipeline import Analysis, analyze
-from .validator import FINDINGS, check, emit_spec, parse_spec
+from .validator import FINDINGS, check, emit_spec, parse_spec, quote
 
 _RED = "\x1b[31m"
 _RESET = "\x1b[0m"
@@ -32,9 +32,11 @@ _RESET = "\x1b[0m"
 
 def _read_input(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    return text.removeprefix("\ufeff")  # the byte-order mark some editors write
 
 
 def _emit_listing(graph: FlowGraph, nid: int, depth: int, lines: list[str]) -> None:
@@ -49,27 +51,23 @@ def _emit_listing(graph: FlowGraph, nid: int, depth: int, lines: list[str]) -> N
             _emit_listing(graph, child, depth + 1, lines)
 
 
-def _dot_escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace('"', '\\"')
-
-
 def _dot_listing(graph: FlowGraph, cf_edges, df_edges) -> list[str]:
-    # Node ids get a #k occurrence suffix; labels stay as-is.
-    ids: dict[int, str] = {}
+    # Node ids are labels with a #k occurrence suffix; ids and labels are
+    # quoted as `.validate` labels are.
+    ids: dict[int, str] = {}  # node -> its quoted DOT id
     counts: dict[str, int] = {}
     for nid in flow_instructions(graph):
         txt = graph.node(nid).txt
         k = counts.get(txt, 0)
         counts[txt] = k + 1
-        ids[nid] = f"{txt}#{k}"
+        ids[nid] = quote(f"{txt}#{k}")
     lines = ["digraph flowgraph {"]
     for nid, node_id in ids.items():
-        label = _dot_escape(graph.node(nid).txt)
-        lines.append(f'  "{_dot_escape(node_id)}" [label="{label}"];')
+        lines.append(f"  {node_id} [label={quote(graph.node(nid).txt)}];")
     for a, b in cf_edges:
-        lines.append(f'  "{_dot_escape(ids[a])}" -> "{_dot_escape(ids[b])}";')
+        lines.append(f"  {ids[a]} -> {ids[b]};")
     for a, b in df_edges:
-        lines.append(f'  "{_dot_escape(ids[a])}" -> "{_dot_escape(ids[b])}" [style=dashed];')
+        lines.append(f"  {ids[a]} -> {ids[b]} [style=dashed];")
     lines.append("}")
     return lines
 
@@ -85,8 +83,8 @@ def _json_text(analysis: Analysis, with_df: bool) -> str:
     Each node object is one f-string; `_value_` is the kind's plain string,
     read without the enum's `value` property.
     """
-    quote = encode_basestring_ascii
-    nodes = ", ".join([f'{{"id": {n.id}, "kind": "{n.kind._value_}", "txt": {quote(n.txt)}}}'
+    json_str = encode_basestring_ascii
+    nodes = ", ".join([f'{{"id": {n.id}, "kind": "{n.kind._value_}", "txt": {json_str(n.txt)}}}'
                        for n in analysis.graph.nodes])
     if not with_df:
         tail = '"dfNext": [], "def": {}, "use": {}'

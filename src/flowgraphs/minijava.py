@@ -116,15 +116,17 @@ CHAIN_OPS = {
 # start-up. `__slots__` lists a class's own attributes; `_fields` those its
 # repr shows, leaving out positions, labels, def/use sets and `decl` links.
 # Nodes use identity equality/hash so they can key attribute maps;
-# structural comparison goes through repr. Each `__init__` stores every
-# attribute itself, with no call to its base's, since a 10k-statement
-# program builds about 37k nodes.
+# structural comparison goes through repr. Each class stores its own
+# attributes and passes the shared ones, which follow its own in the
+# signature, to its base's `__init__`. A 10k-statement program builds about
+# 37k nodes: the parser passes every argument by position, which saves more
+# than the base call costs.
 
 class Node:
     __slots__ = ("pos", "txt")  # txt is the canonical label
     _fields: tuple[str, ...] = ()
 
-    def __init__(self, *, pos: Pos | None = None, txt: str = "") -> None:
+    def __init__(self, pos: Pos | None = None, txt: str = "") -> None:
         self.pos = pos
         self.txt = txt
 
@@ -136,19 +138,17 @@ class Node:
 class Param(Node):
     __slots__ = _fields = ("name",)
 
-    def __init__(self, name: str, *, pos: Pos | None = None, txt: str = "") -> None:
-        self.pos = pos
-        self.txt = txt
+    def __init__(self, name: str, pos: Pos | None = None, txt: str = "") -> None:
+        Node.__init__(self, pos, txt)
         self.name = name
 
 
 class Method(Node):
     __slots__ = _fields = ("name", "params", "body")
 
-    def __init__(self, name: str, params: list[Param], body: list[Statement], *,
+    def __init__(self, name: str, params: list[Param], body: list[Statement],
                  pos: Pos | None = None, txt: str = "") -> None:
-        self.pos = pos
-        self.txt = txt
+        Node.__init__(self, pos, txt)
         self.name = name
         self.params = params
         self.body = body
@@ -159,10 +159,9 @@ class Statement(Node):
     # order: tuples of Param and LocalVarDecl.
     __slots__ = ("reads", "writes")
 
-    def __init__(self, *, pos: Pos | None = None, txt: str = "", reads: tuple = (),
+    def __init__(self, pos: Pos | None = None, txt: str = "", reads: tuple = (),
                  writes: tuple = ()) -> None:
-        self.pos = pos
-        self.txt = txt
+        Node.__init__(self, pos, txt)
         self.reads = reads
         self.writes = writes
 
@@ -170,12 +169,9 @@ class Statement(Node):
 class LocalVarDecl(Statement):
     __slots__ = _fields = ("name", "init")
 
-    def __init__(self, name: str, init: Expression, *, pos: Pos | None = None, txt: str = "",
+    def __init__(self, name: str, init: Expression, pos: Pos | None = None, txt: str = "",
                  reads: tuple = (), writes: tuple = ()) -> None:
-        self.pos = pos
-        self.txt = txt
-        self.reads = reads
-        self.writes = writes
+        Statement.__init__(self, pos, txt, reads, writes)
         self.name = name
         self.init = init
 
@@ -183,24 +179,18 @@ class LocalVarDecl(Statement):
 class ExprStmt(Statement):
     __slots__ = _fields = ("expr",)
 
-    def __init__(self, expr: Expression, *, pos: Pos | None = None, txt: str = "",
+    def __init__(self, expr: Expression, pos: Pos | None = None, txt: str = "",
                  reads: tuple = (), writes: tuple = ()) -> None:
-        self.pos = pos
-        self.txt = txt
-        self.reads = reads
-        self.writes = writes
+        Statement.__init__(self, pos, txt, reads, writes)
         self.expr = expr
 
 
 class While(Statement):
     __slots__ = _fields = ("cond", "body")
 
-    def __init__(self, cond: Expression, body: Statement, *, pos: Pos | None = None,
+    def __init__(self, cond: Expression, body: Statement, pos: Pos | None = None,
                  txt: str = "", reads: tuple = (), writes: tuple = ()) -> None:
-        self.pos = pos
-        self.txt = txt
-        self.reads = reads
-        self.writes = writes
+        Statement.__init__(self, pos, txt, reads, writes)
         self.cond = cond
         self.body = body
 
@@ -208,13 +198,10 @@ class While(Statement):
 class If(Statement):
     __slots__ = _fields = ("cond", "then", "orelse")
 
-    def __init__(self, cond: Expression, then: Statement, orelse: Statement | None, *,
+    def __init__(self, cond: Expression, then: Statement, orelse: Statement | None,
                  pos: Pos | None = None, txt: str = "", reads: tuple = (),
                  writes: tuple = ()) -> None:
-        self.pos = pos
-        self.txt = txt
-        self.reads = reads
-        self.writes = writes
+        Statement.__init__(self, pos, txt, reads, writes)
         self.cond = cond
         self.then = then
         self.orelse = orelse
@@ -223,48 +210,36 @@ class If(Statement):
 class Return(Statement):
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: Expression | None, *, pos: Pos | None = None, txt: str = "",
+    def __init__(self, value: Expression | None, pos: Pos | None = None, txt: str = "",
                  reads: tuple = (), writes: tuple = ()) -> None:
-        self.pos = pos
-        self.txt = txt
-        self.reads = reads
-        self.writes = writes
+        Statement.__init__(self, pos, txt, reads, writes)
         self.value = value
 
 
 class Break(Statement):
     __slots__ = _fields = ("label",)
 
-    def __init__(self, label: str | None, *, pos: Pos | None = None, txt: str = "",
+    def __init__(self, label: str | None, pos: Pos | None = None, txt: str = "",
                  reads: tuple = (), writes: tuple = ()) -> None:
-        self.pos = pos
-        self.txt = txt
-        self.reads = reads
-        self.writes = writes
+        Statement.__init__(self, pos, txt, reads, writes)
         self.label = label
 
 
 class Continue(Statement):
     __slots__ = _fields = ("label",)
 
-    def __init__(self, label: str | None, *, pos: Pos | None = None, txt: str = "",
+    def __init__(self, label: str | None, pos: Pos | None = None, txt: str = "",
                  reads: tuple = (), writes: tuple = ()) -> None:
-        self.pos = pos
-        self.txt = txt
-        self.reads = reads
-        self.writes = writes
+        Statement.__init__(self, pos, txt, reads, writes)
         self.label = label
 
 
 class Labeled(Statement):
     __slots__ = _fields = ("name", "stmt")
 
-    def __init__(self, name: str, stmt: Statement, *, pos: Pos | None = None, txt: str = "",
+    def __init__(self, name: str, stmt: Statement, pos: Pos | None = None, txt: str = "",
                  reads: tuple = (), writes: tuple = ()) -> None:
-        self.pos = pos
-        self.txt = txt
-        self.reads = reads
-        self.writes = writes
+        Statement.__init__(self, pos, txt, reads, writes)
         self.name = name
         self.stmt = stmt
 
@@ -272,12 +247,9 @@ class Labeled(Statement):
 class Block(Statement):
     __slots__ = _fields = ("stmts",)
 
-    def __init__(self, stmts: list[Statement], *, pos: Pos | None = None, txt: str = "",
+    def __init__(self, stmts: list[Statement], pos: Pos | None = None, txt: str = "",
                  reads: tuple = (), writes: tuple = ()) -> None:
-        self.pos = pos
-        self.txt = txt
-        self.reads = reads
-        self.writes = writes
+        Statement.__init__(self, pos, txt, reads, writes)
         self.stmts = stmts
 
 
@@ -290,9 +262,8 @@ class Assign(Expression):
     _fields = ("target", "value")
 
     def __init__(self, target: str, value: Expression, decl: Param | LocalVarDecl | None = None,
-                 *, pos: Pos | None = None, txt: str = "") -> None:
-        self.pos = pos
-        self.txt = txt
+                 pos: Pos | None = None, txt: str = "") -> None:
+        Node.__init__(self, pos, txt)
         self.target = target
         self.value = value
         self.decl = decl
@@ -302,10 +273,9 @@ class SuffixUnary(Expression):
     __slots__ = ("target", "op", "decl")
     _fields = ("target", "op")
 
-    def __init__(self, target: str, op: Op, decl: Param | LocalVarDecl | None = None, *,
+    def __init__(self, target: str, op: Op, decl: Param | LocalVarDecl | None = None,
                  pos: Pos | None = None, txt: str = "") -> None:
-        self.pos = pos
-        self.txt = txt
+        Node.__init__(self, pos, txt)
         self.target = target
         self.op = op
         self.decl = decl
@@ -314,10 +284,9 @@ class SuffixUnary(Expression):
 class Chain(Expression):
     __slots__ = _fields = ("kind", "children", "operators")
 
-    def __init__(self, kind: ChainKind, children: list[Expression], operators: list[Op], *,
+    def __init__(self, kind: ChainKind, children: list[Expression], operators: list[Op],
                  pos: Pos | None = None, txt: str = "") -> None:
-        self.pos = pos
-        self.txt = txt
+        Node.__init__(self, pos, txt)
         self.kind = kind
         self.children = children
         self.operators = operators
@@ -327,10 +296,9 @@ class IdentRef(Expression):
     __slots__ = ("name", "decl")
     _fields = ("name",)
 
-    def __init__(self, name: str, decl: Param | LocalVarDecl | None = None, *,
+    def __init__(self, name: str, decl: Param | LocalVarDecl | None = None,
                  pos: Pos | None = None, txt: str = "") -> None:
-        self.pos = pos
-        self.txt = txt
+        Node.__init__(self, pos, txt)
         self.name = name
         self.decl = decl
 
@@ -338,9 +306,8 @@ class IdentRef(Expression):
 class IntLit(Expression):
     __slots__ = _fields = ("value",)
 
-    def __init__(self, value: int, *, pos: Pos | None = None, txt: str = "") -> None:
-        self.pos = pos
-        self.txt = txt
+    def __init__(self, value: int, pos: Pos | None = None, txt: str = "") -> None:
+        Node.__init__(self, pos, txt)
         self.value = value
 
 
@@ -507,7 +474,7 @@ class _Parser:
                 pname = self.texts[j]
                 if pname in scope:
                     raise ParseError(f"duplicate parameter {pname!r}", self.lines[j], self.cols[j])
-                scope[pname] = Param(pname, pos=self.pos(j))
+                scope[pname] = Param(pname, self.pos(j))
                 if self.kinds[self.i] != ",":
                     break
                 self.i += 1
@@ -515,7 +482,7 @@ class _Parser:
         self.scopes.append(scope)
         body = self.parse_block().stmts
         self.expect("eof")
-        return Method(name, list(scope.values()), body, pos=self.pos(start), txt=name + "()")
+        return Method(name, list(scope.values()), body, self.pos(start), name + "()")
 
     # ---- statements ----
 
@@ -530,7 +497,7 @@ class _Parser:
             stmts.append(self.parse_statement())
         self.i += 1
         self.scopes.pop()
-        return Block(stmts, pos=self.pos(start), txt="{...}")
+        return Block(stmts, self.pos(start), "{...}")
 
     def parse_statement(self) -> Statement:
         kinds = self.kinds
@@ -543,9 +510,8 @@ class _Parser:
             init = self.parse_expression()  # bound before the declared name is in scope
             self.expect(";")
             reads, writes = self.take_sets()
-            decl = LocalVarDecl(name, init, pos=self.pos(i),
-                                txt="int " + name + " = " + init.txt + ";",
-                                reads=reads, writes=writes)
+            decl = LocalVarDecl(name, init, self.pos(i), "int " + name + " = " + init.txt + ";",
+                                reads, writes)
             self.scopes[-1][name] = decl
             return decl
         if kind == "{":
@@ -561,7 +527,7 @@ class _Parser:
             body = self.parse_statement()
             self.loop_depth -= 1
             self.scopes.pop()
-            return While(cond, body, pos=self.pos(i), txt="while", reads=reads, writes=writes)
+            return While(cond, body, self.pos(i), "while", reads, writes)
         if kind == "if":
             self.i += 1
             self.expect("(")
@@ -577,14 +543,14 @@ class _Parser:
                 self.scopes.append({})
                 orelse = self.parse_statement()
                 self.scopes.pop()
-            return If(cond, then, orelse, pos=self.pos(i), txt="if", reads=reads, writes=writes)
+            return If(cond, then, orelse, self.pos(i), "if", reads, writes)
         if kind == "return":
             self.i += 1
             value = None if kinds[self.i] == ";" else self.parse_condition()
             self.expect(";")
             txt = "return;" if value is None else "return " + value.txt + ";"
             reads, writes = self.take_sets()
-            return Return(value, pos=self.pos(i), txt=txt, reads=reads, writes=writes)
+            return Return(value, self.pos(i), txt, reads, writes)
         if kind == "break" or kind == "continue":
             self.i += 1
             label = None
@@ -593,21 +559,21 @@ class _Parser:
                 self.i += 1
             self.expect(";")
             self.check_jump(i, label)
-            return (Break if kind == "break" else Continue)(label, pos=self.pos(i), txt=kind)
+            return (Break if kind == "break" else Continue)(label, self.pos(i), kind)
         if kind == "ident" and kinds[i + 1] == ":":
             self.i += 2
             name = self.texts[i]
             self.labels.append((name, kinds[self.i] == "while"))
             stmt = self.parse_statement()
             self.labels.pop()
-            return Labeled(name, stmt, pos=self.pos(i), txt=name + ":")
+            return Labeled(name, stmt, self.pos(i), name + ":")
         expr = self.parse_expression()
         self.expect(";")
         reads, writes = self.take_sets()
         # An expression starts at this statement's first token, and shares its
         # Pos, unless that token opens grouping parentheses.
         pos = self.pos(i) if kind == "(" else expr.pos
-        return ExprStmt(expr, pos=pos, txt=expr.txt + ";", reads=reads, writes=writes)
+        return ExprStmt(expr, pos, expr.txt + ";", reads, writes)
 
     # ---- expressions ----
     # Assignments are legal only at statement/initializer top level, so
@@ -621,7 +587,7 @@ class _Parser:
             decl = self.lookup(i)
             self.writes.append(decl)
             target = self.texts[i]
-            return Assign(target, value, decl, pos=self.pos(i), txt=target + " = " + value.txt)
+            return Assign(target, value, decl, self.pos(i), target + " = " + value.txt)
         return self.parse_condition()
 
     def parse_condition(self, min_level: int = 0) -> Expression:
@@ -645,7 +611,7 @@ class _Parser:
                 children.append(child)
                 txt += entry[3] + child.txt
                 entry = binary.get(kinds[self.i])
-            left = Chain(kind, children, operators, pos=left.pos, txt=txt)
+            left = Chain(kind, children, operators, left.pos, txt)
         return left
 
     def parse_unary(self) -> Expression:
@@ -659,7 +625,7 @@ class _Parser:
             decl = self.lookup(i)
             self.reads.append(decl)
             name = self.texts[i]
-            expr = IdentRef(name, decl, pos=_new(Pos, (self.lines[i], self.cols[i])), txt=name)
+            expr = IdentRef(name, decl, _new(Pos, (self.lines[i], self.cols[i])), name)
         elif kind == "num":
             self.i += 1
             text = self.texts[i]
@@ -668,8 +634,8 @@ class _Parser:
             except ValueError:  # more digits than int() converts
                 raise ParseError("integer literal is too long", *self.pos(i)) from None
             canonical = str(value)  # reuse the token's string when equal, to save memory
-            expr = IntLit(value, pos=_new(Pos, (self.lines[i], self.cols[i])),
-                          txt=text if text == canonical else canonical)
+            expr = IntLit(value, _new(Pos, (self.lines[i], self.cols[i])),
+                          text if text == canonical else canonical)
         elif kind == "(":
             # Grouping parentheses only; they leave no trace in the AST.
             self.i += 1
@@ -687,7 +653,7 @@ class _Parser:
                 raise ParseError(f"'{kind}' target must be a variable", self.lines[i], self.cols[i])
             self.writes.append(expr.decl)  # the variable is read, then written
             return SuffixUnary(expr.name, Op.INC if kind == "++" else Op.DEC, expr.decl,
-                               pos=expr.pos, txt=expr.name + kind)
+                               expr.pos, expr.name + kind)
         return expr
 
 

@@ -186,7 +186,8 @@ def check(
     return report
 
 
-def _quote(label: str) -> str:
+def quote(label: str) -> str:
+    """`label` in double quotes, `\\` and `"` escaped: a `.validate` label or a DOT id."""
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
@@ -204,5 +205,5 @@ def emit_spec(graph: FlowGraph, cf: EdgeTable, df: DfEdgeTable) -> str:
             if pair in seen:
                 continue
             seen.add(pair)
-            lines.append(f"{keyword} : {_quote(pair[0])} --> {_quote(pair[1])}")
+            lines.append(f"{keyword} : {quote(pair[0])} --> {quote(pair[1])}")
     return "\n".join(lines) + "\n"

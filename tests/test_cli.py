@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import flowgraphs
-from flowgraphs.cli import _json_text
+from flowgraphs.cli import _dot_listing, _json_text
 from flowgraphs.controlflow import compute_cf_edges
 from flowgraphs.dataflow import compute_data_flow
 from flowgraphs.model import DefUseAttr, FlowGraph, FlowNode, NodeKind
@@ -143,9 +143,9 @@ def test_json_matches_reference_on_random_programs():
         assert_json_matches_reference(source)
 
 
-def test_json_escapes_labels_as_json_dumps_does():
-    # Labels mini-Java cannot produce: quotes, backslashes, control
-    # characters, non-ASCII text and a lone surrogate.
+def escaping_analysis() -> Analysis:
+    """A hand-built analysis whose labels mini-Java cannot produce: quotes,
+    backslashes, control characters, non-ASCII text and a lone surrogate."""
     labels = ['say "hi";', "a\\b;", "tab\t nul\x00 bell\x07 del\x7f;", "caf\u00e9 \u2211 \U0001f600;",
               "\u2028 \ud800 </script>;"]
     first = 2
@@ -159,10 +159,74 @@ def test_json_escapes_labels_as_json_dumps_does():
     # Keys out of id order: the document sorts them.
     du = DefUseAttr(defs={first + 2: [var], first: [var]}, uses={first + 4: [var], first + 3: [var]})
     cf = compute_cf_edges(graph)
-    analysis = Analysis(graph, cf, du, compute_data_flow(graph, cf, du))
+    return Analysis(graph, cf, du, compute_data_flow(graph, cf, du))
+
+
+def test_json_escapes_labels_as_json_dumps_does():
+    analysis = escaping_analysis()
     assert analysis.df.edges()
     for with_df in (False, True):
         assert _json_text(analysis, with_df) == json.dumps(oracle.json_doc(analysis, with_df))
+
+
+def test_dot_quotes_ids_and_labels_as_validate_does():
+    # Only `\` and `"` are escaped; every other character is written as is.
+    analysis = escaping_analysis()
+    tab = "tab\t nul\x00 bell\x07 del\x7f;"
+    uni = "caf\u00e9 \u2211 \U0001f600;"
+    odd = "\u2028 \ud800 </script>;"
+    assert _dot_listing(analysis.graph, analysis.cf.edges(), analysis.df.edges()) == [
+        'digraph flowgraph {',
+        r'  "m\"()#0" [label="m\"()"];',
+        r'  "EXIT \\ \"#0" [label="EXIT \\ \""];',
+        r'  "say \"hi\";#0" [label="say \"hi\";"];',
+        r'  "a\\b;#0" [label="a\\b;"];',
+        f'  "{tab}#0" [label="{tab}"];',
+        f'  "{uni}#0" [label="{uni}"];',
+        f'  "{odd}#0" [label="{odd}"];',
+        r'  "m\"()#0" -> "say \"hi\";#0";',
+        r'  "say \"hi\";#0" -> "a\\b;#0";',
+        rf'  "a\\b;#0" -> "{tab}#0";',
+        f'  "{tab}#0" -> "{uni}#0";',
+        f'  "{uni}#0" -> "{odd}#0";',
+        rf'  "{odd}#0" -> "EXIT \\ \"#0";',
+        f'  "{tab}#0" -> "{uni}#0" [style=dashed];',
+        f'  "{tab}#0" -> "{odd}#0" [style=dashed];',
+        '}',
+    ]
+
+
+BOM = "\ufeff"  # a UTF-8 byte-order mark, as some editors write one
+
+
+def test_program_file_byte_order_mark_is_ignored(tmp_path):
+    plain, with_bom = CORPUS_DIR / "ex03_while.mj", tmp_path / "bom.mj"
+    with_bom.write_text(BOM + plain.read_text(), encoding="utf-8")
+    expected = run_cli(["dfg", str(plain)])
+    assert expected[0] == 0
+    assert run_cli(["dfg", str(with_bom)]) == expected
+
+
+def test_spec_file_byte_order_mark_is_ignored(tmp_path):
+    # A spec of another program, so that the report has findings.
+    spec = run_cli(["validate", EX02, "--emit"])[1]
+    plain, with_bom = tmp_path / "plain.validate", tmp_path / "bom.validate"
+    plain.write_text(spec, encoding="utf-8")
+    with_bom.write_text(BOM + spec, encoding="utf-8")
+    expected = run_cli(["validate", EX10, "--spec", str(plain), "--json"])
+    assert expected[0] == 1
+    assert run_cli(["validate", EX10, "--spec", str(with_bom), "--json"]) == expected
+
+
+def test_stdin_byte_order_mark_is_ignored():
+    source = "int m(int a) { return a; }\n"
+    expected = run_cli(["cfg", "-"], stdin_text=source)
+    assert expected[0] == 0
+    assert run_cli(["cfg", "-"], stdin_text=BOM + source) == expected
+    spec = run_cli(["validate", EX02, "--emit"])[1]
+    expected = run_cli(["validate", EX10, "--spec", "-"], stdin_text=spec)
+    assert expected[0] == 1
+    assert run_cli(["validate", EX10, "--spec", "-"], stdin_text=BOM + spec) == expected
 
 
 def test_stdin_input():

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 import random
 import re
@@ -325,6 +326,30 @@ def test_render_text_is_pinned():
 def test_render_rejects_unknown_statement_type():
     with pytest.raises(TypeError, match="no source rule for Statement"):
         render_method(mj.Method("m", [], [mj.Statement()]))
+
+
+AST_CLASSES = [cls for cls in vars(mj).values()
+               if isinstance(cls, type) and issubclass(cls, mj.Node) and "__init__" in vars(cls)]
+
+
+def test_constructors_take_shared_fields_by_position_or_keyword():
+    shared = {"pos": Pos(3, 4), "txt": "t", "reads": ("r",), "writes": ("w",)}
+    assert len(AST_CLASSES) == 18  # every AST class but Expression
+    for cls in AST_CLASSES:
+        names = list(inspect.signature(cls).parameters)
+        own = names[:names.index("pos")]
+        base = names[len(own):]
+        assert base == list(shared)[:len(base)], cls
+        values = dict(zip(own, (object() for _ in own)), **{name: shared[name] for name in base})
+        by_position = cls(*values.values())
+        by_keyword = cls(*(values[name] for name in own), **{name: shared[name] for name in base})
+        slots = {slot for c in cls.__mro__ for slot in getattr(c, "__slots__", ())}
+        assert slots == set(names), cls
+        for node in (by_position, by_keyword):
+            assert all(getattr(node, name) is value for name, value in values.items()), cls
+    node, stmt = mj.Node(), mj.Statement()
+    assert (node.pos, node.txt) == (None, "")
+    assert (stmt.pos, stmt.txt, stmt.reads, stmt.writes) == (None, "", (), ())
 
 
 # Every statement and expression kind, jumps with and without a label, a
