@@ -1,19 +1,21 @@
 """Command-line driver.
 
-    fg build    <file.mj>                 containment listing
-    fg cfg      <file.mj> [--dot|--json]  control-flow edges
-    fg dfg      <file.mj> [--dot|--json]  adds def/use and data-flow edges
-    fg validate <file.mj> --spec <file.validate> [--emit] [--json]
+usage: fg build    <file.mj>                 containment listing
+       fg cfg      <file.mj> [--dot|--json]  control-flow edges
+       fg dfg      <file.mj> [--dot|--json]  adds def/use and data-flow edges
+       fg validate <file.mj> --spec <file.validate> [--json]
+       fg validate <file.mj> --emit          a specification the graph passes
+       fg -h|--help
 
-Every command accepts `-` to read the program from stdin. Exit codes:
-0 success (validate: clean report), 1 validation findings, 2 bad input.
-Set FG_COLOR=1 to colorize validation findings.
+`-` reads the program, or the spec, from stdin. Options may come before or
+after the file, and `--spec X` may be written `--spec=X`. Exit codes: 0
+success (validate: clean report), 1 validation findings, 2 bad input or
+usage, 141 output closed early. FG_COLOR=1 colorizes validation findings.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
+import contextlib
 import gc
 import json
 import os
@@ -101,25 +103,25 @@ def _print_warnings(analysis: Analysis) -> None:
         print(f"warning: {warning.message(analysis.graph)}", file=sys.stderr)
 
 
-def _cmd_build(analysis: Analysis, args) -> int:
+def _cmd_build(analysis: Analysis, command: str, opts: dict[str, str]) -> int:
     lines: list[str] = []
     _emit_listing(analysis.graph, analysis.graph.method, 0, lines)
     print("\n".join(lines))
     return 0
 
 
-def _cmd_graph(analysis: Analysis, args) -> int:
+def _cmd_graph(analysis: Analysis, command: str, opts: dict[str, str]) -> int:
     """`fg cfg`, or `fg dfg`, which adds warnings, data flow and def/use sets."""
     graph = analysis.graph
-    with_df = args.command == "dfg"
+    with_df = command == "dfg"
     if with_df:
         _print_warnings(analysis)
-    if args.json:
+    if "--json" in opts:
         print(_json_text(analysis, with_df))
         return 0
     cf_edges = analysis.cf.edges()
     df_edges = analysis.df.edges() if with_df else []
-    if args.dot:
+    if "--dot" in opts:
         print("\n".join(_dot_listing(graph, cf_edges, df_edges)))
         return 0
     sections = [("", cf_edges)]
@@ -133,61 +135,87 @@ def _cmd_graph(analysis: Analysis, args) -> int:
     return 0
 
 
-def _cmd_validate(analysis: Analysis, args) -> int:
-    if args.emit:
+def _cmd_validate(analysis: Analysis, command: str, opts: dict[str, str]) -> int:
+    if "--emit" in opts:
         sys.stdout.write(emit_spec(analysis.graph, analysis.cf, analysis.df))
         return 0
-    spec = parse_spec(_read_input(args.spec))
+    spec = parse_spec(_read_input(opts["--spec"]))
     _print_warnings(analysis)
     report = check(spec, analysis.graph, analysis.cf, analysis.df)
     color = os.environ.get("FG_COLOR") == "1"
     for line in report.lines():
         print(f"{_RED}{line}{_RESET}" if color else line)
-    if args.json:
+    if "--json" in opts:
         doc = {name: getattr(report, name) for name, _ in FINDINGS}
         doc["warnings"] = [w.message(analysis.graph) for w in analysis.df.warnings]
         print(json.dumps(doc))
     return 0 if report.clean else 1
 
 
-@functools.cache  # built once per process; parse_args does not change it
-def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fg", description="Flow-graph analysis for mini-Java programs"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> (handler, the flags it accepts); --spec is the one that takes a value
+_COMMANDS = {
+    "build": (_cmd_build, ()),
+    "cfg": (_cmd_graph, ("--dot", "--json")),
+    "dfg": (_cmd_graph, ("--dot", "--json")),
+    "validate": (_cmd_validate, ("--spec", "--emit", "--json")),
+}
+_EXCLUSIVE = {"--dot": "--json", "--json": "--dot"}  # one output format at a time
+_HELP = (__doc__ or "").partition("\n\n")[2]  # the usage lines and the notes under them
+_USAGE = _HELP.partition("\n\n")[0]
 
-    def add(name: str, func, help_text: str, dot_json: bool = False):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.add_argument("file", help="input .mj program, or - for stdin")
-        cmd.set_defaults(func=func)
-        if dot_json:
-            fmt = cmd.add_mutually_exclusive_group()
-            fmt.add_argument("--dot", action="store_true", help="GraphViz output")
-            fmt.add_argument("--json", action="store_true", help="JSON output")
-        return cmd
 
-    add("build", _cmd_build, "print the flow-graph containment structure")
-    add("cfg", _cmd_graph, "print control-flow edges", dot_json=True)
-    add("dfg", _cmd_graph, "print control-flow, def/use, and data-flow edges", dot_json=True)
-    val = add("validate", _cmd_validate, "check a .validate specification")
-    val.add_argument("--spec", help="specification file, or - for stdin")
-    val.add_argument("--emit", action="store_true",
-                     help="print a specification matching the graph instead of checking")
-    val.add_argument("--json", action="store_true", help="also print the report as JSON")
-    return parser
+class _UsageError(Exception):
+    """A command line that `fg` rejects, worded as argparse words it."""
+
+
+def _parse_args(argv: list[str]) -> tuple[str, str, dict[str, str]]:
+    """(command, program path, {flag: its value, "" for a switch})."""
+    if not argv:
+        raise _UsageError("the following arguments are required: command")
+    command, *rest = argv
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        raise _UsageError(f"argument command: invalid choice: {command!r} (choose from {choices})")
+    accepted = _COMMANDS[command][1]
+    path, opts, extra = None, {}, []
+    args = iter(rest)
+    for arg in args:
+        flag, eq, value = arg.partition("=")
+        if flag == "--spec" and flag in accepted:
+            if not eq:
+                value = next(args, None)
+                if value is None or value.startswith("-") and value != "-":
+                    raise _UsageError("argument --spec: expected one argument")
+            opts[flag] = value
+        elif arg in accepted:
+            if _EXCLUSIVE.get(arg) in opts:
+                raise _UsageError(f"argument {arg}: not allowed with argument {_EXCLUSIVE[arg]}")
+            opts[arg] = ""
+        elif path is None and (arg == "-" or not arg.startswith("-")):
+            path = arg
+        else:
+            extra.append(arg)
+    if path is None:
+        raise _UsageError("the following arguments are required: file")
+    if extra:
+        raise _UsageError(f"unrecognized arguments: {' '.join(extra)}")
+    spec = opts.get("--spec")
+    if command == "validate" and not (spec or "--emit" in opts):
+        raise _UsageError("validate requires --spec (or --emit)")
+    if path == spec == "-":
+        raise _UsageError("program and spec cannot both come from stdin")
+    return command, path, opts
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_HELP, end="")
+        return 0
     try:
-        args = _make_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    if args.command == "validate" and not args.emit and not args.spec:
-        print("fg: error: validate requires --spec (or --emit)", file=sys.stderr)
-        return 2
-    if args.command == "validate" and args.file == "-" and args.spec == "-":
-        print("fg: error: program and spec cannot both come from stdin", file=sys.stderr)
+        command, path, opts = _parse_args(argv)
+    except _UsageError as exc:
+        print(_USAGE, f"fg: error: {exc}", sep="\n", file=sys.stderr)
         return 2
     # One command builds its whole model and then drops it; the analysis
     # makes no reference cycles, so reference counting frees it all and the
@@ -196,8 +224,16 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        analysis = analyze(_read_input(args.file))
-        return args.func(analysis, args)
+        analysis = analyze(_read_input(path))
+        code = _COMMANDS[command][0](analysis, command, opts)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed the output: stop quietly, with a shell's status for
+        # SIGPIPE. What is still buffered goes to devnull, so the flush at exit passes.
+        with open(os.devnull, "w") as devnull, contextlib.suppress(OSError, ValueError):
+            os.dup2(devnull.fileno(), sys.stdout.fileno())  # io.StringIO has no descriptor
+        return 141
     except (FlowgraphsError, OSError, UnicodeDecodeError) as exc:
         print(f"fg: error: {exc}", file=sys.stderr)
         return 2

@@ -7,11 +7,15 @@ A specification names required links by node label:
     cfNext : "m()" --> "int a = 1;"
     dfNext : "int a = 1;" --> "return a;"
 
-The grammar is a table of token rules: `_HEADER`, then `_KEYWORD` and `_LINK`
-per assertion. `parse_spec` raises at the first token that breaks its rule:
+The grammar:
 
     spec      := 'validate' ident assertion*
     assertion := ('cfNext' | 'dfNext') ':' label '-->' label
+
+`parse_spec` reads a valid spec with two patterns, one match for the header
+and one per assertion. A spec they do not read to its end is invalid; a
+table of token rules (`_HEADER`, then `_KEYWORD` and `_LINK` per assertion)
+reads its tokens again and raises at the first one that breaks its rule.
 
 Checking reports two kinds of findings: a *false link* is a graph edge
 whose label pair no assertion covers, a *missing link* is an assertion
@@ -141,12 +145,41 @@ def _take(tokens: list, i: int, kind: str, what: str, words=()) -> tuple[str, st
     raise ValidateSyntaxError(f"expected {what}, found end of input", line, col)
 
 
+# The patterns `parse_spec` reads a valid spec with. `re` compiles them at
+# their first use and then finds them in its cache, so that only a command
+# that reads a spec pays for them. Between tokens they take what
+# `_tokenize_spec` skips; a comment runs to its line end, so that a failed
+# match backtracks over it in one step.
+_SKIP = r"[ \t\r\n]*(?://[^\n]*(?![^\n])[ \t\r\n]*)*"
+_QUOTED = r'"([^"\\\n]*(?:\\["\\][^"\\\n]*)*)"'  # a label, its body in a group
+_SPEC_HEADER = rf"{_SKIP}validate(?!\w){_SKIP}(\w+){_SKIP}"
+_SPEC_ASSERTION = rf"(cfNext|dfNext){_SKIP}:{_SKIP}{_QUOTED}{_SKIP}-->{_SKIP}{_QUOTED}{_SKIP}"
+
+
 def parse_spec(text: str) -> ValidationSpec:
     """Parse a `.validate` document.
 
     Raises ValidateSyntaxError on malformed input and OrderError when a
     cfNext assertion follows a dfNext assertion.
     """
+    header = re.compile(_SPEC_HEADER).match(text)
+    if header and (header[1][0].isalpha() or header[1][0] == "_"):  # as `_tokenize_spec` requires
+        spec = ValidationSpec(header[1])
+        links, df_links = spec.cf_links, spec.df_links
+        pos, end, match = header.end(), len(text), re.compile(_SPEC_ASSERTION).match
+        while pos < end and (m := match(text, pos)):
+            keyword, left, right = m.groups()
+            if keyword == "dfNext":
+                links = df_links
+            elif links is df_links:
+                break
+            if "\\" in m[0]:
+                left, right = _ESCAPE_RE.sub(r"\1", left), _ESCAPE_RE.sub(r"\1", right)
+            links.append(LinkAssertion(left, right))
+            pos = m.end()
+        if pos == end:
+            return spec
+    # Not a valid spec: the token rules find its first error.
     tokens = _tokenize_spec(text)
     _, name = [_take(tokens, i, *rule)[1] for i, rule in enumerate(_HEADER)]
     spec = ValidationSpec(name)

@@ -7,13 +7,14 @@ import sys
 import pytest
 
 import flowgraphs
-from flowgraphs.cli import _dot_listing, _json_text
+from flowgraphs.cli import _HELP, _USAGE, _dot_listing, _json_text
 from flowgraphs.controlflow import compute_cf_edges
 from flowgraphs.dataflow import compute_data_flow
 from flowgraphs.model import DefUseAttr, FlowGraph, FlowNode, NodeKind
 from flowgraphs.pipeline import Analysis, analyze
 
 import oracle
+import progen
 from helpers import CORPUS, CORPUS_DIR, TESTS_DIR, golden, random_sources, run_cli
 
 EX01 = str(CORPUS_DIR / "ex01_min.mj")
@@ -21,6 +22,13 @@ EX02 = str(CORPUS_DIR / "ex02_straight.mj")
 EX09 = str(CORPUS_DIR / "ex09_labeled.mj")
 EX10 = str(CORPUS_DIR / "ex10_unary_loop.mj")
 SRC_DIR = TESTS_DIR.parent / "src"
+
+
+def fresh_env() -> dict[str, str]:
+    """The environment for `python -m flowgraphs` in a new interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    return env
 
 
 def test_build_listing_minimal():
@@ -254,6 +262,75 @@ def test_missing_file_exit_2():
     assert "fg: error:" in err
 
 
+# (argv, the message after `fg: error:`); the messages argparse also gave keep its wording.
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["frobnicate", EX01],
+     "argument command: invalid choice: 'frobnicate' (choose from 'build', 'cfg', 'dfg', 'validate')"),
+    (["cfg", EX01, "--wat"], "unrecognized arguments: --wat"),
+    (["cfg", EX01, "--js"], "unrecognized arguments: --js"),  # no abbreviations
+    (["build", EX01, "--dot"], "unrecognized arguments: --dot"),
+    (["cfg", EX01, "--dot", "--json"], "argument --json: not allowed with argument --dot"),
+    (["dfg", "--json", EX01, "--dot"], "argument --dot: not allowed with argument --json"),
+    (["validate", EX01, "--spec"], "argument --spec: expected one argument"),
+    (["validate", EX01, "--spec", "--json"], "argument --spec: expected one argument"),
+    (["cfg", EX01, EX02], f"unrecognized arguments: {EX02}"),
+    (["cfg", "--dot"], "the following arguments are required: file"),
+    (["validate", EX01], "validate requires --spec (or --emit)"),
+    (["validate", "-", "--spec=-"], "program and spec cannot both come from stdin"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS)
+def test_usage_error_exit_2(argv, message):
+    assert run_cli(argv) == (2, "", f"{_USAGE}\nfg: error: {message}\n")
+
+
+def test_usage_lists_every_command():
+    # Both come from the module docstring; the help adds the notes under the usage.
+    assert _USAGE.startswith("usage: fg build ")
+    assert _HELP.startswith(_USAGE + "\n\n`-` reads the program")
+    for command in ("build", "cfg", "dfg", "validate"):
+        assert f"fg {command} " in _USAGE
+    readme = (TESTS_DIR.parent / "README.md").read_text()
+    assert f"$ python -m flowgraphs --help\n{_HELP}```" in readme
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["cfg", "-h"], ["validate", EX01, "--help"]])
+def test_help_exit_0(argv):
+    assert run_cli(argv) == (0, _HELP, "")
+
+
+def test_missing_file_message():
+    assert run_cli(["cfg", "no-such-file.mj"]) == (
+        2, "", "fg: error: [Errno 2] No such file or directory: 'no-such-file.mj'\n")
+
+
+def test_option_forms_are_equivalent(tmp_path):
+    # An option before or after the file, and --spec with its value in one word.
+    assert run_cli(["cfg", "--json", EX10]) == run_cli(["cfg", EX10, "--json"])
+    spec = tmp_path / "ex02.validate"
+    spec.write_text(run_cli(["validate", EX02, "--emit"])[1])
+    expected = run_cli(["validate", EX10, "--spec", str(spec), "--json"])
+    assert expected[0] == 1
+    assert run_cli(["validate", f"--spec={spec}", "--json", EX10]) == expected
+    assert run_cli(["validate", EX10, "--spec="])[0:2] == (2, "")
+
+
+def test_closed_output_pipe_exits_141_quietly(tmp_path):
+    # The listing is larger than a pipe holds, so `fg` is still writing when
+    # the reader closes its end after one line.
+    program = tmp_path / "big.mj"
+    program.write_text(progen.gen_scale(1, 2_000))
+    proc = subprocess.Popen([sys.executable, "-m", "flowgraphs", "cfg", str(program)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+                            env=fresh_env())
+    assert proc.stdout.readline().startswith(b"m() --> ")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_unknown_flag_exit_2():
     code, _, _ = run_cli(["cfg", EX01, "--wat"])
     assert code == 2
@@ -411,20 +488,18 @@ def test_public_api_is_documented_in_readme():
 
 
 def test_repeated_calls_match_a_fresh_process():
-    # The argument parser is built once per process; later calls, whatever
-    # ran before them, must behave as the first call of a new process.
+    # Later calls, whatever ran before them, must behave as the first call
+    # of a new process.
     cases = [
         ["dfg", EX10],
         ["validate", EX02, "--emit"],
         ["validate", EX01],  # no --spec
         ["frobnicate", EX01],
     ]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     fresh = []
     for argv in cases:
         proc = subprocess.run([sys.executable, "-m", "flowgraphs", *argv],
-                              capture_output=True, text=True, env=env, timeout=60)
+                              capture_output=True, text=True, env=fresh_env(), timeout=60)
         fresh.append((proc.returncode, proc.stdout, proc.stderr))
     assert [code for code, _, _ in fresh] == [0, 0, 2, 2]
     for i in [0, 1, 2, 3, 3, 2, 1, 0, 2, 0, 3, 1]:
@@ -440,4 +515,5 @@ def test_import_loads_no_dataclasses():
                           capture_output=True, text=True, timeout=60, check=True)
     added = proc.stdout.split()
     assert "flowgraphs.cli" in added
-    assert [name for name in ("dataclasses", "inspect") if name in added] == []
+    forbidden = ("dataclasses", "inspect", "argparse", "gettext")
+    assert [name for name in forbidden if name in added] == []

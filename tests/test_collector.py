@@ -63,7 +63,7 @@ def test_commands_leave_no_cyclic_garbage(tmp_path):
         (["cfg", "-"], "int m() { break; }"),
         (["cfg", "-"], TOO_DEEP),
     ]
-    run_cli(["cfg", EX09])  # builds the cached argument parser
+    run_cli(["cfg", EX09])  # a first call, so that nothing built once per process counts
     with collector(enabled=False):
         for argv, stdin in commands:
             gc.collect()

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flowgraphs import validator
 from flowgraphs.pipeline import analyze
 from flowgraphs.validator import (
     LinkAssertion,
@@ -15,7 +16,7 @@ from flowgraphs.validator import (
 
 import oracle
 import ref_spec
-from helpers import CORPUS
+from helpers import CORPUS, random_sources
 
 
 def check_source(source: str, spec_text: str):
@@ -233,5 +234,29 @@ def parse_outcome(parse, text):
 @example('validate t\ndfNext : "a" --> "b"\ncfNext : "c" --> "d"')
 @example('validate t\ndfNext : "a" --> "b"\ncfNext ???')
 @example('validate t\ncfNext : "a" -->')
+@example("\r\n// c\r\n".join(("validate", "t", "cfNext", ":", '"a"', "-->", '"b"', "dfNext", ":",
+                                 '"c"', "-->", '"d"', "")))
+@example('validate t\ncfNext : "a\\"b\\\\" --> "\\\\c\\""\ndfNext:"\\\\"-->"\\""')
+@example('validate \u00e91\ncfNext : "a" --> "b"')
+@example('validate \u00b2a\ncfNext : "a" --> "b"')
+@example('validate t\ncfNext : "a" --> "b"\ndfNext : "c" --> "d"\ncfNext : "e" --> "f"')
+@example('validate t\ncfNextx : "a" --> "b"')
+@example('validate t\ncfNext : "a" --> "b" // no newline after me')
 def test_parse_spec_matches_reference(text):
     assert parse_outcome(parse_spec, text) == parse_outcome(ref_spec.parse_spec, text)
+
+
+def test_valid_specs_never_reach_the_token_rules(monkeypatch):
+    # Two patterns read a valid spec; the token rules only name errors. Were
+    # the patterns to stop matching, every spec would still parse, slowly.
+    specs = []
+    for source in [path.read_text() for path in CORPUS] + list(random_sources()[:200]):
+        a = analyze(source)
+        specs.append(emit_spec(a.graph, a.cf, a.df))
+    expected = [parse_outcome(ref_spec.parse_spec, text) for text in specs]
+
+    def refuse(text):
+        raise AssertionError(f"a valid spec reached the tokenizer:\n{text}")
+
+    monkeypatch.setattr(validator, "_tokenize_spec", refuse)
+    assert [parse_outcome(parse_spec, text) for text in specs] == expected
