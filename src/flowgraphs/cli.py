@@ -1,17 +1,4 @@
-"""Command-line driver.
-
-usage: fg build    <file.mj>                 containment listing
-       fg cfg      <file.mj> [--dot|--json]  control-flow edges
-       fg dfg      <file.mj> [--dot|--json]  adds def/use and data-flow edges
-       fg validate <file.mj> --spec <file.validate> [--json]
-       fg validate <file.mj> --emit          a specification the graph passes
-       fg -h|--help
-
-`-` reads the program, or the spec, from stdin. Options may come before or
-after the file, and `--spec X` may be written `--spec=X`. Exit codes: 0
-success (validate: clean report), 1 validation findings, 2 bad input or
-usage, 141 output closed early. FG_COLOR=1 colorizes validation findings.
-"""
+"""Command-line driver: `fg`, whose usage and notes are `_HELP`."""
 
 from __future__ import annotations
 
@@ -160,8 +147,22 @@ _COMMANDS = {
     "validate": (_cmd_validate, ("--spec", "--emit", "--json")),
 }
 _EXCLUSIVE = {"--dot": "--json", "--json": "--dot"}  # one output format at a time
-_HELP = (__doc__ or "").partition("\n\n")[2]  # the usage lines and the notes under them
-_USAGE = _HELP.partition("\n\n")[0]
+# The usage lines and the notes under them: a constant, since `python -OO`
+# drops docstrings.
+_HELP = """\
+usage: fg build    <file.mj>                 containment listing
+       fg cfg      <file.mj> [--dot|--json]  control-flow edges
+       fg dfg      <file.mj> [--dot|--json]  adds def/use and data-flow edges
+       fg validate <file.mj> --spec <file.validate> [--json]
+       fg validate <file.mj> --emit          a specification the graph passes
+       fg -h|--help
+
+`-` reads the program, or the spec, from stdin. Options may come before or
+after the file, and `--spec X` may be written `--spec=X`. Exit codes: 0
+success (validate: clean report), 1 validation findings, 2 bad input or
+usage, 141 output closed early. FG_COLOR=1 colorizes validation findings.
+"""
+_USAGE = _HELP.partition("\n\n")[0]  # the usage lines
 
 
 class _UsageError(Exception):
@@ -236,9 +237,6 @@ def main(argv: list[str] | None = None) -> int:
         return 141
     except (FlowgraphsError, OSError, UnicodeDecodeError) as exc:
         print(f"fg: error: {exc}", file=sys.stderr)
-        return 2
-    except RecursionError:
-        print("fg: error: program nesting is too deep to analyze", file=sys.stderr)
         return 2
     finally:
         if gc_was_enabled:

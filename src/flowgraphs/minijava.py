@@ -660,12 +660,19 @@ class _Parser:
 def parse_program(source: str) -> Method:
     """Parse mini-Java source text into a Method AST with bound names.
 
-    Raises ParseError on malformed input, and otherwise the first
+    Raises ParseError on malformed input, or at the token where nesting
+    runs the parser out of stack, and otherwise the first
     UnresolvedVariableError / UnresolvedLabelError /
     MissingEnclosingLoopError in source order.
     """
     parser = _Parser(tokenize(source))
-    method = parser.parse_method()
+    try:
+        method = parser.parse_method()
+    except RecursionError:
+        method = None  # raised outside the handler, which would make every parser frame its context
+    if method is None:
+        # No later walk of the AST recurses as deep as the parser, so this bounds them all.
+        raise ParseError("nesting is too deep to analyze", *parser.pos(parser.i))
     if parser.error is not None:
         error_class, message, line, col = parser.error
         raise error_class(message, line, col)

@@ -83,26 +83,24 @@ class ValidationReport:
 # \w+, which is exactly the characters `str.isalnum` accepts plus "_"; one
 # that does not start with a letter or "_" is an unexpected character. Any
 # other character but a blank is caught by group 6, so `finditer` skips
-# only blanks.
-_SPEC_TOKEN_RE = re.compile(
-    r"""
+# only blanks. Only an invalid spec reaches the tokenizer, so `re` compiles
+# this pattern, as it does `_ESCAPE`, at its first use.
+_SPEC_TOKEN = r"""(?x)
       (\n)
     | //[^\n]*
     | "((?:[^"\\\n]|\\["\\])*)(")?
     | (-->|:)
     | (\w+)
     | ([^ \t\r])
-    """,
-    re.VERBOSE,
-)
-_ESCAPE_RE = re.compile(r"\\(.)")
+    """
+_ESCAPE = r"\\(.)"
 
 
 def _tokenize_spec(text: str) -> list[tuple[str, str, int, int]]:
     """(kind, value, line, col) tuples; kinds: ident, string, ':', '-->'."""
     tokens = []
     line, before_line = 1, -1  # the line number, and the index just before its start
-    for m in _SPEC_TOKEN_RE.finditer(text):
+    for m in re.finditer(_SPEC_TOKEN, text):
         group = m.lastindex
         if group == 1:
             line += 1
@@ -112,7 +110,7 @@ def _tokenize_spec(text: str) -> list[tuple[str, str, int, int]]:
         if group == 3:
             value = m[2]
             if "\\" in value:
-                value = _ESCAPE_RE.sub(r"\1", value)
+                value = re.sub(_ESCAPE, r"\1", value)
             tokens.append(("string", value, line, col))
         elif group == 2:  # no closing quote
             if text.startswith("\\", m.end()):
@@ -174,7 +172,7 @@ def parse_spec(text: str) -> ValidationSpec:
             elif links is df_links:
                 break
             if "\\" in m[0]:
-                left, right = _ESCAPE_RE.sub(r"\1", left), _ESCAPE_RE.sub(r"\1", right)
+                left, right = re.sub(_ESCAPE, r"\1", left), re.sub(_ESCAPE, r"\1", right)
             links.append(LinkAssertion(left, right))
             pos = m.end()
         if pos == end:
@@ -232,11 +230,6 @@ def emit_spec(graph: FlowGraph, cf: EdgeTable, df: DfEdgeTable) -> str:
     """
     lines = [f"validate {graph.node(graph.method).txt.removesuffix('()')}"]
     for keyword, table in (("cfNext", cf), ("dfNext", df)):
-        seen: set[tuple[str, str]] = set()
-        for a, b in table.edges():
-            pair = (graph.node(a).txt, graph.node(b).txt)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            lines.append(f"{keyword} : {quote(pair[0])} --> {quote(pair[1])}")
+        pairs = dict.fromkeys((graph.node(a).txt, graph.node(b).txt) for a, b in table.edges())
+        lines.extend(f"{keyword} : {quote(left)} --> {quote(right)}" for left, right in pairs)
     return "\n".join(lines) + "\n"

@@ -11,6 +11,9 @@ Two profiles:
 
 `gen_scale` produces large, mostly flat programs with short def-use
 distances for the throughput smoke test.
+
+`nested_program` nests one statement in any number of levels of the
+`NESTING` shapes, to find where nesting runs the parser out of stack.
 """
 
 from __future__ import annotations
@@ -217,6 +220,38 @@ def gen_scale(seed: int, n_stmts: int) -> str:
     lines.append("}")
     count += 1
     return "\n".join(lines) + "\n"
+
+
+# One level of each nesting shape: the text before and after what it nests.
+# Conditions read no variable, so that data flow stays linear in the depth.
+NESTING = {
+    "blocks": ("{ ", " }"),
+    "whiles": ("while (1) ", ""),
+    "braced whiles": ("while (1) { ", " }"),
+    "ifs": ("if (1) ", ""),
+    "else-ifs": ("if (1) { } else ", ""),
+    "labels": ("l: ", ""),
+    "assignments": ("a = ", ""),
+    "parentheses": ("(", ")"),
+}
+_EXPRESSION_NESTING = ("assignments", "parentheses")
+
+
+def nested_program(levels: list[str]) -> str:
+    """`a++;` in `levels`, NESTING shape names listed outermost first.
+
+    Statement shapes nest the statement and expression shapes its `a++`,
+    each in their order in `levels`. Parentheses may not hold an
+    assignment, so such a program is a syntax error.
+    """
+    statements = [NESTING[name] for name in levels if name not in _EXPRESSION_NESTING]
+    expressions = [NESTING[name] for name in levels if name in _EXPRESSION_NESTING]
+    return "int m(int a) { " + _wrap(statements, _wrap(expressions, "a++") + ";") + " }"
+
+
+def _wrap(shapes: list[tuple[str, str]], inner: str) -> str:
+    return ("".join(before for before, _ in shapes) + inner
+            + "".join(after for _, after in reversed(shapes)))
 
 
 def count_statements(method: mj.Method) -> int:

@@ -4,7 +4,7 @@
 shared position and checks the keywords by hand. It is the reference for
 the package's `parse_spec`: for any text both must give the same name and
 links, or raise the same error at the same place. It reads the package's
-own tokenizer, which has a reference of its own in `oracle.py`.
+own tokenizer, which has a reference of its own in `ref_walks.py`.
 
 It lives apart from `oracle.py`, which the benchmark loads while it sets
 up, so that its size costs the benchmark nothing.

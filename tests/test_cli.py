@@ -10,11 +10,12 @@ import flowgraphs
 from flowgraphs.cli import _HELP, _USAGE, _dot_listing, _json_text
 from flowgraphs.controlflow import compute_cf_edges
 from flowgraphs.dataflow import compute_data_flow
+from flowgraphs.minijava import ParseError, parse_program, render_method
 from flowgraphs.model import DefUseAttr, FlowGraph, FlowNode, NodeKind
 from flowgraphs.pipeline import Analysis, analyze
 
-import oracle
 import progen
+import ref_walks
 from helpers import CORPUS, CORPUS_DIR, TESTS_DIR, golden, random_sources, run_cli
 
 EX01 = str(CORPUS_DIR / "ex01_min.mj")
@@ -138,7 +139,7 @@ def assert_json_matches_reference(source: str):
     for command, with_df in (("cfg", False), ("dfg", True)):
         code, out, _ = run_cli([command, "-", "--json"], source)
         assert code == 0
-        assert out == json.dumps(oracle.json_doc(analysis, with_df)) + "\n"
+        assert out == json.dumps(ref_walks.json_doc(analysis, with_df)) + "\n"
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
@@ -174,7 +175,7 @@ def test_json_escapes_labels_as_json_dumps_does():
     analysis = escaping_analysis()
     assert analysis.df.edges()
     for with_df in (False, True):
-        assert _json_text(analysis, with_df) == json.dumps(oracle.json_doc(analysis, with_df))
+        assert _json_text(analysis, with_df) == json.dumps(ref_walks.json_doc(analysis, with_df))
 
 
 def test_dot_quotes_ids_and_labels_as_validate_does():
@@ -287,13 +288,25 @@ def test_usage_error_exit_2(argv, message):
 
 
 def test_usage_lists_every_command():
-    # Both come from the module docstring; the help adds the notes under the usage.
+    # Both come from one module constant; the help adds the notes under the usage.
     assert _USAGE.startswith("usage: fg build ")
     assert _HELP.startswith(_USAGE + "\n\n`-` reads the program")
     for command in ("build", "cfg", "dfg", "validate"):
         assert f"fg {command} " in _USAGE
     readme = (TESTS_DIR.parent / "README.md").read_text()
     assert f"$ python -m flowgraphs --help\n{_HELP}```" in readme
+
+
+def test_usage_survives_optimize_flag():
+    # `python -OO` drops docstrings, so the usage must live elsewhere.
+    def fg(*argv):
+        proc = subprocess.run([sys.executable, "-OO", "-m", "flowgraphs", *argv],
+                              capture_output=True, text=True, env=fresh_env(), timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    assert fg("--help") == (0, _HELP, "")
+    assert fg("frobnicate", "x") == (2, "", f"{_USAGE}\nfg: error: argument command: invalid choice: "
+                                            "'frobnicate' (choose from 'build', 'cfg', 'dfg', 'validate')\n")
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["cfg", "-h"], ["validate", EX01, "--help"]])
@@ -362,6 +375,78 @@ def test_pathological_nesting_exit_2():
     code, _, err = run_cli(["cfg", "-"], stdin_text=source)
     assert code == 2
     assert "nesting" in err
+
+
+def bisect_nesting(run, failed, passes=1, failing=3_000) -> tuple[int, dict]:
+    """The smallest depth in (passes, failing] at which `failed(run(depth))`.
+
+    Returns it with `run`'s result at each depth it tried, two past it
+    among them. Every run starts from the same stack depth, on which the
+    limit depends.
+    """
+    results = {}
+
+    def fails(depth):
+        if depth not in results:
+            results[depth] = run(depth)
+        return failed(results[depth])
+
+    assert not fails(passes) and fails(failing)
+    while failing - passes > 1:
+        mid = (passes + failing) // 2
+        if fails(mid):
+            failing = mid
+        else:
+            passes = mid
+    assert fails(failing + 1) and fails(failing + 2)
+    return failing, results
+
+
+def call_deeper(frames: int, f, *args):
+    """f(*args), called `frames` stack frames below this call."""
+    return f(*args) if frames == 0 else call_deeper(frames - 1, f, *args)
+
+
+TOO_DEEP_ERROR = re.compile(r"fg: error: \d+:\d+: nesting is too deep to analyze\n")
+
+
+@pytest.mark.parametrize("shape", progen.NESTING)
+def test_nesting_past_the_stack_is_a_positioned_error(shape, tmp_path):
+    # Every command starts from its own stack depth, so each has its own limit.
+    spec = tmp_path / "any.validate"
+    spec.write_text("validate t\n")
+    commands = [["build"], ["cfg"], ["dfg"], ["dfg", "--json"], ["dfg", "--dot"],
+                ["validate", "--emit"], ["validate", "--spec", str(spec)]]
+
+    def program(depth):
+        return progen.nested_program([shape] * depth)
+
+    def outcome(f, depth):
+        try:
+            return f(program(depth))
+        except ParseError as exc:  # any other exception fails the test
+            return exc
+
+    def too_deep(result):
+        # With the RecursionError as its context, the error would hold every parser frame.
+        return (isinstance(result, ParseError) and result.__context__ is None
+                and str(result).endswith(": nesting is too deep to analyze"))
+
+    limit, methods = bisect_nesting(lambda depth: outcome(parse_program, depth), too_deep)
+    assert render_method(methods[limit - 1]).startswith("int m(int a) { ")
+    # Called from a few frames deeper, everything else fails a level or two sooner.
+    near = (limit - 8, limit + 2)
+    for frames, bracket in ((0, near), (100, (limit - 128, limit + 2))):
+        bisect_nesting(lambda depth: call_deeper(frames, outcome, analyze, depth), too_deep, *bracket)
+    for argv in commands:
+        command_limit, results = bisect_nesting(
+            lambda depth: run_cli([argv[0], "-", *argv[1:]], program(depth)),
+            lambda result: result[0] == 2, *near)
+        assert results[command_limit - 1][0] == (1 if "--spec" in argv else 0), argv
+        for depth in (command_limit, command_limit + 1, command_limit + 2):
+            code, out, err = results[depth]
+            assert (code, out) == (2, ""), argv
+            assert TOO_DEEP_ERROR.fullmatch(err), (argv, err)
 
 
 def test_dfg_prints_undefined_use_warning():

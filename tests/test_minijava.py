@@ -23,9 +23,9 @@ from flowgraphs.minijava import (
 from flowgraphs.model import NodeKind
 from flowgraphs.pipeline import Analysis, analyze
 
-import oracle
 import progen
 import ref_parser
+import ref_walks
 from helpers import CORPUS, random_sources
 
 
@@ -510,11 +510,11 @@ def test_chain_invariants_on_random_programs(seed):
         walk_stmt(stmt)
 
 
-# ---- the parser's name binding against tests/oracle.py::resolve ----
+# ---- the parser's name binding against tests/ref_walks.py::resolve ----
 
 
 def assert_links_match_reference(method):
-    for occ, decl in oracle.resolve(method).items():
+    for occ, decl in ref_walks.resolve(method).items():
         assert occ.decl is decl
 
 
@@ -574,7 +574,7 @@ def outcome(parse, source):
 
 def reference_outcome(source):
     """The error of parsing without binding, then resolving separately."""
-    return outcome(lambda text: oracle.resolve(ref_parser._Parser(ref_parser.tokenize(text))
+    return outcome(lambda text: ref_walks.resolve(ref_parser._Parser(ref_parser.tokenize(text))
                                                .parse_method()), source)
 
 
@@ -630,6 +630,15 @@ def edited_programs(draw):
     return source
 
 
+@st.composite
+def deeply_nested_programs(draw):
+    """`a++;` in up to 3,000 levels of the NESTING shapes, in runs of one shape."""
+    runs = draw(st.lists(st.tuples(st.sampled_from(list(progen.NESTING)), st.integers(1, 3_000)),
+                         min_size=1, max_size=3))
+    levels = [shape for shape, count in runs for _ in range(count)]
+    return progen.nested_program(levels[:3_000])
+
+
 def lex(tokenize, text):
     """The (kind, text, line, col) tuple of every token, or the error."""
     try:
@@ -649,7 +658,7 @@ def lex(tokenize, text):
 @example("int x = 1; // a lone \r does not end a comment\n")
 @example("int m() { }  \t\r\n \n\t ")
 def test_tokenize_matches_reference(text):
-    assert lex(lambda t: list(zip(*mj.tokenize(t))), text) == lex(oracle.tokenize, text)
+    assert lex(lambda t: list(zip(*mj.tokenize(t))), text) == lex(ref_walks.tokenize, text)
 
 
 # ---- the parser against tests/ref_parser.py ----
@@ -693,11 +702,12 @@ def test_parser_matches_reference_parser_on_any_text(source):
     assert_parsers_agree(source)
 
 
-# Bounded sizes keep nesting far below the depth at which Python's default
-# recursion limit stops the parser and the lowering walks.
+# A deep example costs about five others, so one in eight is deep.
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(st.one_of(st.text(max_size=200), mini_java_text, edited_programs()))
+@given(st.integers(0, 7).flatmap(lambda k: deeply_nested_programs() if k == 0 else st.one_of(
+    st.text(max_size=200), mini_java_text, edited_programs())))
 @example("int m() { return " + "9" * 5_000 + "; }")  # more digits than int() converts
+@example(progen.nested_program(["braced whiles"] * 3_000))
 def test_any_text_gives_analysis_or_flowgraphs_error(source):
     try:
         result = analyze(source)
@@ -735,13 +745,13 @@ class SameDecl(dict):
 
 
 def assert_labels_and_sets_match_reference(method):
-    assert method.txt == oracle.text_of(method)
+    assert method.txt == ref_walks.text_of(method)
     for node in ast_nodes(method):
-        assert node.txt == oracle.text_of(node)
+        assert node.txt == ref_walks.text_of(node)
         if isinstance(node, mj.Statement):
             attr = OWN_EXPRESSION.get(type(node))
             expr = None if attr is None else getattr(node, attr)
-            want = ([], []) if expr is None else oracle.expr_reads_writes(expr, SameDecl())
+            want = ([], []) if expr is None else ref_walks.expr_reads_writes(expr, SameDecl())
             assert (list(node.reads), list(node.writes)) == want
 
 

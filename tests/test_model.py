@@ -4,8 +4,8 @@ from flowgraphs import minijava as mj
 from flowgraphs.minijava import parse_program
 from flowgraphs.model import EXIT_TEXT, NodeKind, lower
 
-import oracle
 import progen
+import ref_walks
 from helpers import CORPUS, images, random_sources
 
 
@@ -162,7 +162,7 @@ def test_shadowing_creates_distinct_var_nodes():
 
 def assert_lower_matches_reference(method):
     graph, du = lower(method)
-    want_graph, want_du = oracle.lower(method)
+    want_graph, want_du = ref_walks.lower(method)
     assert graph.method == want_graph.method
     assert [repr(n) for n in graph.nodes] == [repr(n) for n in want_graph.nodes]
     assert list(du.defs.items()) == list(want_du.defs.items())

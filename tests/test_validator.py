@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,8 +16,8 @@ from flowgraphs.validator import (
     parse_spec,
 )
 
-import oracle
 import ref_spec
+import ref_walks
 from helpers import CORPUS, random_sources
 
 
@@ -172,7 +174,7 @@ def test_emit_quotes_and_names():
     assert 'cfNext : "count()" --> "int a = 1;"' in text
 
 
-# ---- the one-scan tokenizer against tests/oracle.py::tokenize_spec ----
+# ---- the one-scan tokenizer against tests/ref_walks.py::tokenize_spec ----
 
 SPEC_PIECES = ("validate", "cfNext", "dfNext", " ", "\t", "\r", "\n", ":", "-->", "->", "-",
                ">", '"', "\\", '\\"', "\\\\", "\\n", "//", "/", "a", "_x1", "1", "2b", "\u00b2",
@@ -199,7 +201,7 @@ def lex_spec(tokenize, text):
 @example("a\u00b2\u00bd \u00bd")
 @example("x --- y")
 def test_tokenize_spec_matches_reference(text):
-    assert lex_spec(_tokenize_spec, text) == lex_spec(oracle.tokenize_spec, text)
+    assert lex_spec(_tokenize_spec, text) == lex_spec(ref_walks.tokenize_spec, text)
 
 
 # ---- the table-driven parser against tests/ref_spec.py::parse_spec ----
@@ -260,3 +262,9 @@ def test_valid_specs_never_reach_the_token_rules(monkeypatch):
 
     monkeypatch.setattr(validator, "_tokenize_spec", refuse)
     assert [parse_outcome(parse_spec, text) for text in specs] == expected
+
+
+def test_import_compiles_no_spec_pattern():
+    # Every `fg` command imports the validator, and most read no spec; `re`
+    # compiles each pattern where it is first used, and caches it.
+    assert [name for name, value in vars(validator).items() if isinstance(value, re.Pattern)] == []
