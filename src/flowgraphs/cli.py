@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import io
 import json
 import os
 import sys
@@ -21,7 +22,13 @@ _RESET = "\x1b[0m"
 
 def _read_input(path: str) -> str:
     if path == "-":
-        text = sys.stdin.read()
+        # Read as a file is, whatever the locale's codec: UTF-8, with
+        # universal newlines.
+        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+        try:
+            text = stdin.read()
+        finally:
+            stdin.detach()  # closing the wrapper would close sys.stdin
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()

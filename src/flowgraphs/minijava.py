@@ -7,9 +7,10 @@ The accepted language is a single method of the form
 whose body may contain local `int` declarations with initializer,
 expression statements, `while`, `if`/`else`, `return`, labeled
 statements, `break`/`continue` (optionally labeled), and nested blocks.
-Expressions are flat n-ary chains per precedence level (equality,
-relational, additive, multiplicative) over identifiers, decimal
-integer literals, assignments, and the suffix `++`/`--` forms.
+Expressions join identifiers and decimal integer literals, each maybe
+with a suffix `++`/`--`, and parenthesized groups with the binary
+operators `==`, `<`, `>`, `+`, `-`, `*` and `/`; an assignment may stand
+only at the top of an expression statement or initializer.
 
 `tokenize` makes one `finditer` scan over a single pattern. Each match takes
 one token together with the blanks before it, so each token (and each line
@@ -17,42 +18,40 @@ end) costs one match, and a blank costs none; an unexpected character is
 caught by the pattern itself. Tokens come back as parallel lists of kinds,
 texts, lines and columns, with no object per token, and the parser builds a
 `Pos` only for the nodes that store one. Statements are parsed by recursive
-descent and expressions by precedence climbing (Pratt, "Top Down Operator
-Precedence", POPL 1973): one operator table gives each binary operator its
-level and label text, and a run of operators of one level becomes one
-Chain. A level of grouping parentheses costs two stack frames.
+descent. The AST stops at statements: an expression is read as its label,
+in one flat scan over its operands and operators, and leaves no node. A
+level of grouping parentheses costs one stack frame.
 
 The parser also binds names as it goes: every identifier use, assignment
-and suffix `++`/`--` gets a `decl` link to the Param or LocalVarDecl it
-refers to (innermost declaration wins), every jump label must name an
-enclosing labeled statement, and every break/continue must have a loop
-to act on. A name error does not stop parsing; the first one in source
-order is raised once the whole input has parsed, so a syntax error
-anywhere takes precedence over it.
+and suffix `++`/`--` is looked up in the enclosing scopes (innermost
+declaration wins), every jump label must name an enclosing labeled
+statement, and every break/continue must have a loop to act on. A name
+error does not stop parsing; the first one in source order is raised once
+the whole input has parsed, so a syntax error anywhere takes precedence
+over it.
 
-Each statement and expression gets its label (`txt`) as it is built, from
-its operands' labels (synthesized attributes: Knuth, "Semantics of
-Context-Free Languages", 1968). Structured statements use fixed labels
-("while", "if", "{...}", "break", "continue", "name:"); simple statements
-and expressions are written with one canonical spacing (`OP_TEXT`), so
-`a+1` and `a + 1` in the source both label as "a + 1". These labels are
-the keys the validation DSL matches on; `render_method` prints the AST
-back as source around them.
+Each statement gets its label (`txt`) as it is parsed. Structured
+statements use fixed labels ("while", "if", "{...}", "break", "continue",
+"name:"); simple statements, and the conditions a `while` or `if` keeps as
+its `cond`, are their source text in one canonical spacing, so `a+1` and
+`a + 1` in the source both label as "a + 1". Every operand and operator
+is written in source order and parentheses are dropped, so no label
+depends on precedence. These labels are the keys the validation DSL
+matches on; `render_method` prints the AST back as source around them.
 
-Binding a name also records it in the reads or writes of the statement
-whose expression (initializer, expression, return value, or `while`/`if`
-condition) contains it, in occurrence order. An identifier is read; an
-assignment writes its target after whatever its right-hand side reads
-and writes, and does not read the target; the suffix `++`/`--` forms
-both read and write their variable; chains concatenate their operands'
-reads and writes left to right. `model.lower` maps these onto the flow
-graph; a declaration additionally defines the declared variable, and a
-method defines its parameters.
+Binding a name also records its Param or LocalVarDecl in the reads or
+writes of the statement whose expression (initializer, expression, return
+value, or `while`/`if` condition) contains it, in occurrence order. An
+identifier is read; an assignment writes its target after whatever its
+right-hand side reads and writes, and does not read the target; the
+suffix `++`/`--` forms both read and write their variable. No set depends
+on precedence either. `model.lower` maps these onto the flow graph; a
+declaration additionally defines the declared variable, and a method
+defines its parameters.
 """
 
 from __future__ import annotations
 
-import enum
 import re
 from typing import NamedTuple
 
@@ -80,47 +79,16 @@ class Pos(NamedTuple):
     col: int
 
 
-class Op(enum.Enum):
-    ASSIGN = "="
-    MUL = "*"
-    DIV = "/"
-    ADD = "+"
-    SUB = "-"
-    EQ = "=="
-    GT = ">"
-    LT = "<"
-    INC = "++"
-    DEC = "--"
-
-
-OP_TEXT = {op: op.value if op in (Op.INC, Op.DEC) else " " + op.value + " " for op in Op}
-
-
-class ChainKind(enum.Enum):
-    ADDITIVE = "additive"
-    MULTIPLICATIVE = "multiplicative"
-    RELATIONAL = "relational"
-    EQUALITY = "equality"
-
-
-CHAIN_OPS = {
-    ChainKind.ADDITIVE: (Op.ADD, Op.SUB),
-    ChainKind.MULTIPLICATIVE: (Op.MUL, Op.DIV),
-    ChainKind.RELATIONAL: (Op.LT, Op.GT),
-    ChainKind.EQUALITY: (Op.EQ,),
-}
-
-
 # AST nodes are plain slotted classes: importing `dataclasses` (which loads
 # `inspect`) and generating each class's methods tripled the package's
 # start-up. `__slots__` lists a class's own attributes; `_fields` those its
-# repr shows, leaving out positions, labels, def/use sets and `decl` links.
-# Nodes use identity equality/hash so they can key attribute maps;
-# structural comparison goes through repr. Each class stores its own
+# repr shows, leaving out positions, def/use sets and the fixed labels. A
+# simple statement's repr shows its label, all that is kept of its
+# expression. Nodes use identity equality/hash so they can key attribute
+# maps; structural comparison goes through repr. Each class stores its own
 # attributes and passes the shared ones, which follow its own in the
-# signature, to its base's `__init__`. A 10k-statement program builds about
-# 37k nodes: the parser passes every argument by position, which saves more
-# than the base call costs.
+# signature, to its base's `__init__`. The parser passes every argument by
+# position, which saves more than the base call costs.
 
 class Node:
     __slots__ = ("pos", "txt")  # txt is the canonical label
@@ -167,28 +135,24 @@ class Statement(Node):
 
 
 class LocalVarDecl(Statement):
-    __slots__ = _fields = ("name", "init")
+    __slots__ = ("name",)
+    _fields = ("name", "txt")
 
-    def __init__(self, name: str, init: Expression, pos: Pos | None = None, txt: str = "",
-                 reads: tuple = (), writes: tuple = ()) -> None:
+    def __init__(self, name: str, pos: Pos | None = None, txt: str = "", reads: tuple = (),
+                 writes: tuple = ()) -> None:
         Statement.__init__(self, pos, txt, reads, writes)
         self.name = name
-        self.init = init
 
 
 class ExprStmt(Statement):
-    __slots__ = _fields = ("expr",)
-
-    def __init__(self, expr: Expression, pos: Pos | None = None, txt: str = "",
-                 reads: tuple = (), writes: tuple = ()) -> None:
-        Statement.__init__(self, pos, txt, reads, writes)
-        self.expr = expr
+    __slots__ = ()
+    _fields = ("txt",)
 
 
 class While(Statement):
-    __slots__ = _fields = ("cond", "body")
+    __slots__ = _fields = ("cond", "body")  # cond is the condition's label
 
-    def __init__(self, cond: Expression, body: Statement, pos: Pos | None = None,
+    def __init__(self, cond: str, body: Statement, pos: Pos | None = None,
                  txt: str = "", reads: tuple = (), writes: tuple = ()) -> None:
         Statement.__init__(self, pos, txt, reads, writes)
         self.cond = cond
@@ -196,9 +160,9 @@ class While(Statement):
 
 
 class If(Statement):
-    __slots__ = _fields = ("cond", "then", "orelse")
+    __slots__ = _fields = ("cond", "then", "orelse")  # cond is the condition's label
 
-    def __init__(self, cond: Expression, then: Statement, orelse: Statement | None,
+    def __init__(self, cond: str, then: Statement, orelse: Statement | None,
                  pos: Pos | None = None, txt: str = "", reads: tuple = (),
                  writes: tuple = ()) -> None:
         Statement.__init__(self, pos, txt, reads, writes)
@@ -208,12 +172,8 @@ class If(Statement):
 
 
 class Return(Statement):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: Expression | None, pos: Pos | None = None, txt: str = "",
-                 reads: tuple = (), writes: tuple = ()) -> None:
-        Statement.__init__(self, pos, txt, reads, writes)
-        self.value = value
+    __slots__ = ()
+    _fields = ("txt",)
 
 
 class Break(Statement):
@@ -251,64 +211,6 @@ class Block(Statement):
                  reads: tuple = (), writes: tuple = ()) -> None:
         Statement.__init__(self, pos, txt, reads, writes)
         self.stmts = stmts
-
-
-class Expression(Node):
-    __slots__ = ()
-
-
-class Assign(Expression):
-    __slots__ = ("target", "value", "decl")
-    _fields = ("target", "value")
-
-    def __init__(self, target: str, value: Expression, decl: Param | LocalVarDecl | None = None,
-                 pos: Pos | None = None, txt: str = "") -> None:
-        Node.__init__(self, pos, txt)
-        self.target = target
-        self.value = value
-        self.decl = decl
-
-
-class SuffixUnary(Expression):
-    __slots__ = ("target", "op", "decl")
-    _fields = ("target", "op")
-
-    def __init__(self, target: str, op: Op, decl: Param | LocalVarDecl | None = None,
-                 pos: Pos | None = None, txt: str = "") -> None:
-        Node.__init__(self, pos, txt)
-        self.target = target
-        self.op = op
-        self.decl = decl
-
-
-class Chain(Expression):
-    __slots__ = _fields = ("kind", "children", "operators")
-
-    def __init__(self, kind: ChainKind, children: list[Expression], operators: list[Op],
-                 pos: Pos | None = None, txt: str = "") -> None:
-        Node.__init__(self, pos, txt)
-        self.kind = kind
-        self.children = children
-        self.operators = operators
-
-
-class IdentRef(Expression):
-    __slots__ = ("name", "decl")
-    _fields = ("name",)
-
-    def __init__(self, name: str, decl: Param | LocalVarDecl | None = None,
-                 pos: Pos | None = None, txt: str = "") -> None:
-        Node.__init__(self, pos, txt)
-        self.name = name
-        self.decl = decl
-
-
-class IntLit(Expression):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: int, pos: Pos | None = None, txt: str = "") -> None:
-        Node.__init__(self, pos, txt)
-        self.value = value
 
 
 KEYWORDS = {"int", "while", "if", "else", "return", "break", "continue"}
@@ -380,15 +282,11 @@ def tokenize(source: str) -> Tokens:
     return kinds, texts, lines, cols
 
 
-class _Parser:
-    # Operator text -> (level, chain kind, Op, label text) for the binary
-    # operators; a higher level binds tighter.
-    _LEVELS = (ChainKind.EQUALITY, ChainKind.RELATIONAL, ChainKind.ADDITIVE,
-               ChainKind.MULTIPLICATIVE)
-    _BINARY = {op.value: (level, kind, op, OP_TEXT[op])
-               for level, kind in enumerate(_LEVELS) for op in CHAIN_OPS[kind]}
-    _TOP = len(_LEVELS) - 1
+# Binary operator -> its text in a label
+_BINARY = {op: " " + op + " " for op in ("==", "<", ">", "+", "-", "*", "/")}
 
+
+class _Parser:
     def __init__(self, tokens: Tokens):
         self.kinds, self.texts, self.lines, self.cols = tokens
         self.i = 0
@@ -510,8 +408,8 @@ class _Parser:
             init = self.parse_expression()  # bound before the declared name is in scope
             self.expect(";")
             reads, writes = self.take_sets()
-            decl = LocalVarDecl(name, init, self.pos(i), "int " + name + " = " + init.txt + ";",
-                                reads, writes)
+            decl = LocalVarDecl(name, self.pos(i), "int " + name + " = " + init + ";", reads,
+                                writes)
             self.scopes[-1][name] = decl
             return decl
         if kind == "{":
@@ -546,11 +444,10 @@ class _Parser:
             return If(cond, then, orelse, self.pos(i), "if", reads, writes)
         if kind == "return":
             self.i += 1
-            value = None if kinds[self.i] == ";" else self.parse_condition()
+            txt = "return;" if kinds[self.i] == ";" else "return " + self.parse_condition() + ";"
             self.expect(";")
-            txt = "return;" if value is None else "return " + value.txt + ";"
             reads, writes = self.take_sets()
-            return Return(value, self.pos(i), txt, reads, writes)
+            return Return(self.pos(i), txt, reads, writes)
         if kind == "break" or kind == "continue":
             self.i += 1
             label = None
@@ -567,94 +464,76 @@ class _Parser:
             stmt = self.parse_statement()
             self.labels.pop()
             return Labeled(name, stmt, self.pos(i), name + ":")
-        expr = self.parse_expression()
+        txt = self.parse_expression() + ";"
         self.expect(";")
         reads, writes = self.take_sets()
-        # An expression starts at this statement's first token, and shares its
-        # Pos, unless that token opens grouping parentheses.
-        pos = self.pos(i) if kind == "(" else expr.pos
-        return ExprStmt(expr, pos, expr.txt + ";", reads, writes)
+        return ExprStmt(self.pos(i), txt, reads, writes)
 
     # ---- expressions ----
-    # Assignments are legal only at statement/initializer top level, so
-    # parenthesized groups and chain operands go through parse_condition.
+    # An expression is read as its label. Assignments are legal only at
+    # statement/initializer top level, so grouping parentheses, conditions
+    # and return values go through parse_condition.
 
-    def parse_expression(self) -> Expression:
+    def parse_expression(self) -> str:
         i = self.i
         if self.kinds[i] == "ident" and self.kinds[i + 1] == "=":
-            self.i += 2
+            self.i = i + 2
             value = self.parse_expression()  # bound before the target
-            decl = self.lookup(i)
-            self.writes.append(decl)
-            target = self.texts[i]
-            return Assign(target, value, decl, self.pos(i), target + " = " + value.txt)
+            self.writes.append(self.lookup(i))
+            return self.texts[i] + " = " + value
         return self.parse_condition()
 
-    def parse_condition(self, min_level: int = 0) -> Expression:
-        """Precedence climbing over the chain levels from `min_level` up.
+    def parse_condition(self) -> str:
+        """The label of `operand (op operand)*`, read in one flat scan.
 
-        A run of operators of one level becomes one flat n-ary Chain whose
-        operands are parsed at the next level; an operator of a lower
-        level then continues with that Chain as its first operand.
+        A label writes every operand and binary operator in source order,
+        with one spacing, and the reads and writes follow source order too,
+        so no precedence is computed. An operand is an identifier, a
+        literal or a group in parentheses, which leaves no trace in the
+        label; a suffix `++`/`--` may follow a variable.
         """
-        kinds, binary = self.kinds, self._BINARY
-        left = self.parse_unary()
-        entry = binary.get(kinds[self.i])
-        while entry is not None and entry[0] >= min_level:
-            level, kind = entry[0], entry[1]
-            children, operators, txt = [left], [], left.txt
-            while entry is not None and entry[0] == level:
-                self.i += 1
-                child = (self.parse_unary() if level == self._TOP
-                         else self.parse_condition(level + 1))
-                operators.append(entry[2])
-                children.append(child)
-                txt += entry[3] + child.txt
-                entry = binary.get(kinds[self.i])
-            left = Chain(kind, children, operators, left.pos, txt)
-        return left
-
-    def parse_unary(self) -> Expression:
-        """A primary expression, with its suffix `++`/`--` if one follows."""
-        # Identifiers and literals are the commonest nodes, so they build
-        # their Pos inline rather than through self.pos.
+        kinds, texts = self.kinds, self.texts
+        parts = []
         i = self.i
-        kind = self.kinds[i]
-        if kind == "ident":
-            self.i += 1
-            decl = self.lookup(i)
-            self.reads.append(decl)
-            name = self.texts[i]
-            expr = IdentRef(name, decl, _new(Pos, (self.lines[i], self.cols[i])), name)
-        elif kind == "num":
-            self.i += 1
-            text = self.texts[i]
-            try:
-                value = int(text)
-            except ValueError:  # more digits than int() converts
-                raise ParseError("integer literal is too long", *self.pos(i)) from None
-            canonical = str(value)  # reuse the token's string when equal, to save memory
-            expr = IntLit(value, _new(Pos, (self.lines[i], self.cols[i])),
-                          text if text == canonical else canonical)
-        elif kind == "(":
-            # Grouping parentheses only; they leave no trace in the AST.
-            self.i += 1
-            expr = self.parse_condition()
-            self.expect(")")
-        elif kind == "++" or kind == "--":
-            raise ParseError(f"prefix '{kind}' is not supported", self.lines[i], self.cols[i])
-        else:
-            raise self.unexpected("an expression", i)
-        i = self.i
-        kind = self.kinds[i]
-        if kind == "++" or kind == "--":
-            self.i += 1
-            if not isinstance(expr, IdentRef):
-                raise ParseError(f"'{kind}' target must be a variable", self.lines[i], self.cols[i])
-            self.writes.append(expr.decl)  # the variable is read, then written
-            return SuffixUnary(expr.name, Op.INC if kind == "++" else Op.DEC, expr.decl,
-                               expr.pos, expr.name + kind)
-        return expr
+        while True:
+            kind = kinds[i]
+            if kind == "ident":
+                self.i = i  # where the error points if lookup runs out of stack
+                self.reads.append(self.lookup(i))
+                text = texts[i]
+                i += 1
+            elif kind == "num":
+                try:
+                    text = str(int(texts[i]))  # canonical: "007" labels as "7"
+                except ValueError:  # more digits than int() converts
+                    raise ParseError("integer literal is too long", *self.pos(i)) from None
+                i += 1
+            elif kind == "(":
+                self.i = i + 1  # where the error points if nesting runs out of stack
+                text = self.parse_condition()
+                i = self.expect(")") + 1
+            elif kind == "++" or kind == "--":
+                raise ParseError(f"prefix '{kind}' is not supported", self.lines[i], self.cols[i])
+            else:
+                raise self.unexpected("an expression", i)
+            kind = kinds[i]
+            if kind == "++" or kind == "--":
+                # A variable, maybe in parentheses: its label is its name,
+                # and it was the last read
+                if not text.isidentifier():
+                    raise ParseError(f"'{kind}' target must be a variable", self.lines[i],
+                                     self.cols[i])
+                self.writes.append(self.reads[-1])  # the variable is read, then written
+                text += kind
+                i += 1
+                kind = kinds[i]
+            parts.append(text)
+            op = _BINARY.get(kind)
+            if op is None:
+                self.i = i
+                return "".join(parts)
+            parts.append(op)
+            i += 1
 
 
 def parse_program(source: str) -> Method:
@@ -698,9 +577,9 @@ def _render(s: Statement) -> str:
     if t is LocalVarDecl or t is ExprStmt or t is Return:
         return s.txt
     if t is While:
-        return "while (" + s.cond.txt + ") " + _render(s.body)
+        return "while (" + s.cond + ") " + _render(s.body)
     if t is If:
-        out = "if (" + s.cond.txt + ") " + _render(s.then)
+        out = "if (" + s.cond + ") " + _render(s.then)
         return out if s.orelse is None else out + " else " + _render(s.orelse)
     if t is Block:
         return "{ " + " ".join(map(_render, s.stmts)) + " }"

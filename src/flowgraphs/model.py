@@ -154,7 +154,7 @@ def _ids(decls: tuple, var_id: dict) -> list[int]:
 
 def _map_condition(s: mj.While | mj.If, nodes: list[FlowNode], owners: list) -> int:
     nid = len(nodes)
-    nodes.append(FlowNode(nid, NodeKind.EXPR, s.cond.txt))
+    nodes.append(FlowNode(nid, NodeKind.EXPR, s.cond))
     owners.append((nid, s))
     return nid
 

@@ -25,7 +25,8 @@ def run_cli(args: list[str], stdin_text: str | None = None) -> tuple[int, str, s
     out, err = io.StringIO(), io.StringIO()
     old_stdin = sys.stdin
     if stdin_text is not None:
-        sys.stdin = io.StringIO(stdin_text)
+        # Byte-backed, as a real stdin is, so `fg` reads it as it reads a file
+        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode()), encoding="utf-8")
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = cli_main(args)
@@ -45,14 +46,15 @@ def golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text()
 
 
-def images(method: mj.Method) -> list[mj.Node | None]:
+def images(method: mj.Method) -> list:
     """The AST node behind each flow-graph node, indexed by node id.
 
     Written independently of `model.lower`: the Method, None for the Exit,
-    statements and loop/if conditions in pre-order, then the Params and
+    statements and loop/if conditions (`cond`: a label, or in a reference
+    parser's tree an Expression) in pre-order, then the Params and
     LocalVarDecls that the variable nodes stand for, in declaration order.
     """
-    out: list[mj.Node | None] = [method, None]
+    out: list = [method, None]
     decls: list[mj.Node] = list(method.params)
 
     def walk(s: mj.Statement) -> None:

@@ -1,8 +1,8 @@
 """Reference walks: earlier or independent versions of the package's passes.
 
 `resolve` is the name binding the parser does, as a separate walk over a
-parsed AST: the reference for the parser's `decl` links and for the
-first name error it reports.
+full tree from `ref_parser`: the reference for the declarations the
+parser records and for the first name error it reports.
 
 `tokenize` is the tokenizer the package had before its one-scan rewrite:
 one regular-expression match per token and per blank run, checked from
@@ -10,9 +10,9 @@ the loop. It gives one `(kind, text, line, col)` tuple per token, and is
 the reference for the package's `tokenize`.
 
 `text_of` and `expr_reads_writes` are the label and def/use walks over a
-parsed AST that the package ran before the parser synthesized both: the
-references for each node's stored `txt` and each statement's stored
-`reads` and `writes`.
+full tree from `ref_parser` that the package ran before the parser
+synthesized both: the references for each statement's stored `txt`,
+`reads` and `writes` and each condition's label.
 
 `lower` is the AST-to-model walk the package had before it built nodes
 positionally: the reference for the package's `lower`, node for node and
@@ -35,7 +35,11 @@ from __future__ import annotations
 import re
 
 from flowgraphs import minijava as mj
-from flowgraphs.minijava import (
+from flowgraphs.model import EXIT_TEXT, DefUseAttr, FlowGraph, FlowNode, NodeKind
+from flowgraphs.pipeline import Analysis
+from flowgraphs.validator import ValidateSyntaxError
+
+from ref_parser import (
     Assign,
     Block,
     Break,
@@ -45,6 +49,7 @@ from flowgraphs.minijava import (
     ExprStmt,
     IdentRef,
     If,
+    IntLit,
     KEYWORDS,
     OP_TEXT,
     Labeled,
@@ -61,9 +66,6 @@ from flowgraphs.minijava import (
     UnresolvedVariableError,
     While,
 )
-from flowgraphs.model import EXIT_TEXT, DefUseAttr, FlowGraph, FlowNode, NodeKind
-from flowgraphs.pipeline import Analysis
-from flowgraphs.validator import ValidateSyntaxError
 
 
 def resolve(method: Method) -> dict[Node, Node]:
@@ -199,39 +201,39 @@ def tokenize(source: str) -> list[tuple]:
     return tokens
 
 
-def text_of(node: mj.Node) -> str:
+def text_of(node: Node) -> str:
     """Label for one node."""
-    if isinstance(node, mj.Method):
+    if isinstance(node, Method):
         out = node.name + "()"
-    elif isinstance(node, mj.LocalVarDecl):
+    elif isinstance(node, LocalVarDecl):
         out = "int " + node.name + " = " + text_of(node.init) + ";"
-    elif isinstance(node, mj.ExprStmt):
+    elif isinstance(node, ExprStmt):
         out = text_of(node.expr) + ";"
-    elif isinstance(node, mj.While):
+    elif isinstance(node, While):
         out = "while"
-    elif isinstance(node, mj.If):
+    elif isinstance(node, If):
         out = "if"
-    elif isinstance(node, mj.Return):
+    elif isinstance(node, Return):
         out = "return;" if node.value is None else "return " + text_of(node.value) + ";"
-    elif isinstance(node, mj.Break):
+    elif isinstance(node, Break):
         out = "break"
-    elif isinstance(node, mj.Continue):
+    elif isinstance(node, Continue):
         out = "continue"
-    elif isinstance(node, mj.Labeled):
+    elif isinstance(node, Labeled):
         out = node.name + ":"
-    elif isinstance(node, mj.Block):
+    elif isinstance(node, Block):
         out = "{...}"
-    elif isinstance(node, mj.Assign):
+    elif isinstance(node, Assign):
         out = node.target + " = " + text_of(node.value)
-    elif isinstance(node, mj.SuffixUnary):
+    elif isinstance(node, SuffixUnary):
         out = node.target + OP_TEXT[node.op]
-    elif isinstance(node, mj.Chain):
+    elif isinstance(node, Chain):
         out = text_of(node.children[0])
         for op, child in zip(node.operators, node.children[1:]):
             out += OP_TEXT[op] + text_of(child)
-    elif isinstance(node, mj.IdentRef):
+    elif isinstance(node, IdentRef):
         out = node.name
-    elif isinstance(node, mj.IntLit):
+    elif isinstance(node, IntLit):
         out = str(node.value)
     else:
         raise TypeError(f"no text rule for {type(node).__name__}")
@@ -239,21 +241,21 @@ def text_of(node: mj.Node) -> str:
 
 
 def expr_reads_writes(
-    e: mj.Expression, var_of: dict[mj.Node, int]
+    e: Expression, var_of: dict[Node, int]
 ) -> tuple[list[int], list[int]]:
     """(reads, writes) of one expression, in occurrence order.
 
     Each occurrence counts as `var_of[occ.decl]`, the variable its bound
     declaration maps to.
     """
-    if isinstance(e, mj.Assign):
+    if isinstance(e, Assign):
         # Value writes (suffix forms) are kept; the target itself is not read.
         reads, writes = expr_reads_writes(e.value, var_of)
         return reads, writes + [var_of[e.decl]]
-    if isinstance(e, mj.SuffixUnary):
+    if isinstance(e, SuffixUnary):
         var = var_of[e.decl]
         return [var], [var]
-    if isinstance(e, mj.Chain):
+    if isinstance(e, Chain):
         reads: list[int] = []
         writes: list[int] = []
         for child in e.children:
@@ -261,9 +263,9 @@ def expr_reads_writes(
             reads.extend(r)
             writes.extend(w)
         return reads, writes
-    if isinstance(e, mj.IdentRef):
+    if isinstance(e, IdentRef):
         return [var_of[e.decl]], []
-    if isinstance(e, mj.IntLit):
+    if isinstance(e, IntLit):
         return [], []
     raise TypeError(f"no def/use rule for {type(e).__name__}")
 
@@ -337,7 +339,7 @@ def _add_sets(nid: int, s: mj.Statement, du: DefUseAttr, var_of: dict) -> None:
 
 
 def _map_condition(s: mj.While | mj.If, graph: FlowGraph, du: DefUseAttr, var_of: dict) -> int:
-    nid = graph.new_node(NodeKind.EXPR, s.cond.txt).id
+    nid = graph.new_node(NodeKind.EXPR, s.cond).id
     _add_sets(nid, s, du, var_of)
     return nid
 

@@ -238,6 +238,27 @@ def test_stdin_byte_order_mark_is_ignored():
     assert run_cli(["validate", EX10, "--spec", "-"], stdin_text=BOM + spec) == expected
 
 
+@pytest.mark.parametrize("data,code", [
+    (BOM.encode() + (CORPUS_DIR / "ex03_while.mj").read_bytes(), 0),
+    (b"int m() { return; } // \xff\n", 2),  # not UTF-8
+    (b"int m() { // a lone CR ends a line\rreturn; }\n", 0),
+], ids=["byte-order mark", "invalid byte", "lone carriage return"])
+def test_stdin_reads_as_a_file_whatever_the_locale(tmp_path, data, code):
+    # A locale codec other than UTF-8 must not change what stdin reads.
+    program = tmp_path / "program.mj"
+    program.write_bytes(data)
+    env = dict(fresh_env(), PYTHONIOENCODING="latin-1")
+
+    def fg(path, stdin):
+        proc = subprocess.run([sys.executable, "-m", "flowgraphs", "cfg", path], input=stdin,
+                              capture_output=True, env=env, timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    by_path = fg(str(program), b"")
+    assert by_path[0] == code
+    assert fg("-", data) == by_path
+
+
 def test_stdin_input():
     code, out, _ = run_cli(["cfg", "-"], stdin_text="int m() { return; }")
     assert code == 0
@@ -447,6 +468,18 @@ def test_nesting_past_the_stack_is_a_positioned_error(shape, tmp_path):
             code, out, err = results[depth]
             assert (code, out) == (2, ""), argv
             assert TOO_DEEP_ERROR.fullmatch(err), (argv, err)
+
+
+def test_nesting_error_points_at_the_token_being_read():
+    # Each level reads `1 + a` before its group, so the stack runs out in
+    # the lookup of an `a`, not on the level's first token.
+    for depth in (2_000, 2_001, 2_002):
+        source = "int m(int a) {\nreturn " + "(1 + a + " * depth + "a" + ")" * depth + "; }"
+        for frames in range(3):
+            with pytest.raises(ParseError, match="nesting is too deep to analyze") as caught:
+                call_deeper(frames, analyze, source)
+            assert caught.value.line == 2
+            assert source.splitlines()[1][caught.value.column - 1] == "a"
 
 
 def test_dfg_prints_undefined_use_warning():

@@ -8,6 +8,7 @@ from flowgraphs.model import NodeKind
 from flowgraphs.pipeline import analyze
 
 import progen
+import ref_parser
 from helpers import images
 
 
@@ -138,22 +139,26 @@ def test_shadowed_variables_are_distinct():
 
 
 def assert_suffix_unary_in_def_and_use(source):
-    """Every suffix `++`/`--` defines and uses its variable at its node."""
+    """Every suffix `++`/`--` defines and uses its variable at its node.
+
+    The suffix forms are found in the reference parser's tree, whose
+    statements and conditions give the flow nodes in the same order.
+    """
     a = analyze(source)
 
     def unary_vars(e):
-        if isinstance(e, mj.SuffixUnary):
+        if isinstance(e, ref_parser.SuffixUnary):
             return [var_id[e.decl]]
-        if isinstance(e, mj.Assign):
+        if isinstance(e, ref_parser.Assign):
             return unary_vars(e.value)
-        if isinstance(e, mj.Chain):
+        if isinstance(e, ref_parser.Chain):
             out = []
             for child in e.children:
                 out.extend(unary_vars(child))
             return out
         return []
 
-    sources = images(parse_program(source))
+    sources = images(ref_parser.parse_program(source))
     owned = a.graph.node(a.graph.method).vars
     var_id = {sources[vid]: vid for vid in owned}
     checked = 0
@@ -161,13 +166,13 @@ def assert_suffix_unary_in_def_and_use(source):
         if nid in owned:
             continue
         expr = None
-        if isinstance(ast_node, mj.ExprStmt):
+        if isinstance(ast_node, ref_parser.ExprStmt):
             expr = ast_node.expr
-        elif isinstance(ast_node, mj.LocalVarDecl):
+        elif isinstance(ast_node, ref_parser.LocalVarDecl):
             expr = ast_node.init
-        elif isinstance(ast_node, mj.Return):
+        elif isinstance(ast_node, ref_parser.Return):
             expr = ast_node.value
-        elif isinstance(ast_node, mj.Expression):
+        elif isinstance(ast_node, ref_parser.Expression):
             expr = ast_node
         if expr is None:
             continue

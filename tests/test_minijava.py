@@ -35,23 +35,27 @@ def test_minimal_program():
     assert method.params == []
     assert len(method.body) == 1
     ret = method.body[0]
-    assert isinstance(ret, mj.Return) and ret.value is None
+    assert isinstance(ret, mj.Return) and ret.txt == "return;"
+    assert ret.reads == ret.writes == ()
 
 
 def test_while_with_suffix_unary():
-    method = parse_program("int m(int a) { while (a < 3) a++; }")
+    source = "int m(int a) { while (a < 3) a++; }"
+    method = parse_program(source)
+    (a,) = method.params
     loop = method.body[0]
     assert isinstance(loop, mj.While)
-    cond = loop.cond
-    assert isinstance(cond, mj.Chain)
-    assert cond.kind is mj.ChainKind.RELATIONAL
-    assert cond.operators == [mj.Op.LT]
-    assert isinstance(cond.children[0], mj.IdentRef) and cond.children[0].name == "a"
-    assert isinstance(cond.children[1], mj.IntLit) and cond.children[1].value == 3
+    assert (loop.cond, loop.reads, loop.writes) == ("a < 3", (a,), ())
     body = loop.body
     assert isinstance(body, mj.ExprStmt)
-    assert isinstance(body.expr, mj.SuffixUnary)
-    assert body.expr.target == "a" and body.expr.op is mj.Op.INC
+    assert (body.txt, body.reads, body.writes) == ("a++;", (a,), (a,))
+    cond = ref_parser.parse_program(source).body[0].cond
+    assert isinstance(cond, ref_parser.Chain)
+    assert cond.kind is ref_parser.ChainKind.RELATIONAL
+    assert cond.operators == [ref_parser.Op.LT]
+    assert isinstance(cond.children[0], ref_parser.IdentRef) and cond.children[0].name == "a"
+    assert isinstance(cond.children[1], ref_parser.IntLit) and cond.children[1].value == 3
+    assert_parsers_agree(source)
 
 
 def test_unresolved_label():
@@ -101,13 +105,12 @@ def test_shadowing_binds_innermost():
     method = parse_program("int m(int a) { { int a = a + 1; a++; } a--; }")
     block = method.body[0]
     inner_decl = block.stmts[0]
-    inner_use = block.stmts[1].expr  # a++
-    outer_use = method.body[1].expr  # a--
+    inner_use = block.stmts[1]  # a++
+    outer_use = method.body[1]  # a--
     # the initializer's `a` refers to the parameter, not the new local
-    init_ref = inner_decl.init.children[0]
-    assert init_ref.decl is method.params[0]
-    assert inner_use.decl is inner_decl
-    assert outer_use.decl is method.params[0]
+    assert inner_decl.reads == (method.params[0],)
+    assert inner_use.reads == inner_use.writes == (inner_decl,)
+    assert outer_use.reads == outer_use.writes == (method.params[0],)
 
 
 def test_redeclaration_in_same_scope_is_accepted():
@@ -160,12 +163,16 @@ def test_declaration_requires_initializer():
 
 
 def test_assignment_is_right_associative():
-    method = parse_program("int m(int a, int b) { a = b = 1; }")
-    outer = method.body[0].expr
-    assert isinstance(outer, mj.Assign) and outer.target == "a"
+    source = "int m(int a, int b) { a = b = 1; }"
+    method = parse_program(source)
+    a, b = method.params
+    assert (method.body[0].txt, method.body[0].writes) == ("a = b = 1;", (b, a))
+    outer = ref_parser.parse_program(source).body[0].expr
+    assert isinstance(outer, ref_parser.Assign) and outer.target == "a"
     inner = outer.value
-    assert isinstance(inner, mj.Assign) and inner.target == "b"
-    assert isinstance(inner.value, mj.IntLit)
+    assert isinstance(inner, ref_parser.Assign) and inner.target == "b"
+    assert isinstance(inner.value, ref_parser.IntLit)
+    assert_parsers_agree(source)
 
 
 def test_assignment_inside_chain_rejected():
@@ -187,11 +194,15 @@ def test_parentheses_are_transparent():
 
 
 def test_parenthesized_grouping_changes_structure():
-    method = parse_program("int m(int a, int b) { a = (a + b) * 2; }")
-    value = method.body[0].expr.value
-    assert isinstance(value, mj.Chain) and value.kind is mj.ChainKind.MULTIPLICATIVE
-    assert isinstance(value.children[0], mj.Chain)
-    assert value.children[0].kind is mj.ChainKind.ADDITIVE
+    # Only the reference parser's tree shows the structure; the label drops the group.
+    source = "int m(int a, int b) { a = (a + b) * 2; }"
+    value = ref_parser.parse_program(source).body[0].expr.value
+    assert isinstance(value, ref_parser.Chain)
+    assert value.kind is ref_parser.ChainKind.MULTIPLICATIVE
+    assert isinstance(value.children[0], ref_parser.Chain)
+    assert value.children[0].kind is ref_parser.ChainKind.ADDITIVE
+    assert parse_program(source).body[0].txt == "a = a + b * 2;"
+    assert_parsers_agree(source)
 
 
 def test_suffix_unary_needs_variable_target():
@@ -202,30 +213,35 @@ def test_suffix_unary_needs_variable_target():
 
 
 def test_chains_are_flat_per_level():
-    method = parse_program("int m(int a, int b, int c) { a = a + b - c; }")
-    value = method.body[0].expr.value
-    assert value.kind is mj.ChainKind.ADDITIVE
+    source = "int m(int a, int b, int c) { a = a + b - c; }"
+    value = ref_parser.parse_program(source).body[0].expr.value
+    assert value.kind is ref_parser.ChainKind.ADDITIVE
     assert len(value.children) == 3
-    assert value.operators == [mj.Op.ADD, mj.Op.SUB]
+    assert value.operators == [ref_parser.Op.ADD, ref_parser.Op.SUB]
+    assert_parsers_agree(source)
 
 
 def test_mixed_precedence_nests_tighter_chains():
-    method = parse_program("int m(int a, int b, int c) { a = a + b * c; }")
-    value = method.body[0].expr.value
-    assert value.kind is mj.ChainKind.ADDITIVE
+    source = "int m(int a, int b, int c) { a = a + b * c; }"
+    value = ref_parser.parse_program(source).body[0].expr.value
+    assert value.kind is ref_parser.ChainKind.ADDITIVE
     mult = value.children[1]
-    assert isinstance(mult, mj.Chain) and mult.kind is mj.ChainKind.MULTIPLICATIVE
+    assert isinstance(mult, ref_parser.Chain)
+    assert mult.kind is ref_parser.ChainKind.MULTIPLICATIVE
+    assert_parsers_agree(source)
 
 
 def test_relational_chain_of_three():
-    method = parse_program("int m(int a, int b, int c) { while (a < b > c) a++; }")
-    cond = method.body[0].cond
-    assert cond.kind is mj.ChainKind.RELATIONAL
-    assert cond.operators == [mj.Op.LT, mj.Op.GT]
+    source = "int m(int a, int b, int c) { while (a < b > c) a++; }"
+    cond = ref_parser.parse_program(source).body[0].cond
+    assert cond.kind is ref_parser.ChainKind.RELATIONAL
+    assert cond.operators == [ref_parser.Op.LT, ref_parser.Op.GT]
+    assert parse_program(source).body[0].cond == "a < b > c"
+    assert_parsers_agree(source)
 
 
 def test_deep_grouping_parentheses_are_accepted():
-    # Each level of parentheses costs the parser two stack frames, so 150
+    # Each level of parentheses costs the parser one stack frame, so 150
     # levels stay well inside Python's default recursion limit.
     deep = "int m(int a) { a = " + "(" * 150 + "a + 1" + ")" * 150 + "; return a; }"
     analyze(deep)
@@ -329,12 +345,12 @@ def test_render_rejects_unknown_statement_type():
 
 
 AST_CLASSES = [cls for cls in vars(mj).values()
-               if isinstance(cls, type) and issubclass(cls, mj.Node) and "__init__" in vars(cls)]
+               if isinstance(cls, type) and issubclass(cls, mj.Node)]
 
 
 def test_constructors_take_shared_fields_by_position_or_keyword():
     shared = {"pos": Pos(3, 4), "txt": "t", "reads": ("r",), "writes": ("w",)}
-    assert len(AST_CLASSES) == 18  # every AST class but Expression
+    assert len(AST_CLASSES) == 13  # Node, Param, Method, Statement and the nine statements
     for cls in AST_CLASSES:
         names = list(inspect.signature(cls).parameters)
         own = names[:names.index("pos")]
@@ -352,9 +368,9 @@ def test_constructors_take_shared_fields_by_position_or_keyword():
     assert (stmt.pos, stmt.txt, stmt.reads, stmt.writes) == (None, "", (), ())
 
 
-# Every statement and expression kind, jumps with and without a label, a
-# nested assignment, every binary and suffix operator, and unreachable code
-# whose uses warn.
+# Every statement kind, jumps with and without a label, a nested
+# assignment, every binary and suffix operator, and unreachable code whose
+# uses warn.
 EVERY_NODE_KIND = """
 int m(int a) {
     int x = a + 1 - 2 * a / 3;
@@ -371,9 +387,17 @@ int m(int a) {
 
 
 def test_repr_is_pinned():
-    # The reprs the classes printed as dataclasses, exactly, so that a repr
-    # that drops, adds or reorders a field fails.
+    # Exactly, so that a repr that drops, adds or reorders a field fails.
     assert repr(parse_program(EVERY_NODE_KIND)) == (
+        "Method(name='m', params=[Param(name='a')], body=[LocalVarDecl(name='x', "
+        "txt='int x = a + 1 - 2 * a / 3;'), Labeled(name='l', stmt=While(cond='x < a', "
+        "body=Block(stmts=[If(cond='x == 1', then=Break(label='l'), orelse=Continue(label='l')), "
+        "ExprStmt(txt='x++;')]))), While(cond='a > 0', body=Block(stmts=[ExprStmt(txt='a--;'), "
+        "Continue(label=None), Break(label=None)])), If(cond='a == 0', "
+        "then=Return(txt='return;'), orelse=None), ExprStmt(txt='x = a = 4;'), "
+        "Return(txt='return x;')])")
+    # The reference parser's tree, with the reprs the classes had as dataclasses
+    assert repr(ref_parser.parse_program(EVERY_NODE_KIND)) == (
         "Method(name='m', params=[Param(name='a')], body=[LocalVarDecl(name='x', "
         "init=Chain(kind=<ChainKind.ADDITIVE: 'additive'>, children=[IdentRef(name='a'), "
         "IntLit(value=1), Chain(kind=<ChainKind.MULTIPLICATIVE: 'multiplicative'>, "
@@ -482,45 +506,31 @@ def test_render_roundtrip_on_random_programs(seed):
 
 @pytest.mark.parametrize("seed", range(40))
 def test_chain_invariants_on_random_programs(seed):
+    # The reference parser's chains; the package, which builds none, must
+    # give the same statements.
     source = progen.gen_program(seed + 500, strict=False, max_stmts=30)
-    method = parse_program(source)
-
-    def walk_expr(e):
-        if isinstance(e, mj.Chain):
+    for e in ast_nodes(ref_parser.parse_program(source)):
+        if isinstance(e, ref_parser.Chain):
             assert len(e.operators) == len(e.children) - 1
-            assert all(op in mj.CHAIN_OPS[e.kind] for op in e.operators)
-            for child in e.children:
-                walk_expr(child)
-        elif isinstance(e, mj.Assign):
-            walk_expr(e.value)
-
-    def walk_stmt(s):
-        for attr in ("init", "expr", "cond"):
-            child = getattr(s, attr, None)
-            if child is not None:
-                walk_expr(child)
-        for attr in ("body", "then", "orelse", "stmt"):
-            child = getattr(s, attr, None)
-            if child is not None and not isinstance(child, str):
-                walk_stmt(child)
-        for child in getattr(s, "stmts", []):
-            walk_stmt(child)
-
-    for stmt in method.body:
-        walk_stmt(stmt)
+            assert all(op in ref_parser.CHAIN_OPS[e.kind] for op in e.operators)
+    assert_parsers_agree(source)
 
 
 # ---- the parser's name binding against tests/ref_walks.py::resolve ----
 
 
-def assert_links_match_reference(method):
-    for occ, decl in ref_walks.resolve(method).items():
+def assert_links_match_reference(source):
+    """The reference parser binds every name as `resolve` does, and the
+    package's def/use sets hold the same declarations."""
+    ref_method = ref_parser.parse_program(source)
+    for occ, decl in ref_walks.resolve(ref_method).items():
         assert occ.decl is decl
+    assert_labels_and_sets_match_reference(parse_program(source), ref_method)
 
 
 def test_decl_links_match_reference_resolve():
     for source in random_sources():
-        assert_links_match_reference(parse_program(source))
+        assert_links_match_reference(source)
 
 
 # Mutations rely on progen's layout: one statement per line, top-level
@@ -598,7 +608,7 @@ def test_name_errors_match_reference_on_mutants(mutate, min_errors):
         expected = reference_outcome(mutant)
         assert outcome(parse_program, mutant) == expected, mutant
         if expected is None:
-            assert_links_match_reference(parse_program(mutant))
+            assert_links_match_reference(mutant)
         errors += expected is not None
     assert errors >= min_errors
 
@@ -665,8 +675,9 @@ def test_tokenize_matches_reference(text):
 
 
 def front_end(parse, source):
-    """What `parse` makes of `source`: the error, or the AST's repr and, per
-    node in walk order, its position, label, def/use sets and `decl` link,
+    """What `parse` makes of `source`: the error, or the AST's repr (its
+    statements, with each simple statement's label and each condition's)
+    and, per node in walk order, its position, label and def/use sets,
     with declarations given by their walk position."""
     try:
         method = parse(source)
@@ -677,13 +688,12 @@ def front_end(parse, source):
     return repr(method), [
         (type(node.pos), node.pos, node.txt,
          [at[id(decl)] for decl in getattr(node, "reads", ())],
-         [at[id(decl)] for decl in getattr(node, "writes", ())],
-         at[id(node.decl)] if hasattr(node, "decl") else None)
+         [at[id(decl)] for decl in getattr(node, "writes", ())])
         for node in nodes]
 
 
 def assert_parsers_agree(source):
-    assert front_end(parse_program, source) == front_end(ref_parser.parse_program, source)
+    assert front_end(parse_program, source) == front_end(ref_parser.parse_statements, source)
 
 
 def test_parser_matches_reference_parser():
@@ -698,8 +708,41 @@ def test_parser_matches_reference_parser():
 @example("int m() { return;")
 @example("int m(int a) {\n  (a)++; ((a + 1)) * a; a = (a);\n}")
 @example("int m() { return " + "9" * 5_000 + "; }")  # more digits than int() converts
+# Where one flat scan could part from precedence climbing: a flat chain as
+# long as the fanout benchmark's `return`, mixed levels, nested groups, a
+# suffix after anything but a variable, assignment to a chain, an
+# assignment whose names are all undeclared (the value binds first), and
+# deep parentheses (the test below goes as deep as the reference follows).
+@example("int m(int a) { return " + " + ".join(["a"] * 800) + "; }")
+@example("int m(int a, int b, int c, int d, int e) { return a + b * c == d < e; }")
+@example("int m(int a, int b) { return ((a + 1)) * (b); }")
+@example("int m(int a) { (a)++; }")
+@example("int m(int a) { 5++; }")
+@example("int m(int a) { a++ ++; }")
+@example("int m(int a, int b, int c) { a + b = c; }")
+@example("int m() { x = y = z; }")
+@example(progen.nested_program(["parentheses"] * 300))
 def test_parser_matches_reference_parser_on_any_text(source):
     assert_parsers_agree(source)
+
+
+def test_parser_matches_reference_parser_on_its_deepest_parentheses():
+    # The reference parser spends two stack frames on a level of parentheses
+    # and the package one, so the reference runs out of stack first.
+    def program(depth):
+        return progen.nested_program(["parentheses"] * depth)
+
+    passes, failing = 1, 3_000
+    while failing - passes > 1:
+        mid = (passes + failing) // 2
+        try:
+            front_end(ref_parser.parse_statements, program(mid))
+            passes = mid
+        except RecursionError:
+            failing = mid
+    assert passes > 100
+    source = program(passes)
+    assert front_end(parse_program, source) == front_end(ref_parser.parse_statements, source)
 
 
 # A deep example costs about five others, so one in eight is deep.
@@ -720,44 +763,49 @@ def test_any_text_gives_analysis_or_flowgraphs_error(source):
 
 
 def ast_nodes(node):
-    """The statement and expression nodes below `node`, in pre-order.
+    """The AST nodes below `node`, in pre-order: statements and, in a
+    reference parser's tree, expressions.
 
-    Child fields are the ones in the repr (`_fields`); `decl` links,
-    positions, labels and def/use sets are left out of it.
+    Child fields are the ones in the repr (`_fields`); positions, labels,
+    def/use sets and `decl` links are left out of it.
     """
     for name in node._fields:
         value = getattr(node, name)
         for child in value if isinstance(value, list) else [value]:
-            if isinstance(child, (mj.Statement, mj.Expression)):
+            if isinstance(child, (mj.Statement, ref_parser.Expression)):
                 yield child
                 yield from ast_nodes(child)
 
 
-OWN_EXPRESSION = {mj.LocalVarDecl: "init", mj.ExprStmt: "expr", mj.Return: "value",
-                  mj.While: "cond", mj.If: "cond"}
+OWN_EXPRESSION = {ref_parser.LocalVarDecl: "init", ref_parser.ExprStmt: "expr",
+                  ref_parser.Return: "value", mj.While: "cond", mj.If: "cond"}
 
 
-class SameDecl(dict):
-    """A `var_of` for the reference walk that maps each declaration to itself."""
-
-    def __missing__(self, decl):
-        return decl
-
-
-def assert_labels_and_sets_match_reference(method):
-    assert method.txt == ref_walks.text_of(method)
-    for node in ast_nodes(method):
-        assert node.txt == ref_walks.text_of(node)
-        if isinstance(node, mj.Statement):
-            attr = OWN_EXPRESSION.get(type(node))
-            expr = None if attr is None else getattr(node, attr)
-            want = ([], []) if expr is None else ref_walks.expr_reads_writes(expr, SameDecl())
-            assert (list(node.reads), list(node.writes)) == want
+def assert_labels_and_sets_match_reference(method, ref_method):
+    """Each statement's label, and each condition's, is `text_of` the
+    reference parser's node, and its reads and writes are
+    `expr_reads_writes` of its expression there."""
+    assert method.txt == ref_walks.text_of(ref_method)
+    statements = list(ast_nodes(method))
+    ref_statements = [node for node in ast_nodes(ref_method) if isinstance(node, mj.Statement)]
+    assert len(statements) == len(ref_statements)
+    # each reference declaration -> the package's
+    image = dict(zip([*ref_method.params, *ref_statements], [*method.params, *statements]))
+    for node, ref in zip(statements, ref_statements):
+        assert isinstance(ref, type(node))
+        assert node.txt == ref_walks.text_of(ref)
+        if isinstance(node, (mj.While, mj.If)):
+            assert node.cond == ref_walks.text_of(ref.cond)
+        attr = OWN_EXPRESSION.get(type(ref))
+        expr = None if attr is None else getattr(ref, attr)
+        want = ([], []) if expr is None else ref_walks.expr_reads_writes(expr, image)
+        assert (list(node.reads), list(node.writes)) == want
 
 
 def test_labels_and_sets_match_reference():
     for source in random_sources():
-        assert_labels_and_sets_match_reference(parse_program(source))
+        assert_labels_and_sets_match_reference(parse_program(source),
+                                               ref_parser.parse_program(source))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -768,13 +816,14 @@ def test_labels_and_sets_match_reference_on_any_text(source):
         method = parse_program(source)
     except FlowgraphsError:
         return
-    assert_labels_and_sets_match_reference(method)
+    assert_labels_and_sets_match_reference(method, ref_parser.parse_program(source))
 
 
 def test_every_node_has_a_position():
-    method = parse_program("int m(int a, int b) {\n  a = (b + 1) * a < 2;\n}")
-    relational = method.body[0].expr.value
+    source = "int m(int a, int b) {\n  a = (b + 1) * a < 2;\n}"
+    relational = ref_parser.parse_program(source).body[0].expr.value
     assert relational.pos == relational.children[0].pos == Pos(2, 8)
+    assert parse_program(source).body[0].pos == Pos(2, 3)
     for source in random_sources():
         assert all(node.pos is not None for node in ast_nodes(parse_program(source)))
 
@@ -789,8 +838,7 @@ def test_positions_are_shared_and_point_at_first_tokens():
     source = progen.gen_scale(3, 2_000)
     method = parse_program(source)
     nodes = [method, *method.params, *ast_nodes(method)]
-    # One Pos object per source position: an expression statement shares its
-    # expression's, a chain its first operand's, a suffix form its variable's.
+    # One Pos object per source position
     assert len({id(node.pos) for node in nodes}) == len({node.pos for node in nodes})
     _, texts, lines, cols = mj.tokenize(source)
     tokens = dict(zip(zip(lines, cols), texts))
@@ -798,22 +846,20 @@ def test_positions_are_shared_and_point_at_first_tokens():
         text = tokens[node.pos]
         if type(node) in FIRST_TOKEN:
             assert text == FIRST_TOKEN[type(node)]
-        elif isinstance(node, (mj.Param, mj.Labeled, mj.IdentRef)):
+        elif isinstance(node, (mj.Param, mj.Labeled)):
             assert text == node.name
-        elif isinstance(node, (mj.Assign, mj.SuffixUnary)):
-            assert text == node.target
-        elif isinstance(node, mj.IntLit):
-            assert int(text) == node.value
-        elif isinstance(node, mj.Chain):
-            assert node.pos is node.children[0].pos
         else:
             assert isinstance(node, mj.ExprStmt)
-            assert node.pos is node.expr.pos
+            assert text == "(" or node.txt.startswith(text)
     statements = [node.pos for node in nodes if isinstance(node, mj.Statement)]
     assert statements == sorted(statements)
 
 
 def test_statement_starting_with_a_parenthesis_keeps_its_own_position():
-    stmt = parse_program("int m(int a) {\n  (a)++; a = 1;\n}").body
-    assert (stmt[0].pos, stmt[0].expr.pos) == (Pos(2, 3), Pos(2, 4))
-    assert stmt[1].pos is stmt[1].expr.pos
+    source = "int m(int a) {\n  (a)++; a = 1;\n}"
+    stmt = parse_program(source).body
+    assert (stmt[0].pos, stmt[1].pos) == (Pos(2, 3), Pos(2, 10))
+    ref_stmt = ref_parser.parse_program(source).body
+    assert (ref_stmt[0].pos, ref_stmt[0].expr.pos) == (Pos(2, 3), Pos(2, 4))
+    assert ref_stmt[1].pos is ref_stmt[1].expr.pos
+    assert_parsers_agree(source)

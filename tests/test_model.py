@@ -5,6 +5,7 @@ from flowgraphs.minijava import parse_program
 from flowgraphs.model import EXIT_TEXT, NodeKind, lower
 
 import progen
+import ref_parser
 import ref_walks
 from helpers import CORPUS, images, random_sources
 
@@ -113,9 +114,10 @@ def test_trace_roundtrip(path):
             assert isinstance(ast_node, (mj.Param, mj.LocalVarDecl))
             assert node.kind is (NodeKind.PARAM if isinstance(ast_node, mj.Param) else NodeKind.VAR)
             assert node.txt == ast_node.name
+        elif isinstance(ast_node, str):  # a condition's label
+            assert node.kind is NodeKind.EXPR and node.txt == ast_node
         else:
-            kind = NodeKind.EXPR if isinstance(ast_node, mj.Expression) else KIND_OF[type(ast_node)]
-            assert node.kind is kind
+            assert node.kind is KIND_OF[type(ast_node)]
             assert node.txt == ast_node.txt
 
 
@@ -160,9 +162,11 @@ def test_shadowing_creates_distinct_var_nodes():
     assert du.def_of(inner) == [root.vars[1]]
 
 
-def assert_lower_matches_reference(method):
-    graph, du = lower(method)
-    want_graph, want_du = ref_walks.lower(method)
+def assert_lower_matches_reference(source):
+    """`lower` on the package's AST builds what the reference `lower` builds
+    on the reference parser's tree, reduced to statements."""
+    graph, du = lower(parse_program(source))
+    want_graph, want_du = ref_walks.lower(ref_parser.parse_statements(source))
     assert graph.method == want_graph.method
     assert [repr(n) for n in graph.nodes] == [repr(n) for n in want_graph.nodes]
     assert list(du.defs.items()) == list(want_du.defs.items())
@@ -171,8 +175,8 @@ def assert_lower_matches_reference(method):
 
 def test_lower_matches_reference_on_random_programs():
     for source in random_sources():
-        assert_lower_matches_reference(parse_program(source))
+        assert_lower_matches_reference(source)
 
 
 def test_lower_matches_reference_on_scale_program():
-    assert_lower_matches_reference(parse_program(progen.gen_scale(1, 2_000)))
+    assert_lower_matches_reference(progen.gen_scale(1, 2_000))

@@ -1,19 +1,41 @@
-"""One direct test per text-attribution rule, fixed literals included."""
+"""One direct test per text-attribution rule, fixed literals included.
+
+The AST keeps an expression only as a label: a simple statement's, or a
+condition's. Each expression rule is read from those, and the reference
+parser's expression node must carry the same label.
+"""
 
 import pytest
 
 from flowgraphs import minijava as mj
-from flowgraphs.minijava import OP_TEXT, parse_program
+from flowgraphs.minijava import parse_program
 from flowgraphs.model import EXIT_TEXT
+
+import ref_parser
+
+
+def source_of(body_src: str) -> str:
+    return f"int m(int a, int b, int c) {{ {body_src} }}"
 
 
 def stmt_of(body_src: str) -> mj.Statement:
-    return parse_program(f"int m(int a, int b, int c) {{ {body_src} }}").body[0]
+    return parse_program(source_of(body_src)).body[0]
 
 
-def expr_of(expr_src: str) -> mj.Expression:
-    stmt = stmt_of(f"{expr_src};")
-    return stmt.expr
+def expr_label(expr_src: str) -> str:
+    """The label of `expr_src`, from the statement `expr_src;`."""
+    source = source_of(f"{expr_src};")
+    txt = parse_program(source).body[0].txt
+    assert txt == ref_parser.parse_program(source).body[0].expr.txt + ";"
+    return txt.removesuffix(";")
+
+
+def cond_label(stmt_src: str) -> str:
+    """The label of the condition of `stmt_src`, a `while` or an `if`."""
+    source = source_of(stmt_src)
+    cond = parse_program(source).body[0].cond
+    assert cond == ref_parser.parse_program(source).body[0].cond.txt
+    return cond
 
 
 def test_method_label():
@@ -29,41 +51,38 @@ def test_expr_stmt_label():
 
 
 def test_assignment_label():
-    assert expr_of("a = b").txt == "a = b"
-    assert expr_of("a=b+1").txt == "a = b + 1"
+    assert expr_label("a = b") == "a = b"
+    assert expr_label("a=b+1") == "a = b + 1"
 
 
 def test_suffix_unary_labels():
-    assert expr_of("a++").txt == "a++"
-    assert expr_of("a--").txt == "a--"
+    assert expr_label("a++") == "a++"
+    assert expr_label("a--") == "a--"
 
 
 def test_multiplicative_chain_label():
-    assert expr_of("a * b / c").txt == "a * b / c"
+    assert expr_label("a * b / c") == "a * b / c"
 
 
 def test_additive_chain_label():
-    assert expr_of("a + b - c").txt == "a + b - c"
+    assert expr_label("a + b - c") == "a + b - c"
 
 
 def test_relational_chain_label():
-    cond = stmt_of("while (a < 3) a++;").cond
-    assert cond.txt == "a < 3"
-    cond = stmt_of("while (a > b) a++;").cond
-    assert cond.txt == "a > b"
+    assert cond_label("while (a < 3) a++;") == "a < 3"
+    assert cond_label("while (a > b) a++;") == "a > b"
 
 
 def test_equality_chain_label():
-    cond = stmt_of("if (a == b) a++;").cond
-    assert cond.txt == "a == b"
+    assert cond_label("if (a == b) a++;") == "a == b"
 
 
 def test_identifier_label():
-    assert expr_of("a").txt == "a"
+    assert expr_label("a") == "a"
 
 
 def test_int_literal_label():
-    assert expr_of("42").txt == "42"
+    assert expr_label("42") == "42"
 
 
 def test_while_fixed_label():
@@ -115,35 +134,40 @@ def test_int_type_marker_in_declaration():
 @pytest.mark.parametrize(
     "op,expected",
     [
-        (mj.Op.ASSIGN, " = "),
-        (mj.Op.MUL, " * "),
-        (mj.Op.ADD, " + "),
-        (mj.Op.DIV, " / "),
-        (mj.Op.SUB, " - "),
-        (mj.Op.EQ, " == "),
-        (mj.Op.GT, " > "),
-        (mj.Op.LT, " < "),
-        (mj.Op.INC, "++"),
-        (mj.Op.DEC, "--"),
+        (ref_parser.Op.ASSIGN, " = "),
+        (ref_parser.Op.MUL, " * "),
+        (ref_parser.Op.ADD, " + "),
+        (ref_parser.Op.DIV, " / "),
+        (ref_parser.Op.SUB, " - "),
+        (ref_parser.Op.EQ, " == "),
+        (ref_parser.Op.GT, " > "),
+        (ref_parser.Op.LT, " < "),
+        (ref_parser.Op.INC, "++"),
+        (ref_parser.Op.DEC, "--"),
     ],
 )
 def test_operator_spacing(op, expected):
-    assert OP_TEXT[op] == expected
+    # Written unspaced; a suffix form has no right operand.
+    right = "" if op in (ref_parser.Op.INC, ref_parser.Op.DEC) else "b"
+    assert expr_label("a" + op.value + right) == "a" + expected + right
+    assert ref_parser.OP_TEXT[op] == expected
 
 
 def test_spacing_is_canonical():
-    assert expr_of("a+1").txt == expr_of("a + 1").txt == "a + 1"
+    assert expr_label("a+1") == expr_label("a + 1") == "a + 1"
 
 
 def test_fold_appends_operator_then_child():
-    assert expr_of("1 + 2 + 3").txt == "1 + 2 + 3"
-    assert expr_of("a + b * c").txt == "a + b * c"
+    assert expr_label("1 + 2 + 3") == "1 + 2 + 3"
+    assert expr_label("a + b * c") == "a + b * c"
 
 
 def test_labels_of_nested_statements_and_expressions():
-    method = parse_program("int m(int a) { while (a < 3) { a = a + 1; } return a; }")
+    source = "int m(int a) { while (a < 3) { a = a + 1; } return a; }"
+    method = parse_program(source)
     loop = method.body[0]
-    assign = loop.body.stmts[0]
-    nodes = (method, loop, loop.cond, loop.body, assign, assign.expr, method.body[1])
-    assert [node.txt for node in nodes] == [
-        "m()", "while", "a < 3", "{...}", "a = a + 1;", "a = a + 1", "return a;"]
+    labels = [method.txt, loop.txt, loop.cond, loop.body.txt, loop.body.stmts[0].txt,
+              method.body[1].txt]
+    assert labels == ["m()", "while", "a < 3", "{...}", "a = a + 1;", "return a;"]
+    ref_loop = ref_parser.parse_program(source).body[0]
+    assert (ref_loop.cond.txt, ref_loop.body.stmts[0].expr.txt) == ("a < 3", "a = a + 1")
