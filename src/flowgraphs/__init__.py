@@ -1,9 +1,9 @@
 """Flow-graph models for a structured mini-Java subset.
 
-Parses a single-method program, maps it onto a language-independent
-flow-graph model, computes control-flow edges, per-instruction def/use
-sets, and reaching-definition data-flow edges, and checks the result
-against `.validate` assertion documents.
+Parses a single-method program into a language-independent flow-graph
+model with per-instruction def/use sets, computes control-flow edges and
+reaching-definition data-flow edges, and checks the result against
+`.validate` assertion documents.
 """
 
 from .controlflow import EdgeTable, compute_cf_edges, flow_instructions
@@ -15,9 +15,8 @@ from .minijava import (
     UnresolvedLabelError,
     UnresolvedVariableError,
     parse_program,
-    render_method,
 )
-from .model import DefUseAttr, FlowGraph, NodeKind, lower
+from .model import DefUseAttr, FlowGraph, NodeKind
 from .pipeline import Analysis, analyze
 from .validator import (
     OrderError,
@@ -51,10 +50,8 @@ __all__ = [
     "compute_data_flow",
     "emit_spec",
     "flow_instructions",
-    "lower",
     "parse_program",
     "parse_spec",
-    "render_method",
 ]
 
 __version__ = "0.1.0"

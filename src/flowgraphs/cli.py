@@ -153,7 +153,10 @@ _COMMANDS = {
     "dfg": (_cmd_graph, ("--dot", "--json")),
     "validate": (_cmd_validate, ("--spec", "--emit", "--json")),
 }
-_EXCLUSIVE = {"--dot": "--json", "--json": "--dot"}  # one output format at a time
+# Flag -> the flags it may not be given with: one output format at a time,
+# and `--emit` writes a spec instead of checking one or reporting as JSON.
+_CONFLICTS = {"--dot": ("--json",), "--json": ("--dot", "--emit"),
+              "--emit": ("--spec", "--json"), "--spec": ("--emit",)}
 # The usage lines and the notes under them: a constant, since `python -OO`
 # drops docstrings.
 _HELP = """\
@@ -194,15 +197,18 @@ def _parse_args(argv: list[str]) -> tuple[str, str, dict[str, str]]:
                 value = next(args, None)
                 if value is None or value.startswith("-") and value != "-":
                     raise _UsageError("argument --spec: expected one argument")
-            opts[flag] = value
         elif arg in accepted:
-            if _EXCLUSIVE.get(arg) in opts:
-                raise _UsageError(f"argument {arg}: not allowed with argument {_EXCLUSIVE[arg]}")
-            opts[arg] = ""
+            flag, value = arg, ""
         elif path is None and (arg == "-" or not arg.startswith("-")):
             path = arg
+            continue
         else:
             extra.append(arg)
+            continue
+        clash = next((other for other in _CONFLICTS[flag] if other in opts), None)
+        if clash is not None:
+            raise _UsageError(f"argument {flag}: not allowed with argument {clash}")
+        opts[flag] = value
     if path is None:
         raise _UsageError("the following arguments are required: file")
     if extra:

@@ -1,4 +1,4 @@
-"""Lexer, AST, parser and printer for the mini-Java subset.
+"""Lexer and parser for the mini-Java subset; the parser builds the flow graph.
 
 The accepted language is a single method of the form
 
@@ -16,11 +16,19 @@ only at the top of an expression statement or initializer.
 one token together with the blanks before it, so each token (and each line
 end) costs one match, and a blank costs none; an unexpected character is
 caught by the pattern itself. Tokens come back as parallel lists of kinds,
-texts, lines and columns, with no object per token, and the parser builds a
-`Pos` only for the nodes that store one. Statements are parsed by recursive
-descent. The AST stops at statements: an expression is read as its label,
-in one flat scan over its operands and operators, and leaves no node. A
-level of grouping parentheses costs one stack frame.
+texts, lines and columns, with no object per token; the parser reads a
+position only to report an error. Statements are parsed by recursive
+descent, and each becomes its flow-graph node as it is parsed: there is no
+AST. An expression is read as its label, in one flat scan over its operands
+and operators, and leaves no node. A level of grouping parentheses costs
+one stack frame.
+
+Node ids follow parse order. The Method is node 0 and its Exit node 1; a
+statement's node is made before its children are parsed, so statements
+come in pre-order, and the Expr node of a `while` or `if` condition comes
+right after its statement's node. The variables come last, parameters
+first and then locals in declaration order, as Param and Var nodes on the
+Method, whatever block declares them.
 
 The parser also binds names as it goes: every identifier use, assignment
 and suffix `++`/`--` is looked up in the enclosing scopes (innermost
@@ -30,32 +38,33 @@ error does not stop parsing; the first one in source order is raised once
 the whole input has parsed, so a syntax error anywhere takes precedence
 over it.
 
-Each statement gets its label (`txt`) as it is parsed. Structured
-statements use fixed labels ("while", "if", "{...}", "break", "continue",
-"name:"); simple statements, and the conditions a `while` or `if` keeps as
-its `cond`, are their source text in one canonical spacing, so `a+1` and
-`a + 1` in the source both label as "a + 1". Every operand and operator
-is written in source order and parentheses are dropped, so no label
-depends on precedence. These labels are the keys the validation DSL
-matches on; `render_method` prints the AST back as source around them.
+Each node gets its label (`txt`) as it is parsed. Structured statements
+use fixed labels ("while", "if", "{...}", "break", "continue", "name:");
+simple statements, and the conditions of `while` and `if`, are their
+source text in one canonical spacing, so `a+1` and `a + 1` in the source
+both label as "a + 1". Every operand and operator is written in source
+order and parentheses are dropped, so no label depends on precedence.
+These labels are the keys the validation DSL matches on.
 
-Binding a name also records its Param or LocalVarDecl in the reads or
-writes of the statement whose expression (initializer, expression, return
-value, or `while`/`if` condition) contains it, in occurrence order. An
-identifier is read; an assignment writes its target after whatever its
-right-hand side reads and writes, and does not read the target; the
-suffix `++`/`--` forms both read and write their variable. No set depends
-on precedence either. `model.lower` maps these onto the flow graph; a
-declaration additionally defines the declared variable, and a method
-defines its parameters.
+Binding a name also records its declaration in the uses or definitions
+of the flow instruction whose expression (initializer, expression, return
+value, or `while`/`if` condition) contains it, in occurrence order, with
+duplicates dropped. An identifier is used; an assignment defines its
+target after whatever its right-hand side uses and defines, and does not
+use the target; the suffix `++`/`--` forms both use and define their
+variable. No set depends on precedence either. A declaration also defines
+the declared variable, last, and the Method defines its parameters. While
+parsing, the sets hold declaration indices; they become variable node ids
+once the whole input has parsed without error, when the number of
+statement nodes is known.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .errors import SourcePosError
+from .model import EXIT_TEXT, DefUseAttr, FlowGraph, FlowNode, NodeKind
 
 
 class ParseError(SourcePosError):
@@ -72,145 +81,6 @@ class UnresolvedLabelError(SourcePosError):
 
 class MissingEnclosingLoopError(SourcePosError):
     pass
-
-
-class Pos(NamedTuple):
-    line: int
-    col: int
-
-
-# AST nodes are plain slotted classes: importing `dataclasses` (which loads
-# `inspect`) and generating each class's methods tripled the package's
-# start-up. `__slots__` lists a class's own attributes; `_fields` those its
-# repr shows, leaving out positions, def/use sets and the fixed labels. A
-# simple statement's repr shows its label, all that is kept of its
-# expression. Nodes use identity equality/hash so they can key attribute
-# maps; structural comparison goes through repr. Each class stores its own
-# attributes and passes the shared ones, which follow its own in the
-# signature, to its base's `__init__`. The parser passes every argument by
-# position, which saves more than the base call costs.
-
-class Node:
-    __slots__ = ("pos", "txt")  # txt is the canonical label
-    _fields: tuple[str, ...] = ()
-
-    def __init__(self, pos: Pos | None = None, txt: str = "") -> None:
-        self.pos = pos
-        self.txt = txt
-
-    def __repr__(self) -> str:
-        return (type(self).__qualname__ + "("
-                + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields) + ")")
-
-
-class Param(Node):
-    __slots__ = _fields = ("name",)
-
-    def __init__(self, name: str, pos: Pos | None = None, txt: str = "") -> None:
-        Node.__init__(self, pos, txt)
-        self.name = name
-
-
-class Method(Node):
-    __slots__ = _fields = ("name", "params", "body")
-
-    def __init__(self, name: str, params: list[Param], body: list[Statement],
-                 pos: Pos | None = None, txt: str = "") -> None:
-        Node.__init__(self, pos, txt)
-        self.name = name
-        self.params = params
-        self.body = body
-
-
-class Statement(Node):
-    # What the statement's own expression reads and writes, in occurrence
-    # order: tuples of Param and LocalVarDecl.
-    __slots__ = ("reads", "writes")
-
-    def __init__(self, pos: Pos | None = None, txt: str = "", reads: tuple = (),
-                 writes: tuple = ()) -> None:
-        Node.__init__(self, pos, txt)
-        self.reads = reads
-        self.writes = writes
-
-
-class LocalVarDecl(Statement):
-    __slots__ = ("name",)
-    _fields = ("name", "txt")
-
-    def __init__(self, name: str, pos: Pos | None = None, txt: str = "", reads: tuple = (),
-                 writes: tuple = ()) -> None:
-        Statement.__init__(self, pos, txt, reads, writes)
-        self.name = name
-
-
-class ExprStmt(Statement):
-    __slots__ = ()
-    _fields = ("txt",)
-
-
-class While(Statement):
-    __slots__ = _fields = ("cond", "body")  # cond is the condition's label
-
-    def __init__(self, cond: str, body: Statement, pos: Pos | None = None,
-                 txt: str = "", reads: tuple = (), writes: tuple = ()) -> None:
-        Statement.__init__(self, pos, txt, reads, writes)
-        self.cond = cond
-        self.body = body
-
-
-class If(Statement):
-    __slots__ = _fields = ("cond", "then", "orelse")  # cond is the condition's label
-
-    def __init__(self, cond: str, then: Statement, orelse: Statement | None,
-                 pos: Pos | None = None, txt: str = "", reads: tuple = (),
-                 writes: tuple = ()) -> None:
-        Statement.__init__(self, pos, txt, reads, writes)
-        self.cond = cond
-        self.then = then
-        self.orelse = orelse
-
-
-class Return(Statement):
-    __slots__ = ()
-    _fields = ("txt",)
-
-
-class Break(Statement):
-    __slots__ = _fields = ("label",)
-
-    def __init__(self, label: str | None, pos: Pos | None = None, txt: str = "",
-                 reads: tuple = (), writes: tuple = ()) -> None:
-        Statement.__init__(self, pos, txt, reads, writes)
-        self.label = label
-
-
-class Continue(Statement):
-    __slots__ = _fields = ("label",)
-
-    def __init__(self, label: str | None, pos: Pos | None = None, txt: str = "",
-                 reads: tuple = (), writes: tuple = ()) -> None:
-        Statement.__init__(self, pos, txt, reads, writes)
-        self.label = label
-
-
-class Labeled(Statement):
-    __slots__ = _fields = ("name", "stmt")
-
-    def __init__(self, name: str, stmt: Statement, pos: Pos | None = None, txt: str = "",
-                 reads: tuple = (), writes: tuple = ()) -> None:
-        Statement.__init__(self, pos, txt, reads, writes)
-        self.name = name
-        self.stmt = stmt
-
-
-class Block(Statement):
-    __slots__ = _fields = ("stmts",)
-
-    def __init__(self, stmts: list[Statement], pos: Pos | None = None, txt: str = "",
-                 reads: tuple = (), writes: tuple = ()) -> None:
-        Statement.__init__(self, pos, txt, reads, writes)
-        self.stmts = stmts
 
 
 KEYWORDS = {"int", "while", "if", "else", "return", "break", "continue"}
@@ -236,8 +106,6 @@ _TOKEN_RE = re.compile(
     """,
     re.VERBOSE,
 )
-
-_new = tuple.__new__  # Pos(line, col) is _new(Pos, (line, col)), without its Python-level __new__
 
 Tokens = tuple[list[str], list[str], list[int], list[int]]
 
@@ -290,7 +158,10 @@ class _Parser:
     def __init__(self, tokens: Tokens):
         self.kinds, self.texts, self.lines, self.cols = tokens
         self.i = 0
-        self.scopes: list[dict[str, Param | LocalVarDecl]] = []
+        self.nodes: list[FlowNode] = []
+        self.names: list[str] = []  # the variables' names, by declaration index
+        self.params = 0  # how many of them are parameters
+        self.scopes: list[dict[str, int]] = []  # name -> declaration index
         self.labels: list[tuple[str, bool]] = []  # (name, wraps a While)
         self.loop_depth = 0
         # The first name error, raised after parsing, as (class, message,
@@ -299,17 +170,16 @@ class _Parser:
         # reference cycle.
         self.error: tuple[type[SourcePosError], str, int, int] | None = None
         # Declarations read and written since the last take_sets, in occurrence order
-        self.reads: list[Param | LocalVarDecl | None] = []
-        self.writes: list[Param | LocalVarDecl | None] = []
-        self.shared_sets: dict[tuple, tuple] = {}  # one tuple per distinct set, to save memory
+        self.reads: list[int | None] = []
+        self.writes: list[int | None] = []
+        # Flow instruction id -> the declarations it defines or uses
+        self.defs: dict[int, list] = {}
+        self.uses: dict[int, list] = {}
 
     # The parser reads token `self.i` from the parallel lists directly. The
     # last token is 'eof' and `i` never moves past it, so stepping over a
     # token, or looking one token ahead, is safe whenever the current token
     # is not 'eof'.
-
-    def pos(self, i: int) -> Pos:
-        return _new(Pos, (self.lines[i], self.cols[i]))
 
     def unexpected(self, expected: str, i: int) -> ParseError:
         found = "end of input" if self.kinds[i] == "eof" else repr(self.texts[i])
@@ -330,7 +200,7 @@ class _Parser:
         if self.error is None:
             self.error = (error_class, message, self.lines[i], self.cols[i])
 
-    def lookup(self, i: int) -> Param | LocalVarDecl | None:
+    def lookup(self, i: int) -> int | None:
         name = self.texts[i]
         for scope in reversed(self.scopes):
             if name in scope:
@@ -338,13 +208,15 @@ class _Parser:
         self.fail(UnresolvedVariableError, f"undeclared variable {name!r}", i)
         return None
 
-    def take_sets(self) -> tuple[tuple, tuple]:
-        """The reads and writes of the expression just parsed; the lists restart empty."""
-        share = self.shared_sets.setdefault
-        reads, writes = tuple(self.reads), tuple(self.writes)
-        self.reads.clear()
-        self.writes.clear()
-        return share(reads, reads), share(writes, writes)
+    def take_sets(self, nid: int) -> None:
+        """Record what was read and written since the last call as the uses
+        and definitions of node `nid`; the lists restart empty."""
+        if self.reads:
+            self.uses[nid] = self.reads
+            self.reads = []
+        if self.writes:
+            self.defs[nid] = self.writes
+            self.writes = []
 
     def check_jump(self, i: int, label: str | None) -> None:
         keyword = self.kinds[i]
@@ -358,13 +230,15 @@ class _Parser:
         elif keyword == "continue" and not wraps_loop:
             self.fail(MissingEnclosingLoopError, f"label {label!r} does not name a loop", i)
 
-    # ---- declarations ----
+    # ---- the method ----
 
-    def parse_method(self) -> Method:
-        start = self.expect("int")
+    def parse_method(self) -> None:
+        self.expect("int")
         name = self.texts[self.expect("ident")]
+        root = FlowNode(0, NodeKind.METHOD, name + "()", exit=1)
+        self.nodes += (root, FlowNode(1, NodeKind.EXIT, EXIT_TEXT))
         self.expect("(")
-        scope: dict[str, Param] = {}  # the parameters, in order
+        scope: dict[str, int] = {}  # the parameters, in order
         if self.kinds[self.i] != ")":
             while True:
                 self.expect("int")
@@ -372,20 +246,44 @@ class _Parser:
                 pname = self.texts[j]
                 if pname in scope:
                     raise ParseError(f"duplicate parameter {pname!r}", self.lines[j], self.cols[j])
-                scope[pname] = Param(pname, self.pos(j))
+                scope[pname] = len(scope)
                 if self.kinds[self.i] != ",":
                     break
                 self.i += 1
         self.expect(")")
+        self.names += scope
+        self.params = len(scope)
+        if scope:
+            self.defs[0] = list(scope.values())
         self.scopes.append(scope)
-        body = self.parse_block().stmts
+        root.stmts = self.parse_block()
         self.expect("eof")
-        return Method(name, list(scope.values()), body, self.pos(start), name + "()")
+
+    def finish(self) -> tuple[FlowGraph, DefUseAttr]:
+        """The graph with its variable nodes, and the def/use sets as their ids.
+
+        Each variable's id is one int object, shared by every set that
+        holds it, and a set of one id is a one-element list.
+        """
+        nodes = self.nodes
+        var_ids = list(range(len(nodes), len(nodes) + len(self.names)))
+        for k, name in enumerate(self.names):
+            nodes.append(FlowNode(var_ids[k], NodeKind.PARAM if k < self.params else NodeKind.VAR,
+                                  name))
+        nodes[0].vars = var_ids
+        for table in (self.defs, self.uses):
+            for nid, decls in table.items():
+                if len(decls) == 1:
+                    table[nid] = [var_ids[decls[0]]]
+                else:  # duplicates dropped, first occurrence kept
+                    table[nid] = list(dict.fromkeys([var_ids[d] for d in decls]))
+        return FlowGraph(nodes), DefUseAttr(self.defs, self.uses)
 
     # ---- statements ----
 
-    def parse_block(self) -> Block:
-        start = self.expect("{")
+    def parse_block(self) -> list[int]:
+        """The node ids of the statements of a `{ ... }`, which opens a scope."""
+        self.expect("{")
         self.scopes.append({})
         kinds = self.kinds
         stmts = []
@@ -395,60 +293,64 @@ class _Parser:
             stmts.append(self.parse_statement())
         self.i += 1
         self.scopes.pop()
-        return Block(stmts, self.pos(start), "{...}")
+        return stmts
 
-    def parse_statement(self) -> Statement:
+    def parse_statement(self) -> int:
+        """The statement at the current token, as the id of its node."""
         kinds = self.kinds
+        nodes = self.nodes
         i = self.i
         kind = kinds[i]
+        nid = len(nodes)  # a statement's node is the first it makes
         if kind == "int":
             self.i += 1
             name = self.texts[self.expect("ident")]
             self.expect("=")
             init = self.parse_expression()  # bound before the declared name is in scope
             self.expect(";")
-            reads, writes = self.take_sets()
-            decl = LocalVarDecl(name, self.pos(i), "int " + name + " = " + init + ";", reads,
-                                writes)
+            decl = len(self.names)
+            self.names.append(name)
             self.scopes[-1][name] = decl
-            return decl
-        if kind == "{":
-            return self.parse_block()
-        if kind == "while":
+            self.writes.append(decl)  # a declaration defines its variable last
+            nodes.append(FlowNode(nid, NodeKind.SIMPLE, "int " + name + " = " + init + ";"))
+            self.take_sets(nid)
+        elif kind == "{":
+            node = FlowNode(nid, NodeKind.BLOCK, "{...}")
+            nodes.append(node)
+            node.stmts = self.parse_block()
+        elif kind == "while" or kind == "if":
+            # The condition makes no node, so the statement's node, and its
+            # condition's Expr node after it, are made once it is read.
             self.i += 1
             self.expect("(")
-            cond = self.parse_condition()
-            reads, writes = self.take_sets()
+            txt = self.parse_condition()
             self.expect(")")
+            expr = nid + 1
+            loop = kind == "while"
+            # The label is a constant, not the token's text: one string for all
+            node = FlowNode(nid, NodeKind.LOOP if loop else NodeKind.IF, "while" if loop else "if",
+                            (), expr)
+            nodes += (node, FlowNode(expr, NodeKind.EXPR, txt))
+            self.take_sets(expr)
             self.scopes.append({})
-            self.loop_depth += 1
-            body = self.parse_statement()
-            self.loop_depth -= 1
+            if loop:
+                self.loop_depth += 1
+                node.body = self.parse_statement()
+                self.loop_depth -= 1
+            else:
+                node.then = self.parse_statement()
+                if kinds[self.i] == "else":
+                    self.i += 1
+                    self.scopes[-1] = {}  # the else branch has a scope of its own
+                    node.orelse = self.parse_statement()
             self.scopes.pop()
-            return While(cond, body, self.pos(i), "while", reads, writes)
-        if kind == "if":
-            self.i += 1
-            self.expect("(")
-            cond = self.parse_condition()
-            reads, writes = self.take_sets()
-            self.expect(")")
-            self.scopes.append({})
-            then = self.parse_statement()
-            self.scopes.pop()
-            orelse = None
-            if kinds[self.i] == "else":
-                self.i += 1
-                self.scopes.append({})
-                orelse = self.parse_statement()
-                self.scopes.pop()
-            return If(cond, then, orelse, self.pos(i), "if", reads, writes)
-        if kind == "return":
+        elif kind == "return":
             self.i += 1
             txt = "return;" if kinds[self.i] == ";" else "return " + self.parse_condition() + ";"
             self.expect(";")
-            reads, writes = self.take_sets()
-            return Return(self.pos(i), txt, reads, writes)
-        if kind == "break" or kind == "continue":
+            nodes.append(FlowNode(nid, NodeKind.RETURN, txt))
+            self.take_sets(nid)
+        elif kind == "break" or kind == "continue":
             self.i += 1
             label = None
             if kinds[self.i] == "ident":
@@ -456,18 +358,22 @@ class _Parser:
                 self.i += 1
             self.expect(";")
             self.check_jump(i, label)
-            return (Break if kind == "break" else Continue)(label, self.pos(i), kind)
-        if kind == "ident" and kinds[i + 1] == ":":
+            jump = NodeKind.BREAK if kind == "break" else NodeKind.CONTINUE
+            nodes.append(FlowNode(nid, jump, kind, label=label))
+        elif kind == "ident" and kinds[i + 1] == ":":
             self.i += 2
             name = self.texts[i]
+            node = FlowNode(nid, NodeKind.LABEL, name + ":", label=name)
+            nodes.append(node)
             self.labels.append((name, kinds[self.i] == "while"))
-            stmt = self.parse_statement()
+            node.stmt = self.parse_statement()
             self.labels.pop()
-            return Labeled(name, stmt, self.pos(i), name + ":")
-        txt = self.parse_expression() + ";"
-        self.expect(";")
-        reads, writes = self.take_sets()
-        return ExprStmt(self.pos(i), txt, reads, writes)
+        else:
+            txt = self.parse_expression() + ";"
+            self.expect(";")
+            nodes.append(FlowNode(nid, NodeKind.SIMPLE, txt))
+            self.take_sets(nid)
+        return nid
 
     # ---- expressions ----
     # An expression is read as its label. Assignments are legal only at
@@ -506,7 +412,8 @@ class _Parser:
                 try:
                     text = str(int(texts[i]))  # canonical: "007" labels as "7"
                 except ValueError:  # more digits than int() converts
-                    raise ParseError("integer literal is too long", *self.pos(i)) from None
+                    raise ParseError("integer literal is too long", self.lines[i],
+                                     self.cols[i]) from None
                 i += 1
             elif kind == "(":
                 self.i = i + 1  # where the error points if nesting runs out of stack
@@ -536,8 +443,8 @@ class _Parser:
             i += 1
 
 
-def parse_program(source: str) -> Method:
-    """Parse mini-Java source text into a Method AST with bound names.
+def parse_program(source: str) -> tuple[FlowGraph, DefUseAttr]:
+    """Parse mini-Java source text into its flow graph and def/use sets.
 
     Raises ParseError on malformed input, or at the token where nesting
     runs the parser out of stack, and otherwise the first
@@ -546,45 +453,15 @@ def parse_program(source: str) -> Method:
     """
     parser = _Parser(tokenize(source))
     try:
-        method = parser.parse_method()
+        parser.parse_method()
+        too_deep = False
     except RecursionError:
-        method = None  # raised outside the handler, which would make every parser frame its context
-    if method is None:
-        # No later walk of the AST recurses as deep as the parser, so this bounds them all.
-        raise ParseError("nesting is too deep to analyze", *parser.pos(parser.i))
+        too_deep = True  # raised outside the handler, which would make every parser frame its context
+    if too_deep:
+        # No later walk of the graph recurses as deep as the parser, so this bounds them all.
+        raise ParseError("nesting is too deep to analyze", parser.lines[parser.i],
+                         parser.cols[parser.i])
     if parser.error is not None:
         error_class, message, line, col = parser.error
         raise error_class(message, line, col)
-    return method
-
-
-def render_method(method: Method) -> str:
-    """Compose the AST back into parseable source text.
-
-    Simple statements and jumps reuse their labels (the former are complete
-    statements); structured statements are rebuilt around their parts.
-    Grouping parentheses are not reproduced, so the round trip is only
-    structure-preserving for sources that never relied on them.
-    """
-    params = ", ".join("int " + p.name for p in method.params)
-    return "int " + method.name + "(" + params + ") { " + " ".join(map(_render, method.body)) + " }"
-
-
-def _render(s: Statement) -> str:
-    # Module-level rather than a closure: a recursive closure is a reference
-    # cycle, left for the cyclic collector after every call.
-    t = type(s)
-    if t is LocalVarDecl or t is ExprStmt or t is Return:
-        return s.txt
-    if t is While:
-        return "while (" + s.cond + ") " + _render(s.body)
-    if t is If:
-        out = "if (" + s.cond + ") " + _render(s.then)
-        return out if s.orelse is None else out + " else " + _render(s.orelse)
-    if t is Block:
-        return "{ " + " ".join(map(_render, s.stmts)) + " }"
-    if t is Labeled:
-        return s.txt + " " + _render(s.stmt)  # txt is "name:"
-    if t is Break or t is Continue:
-        return s.txt + (" " + s.label if s.label else "") + ";"  # txt is the keyword
-    raise TypeError(f"no source rule for {t.__name__}")
+    return parser.finish()

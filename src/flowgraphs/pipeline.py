@@ -5,7 +5,7 @@ from __future__ import annotations
 from . import minijava as mj
 from .controlflow import EdgeTable, compute_cf_edges
 from .dataflow import DfEdgeTable, compute_data_flow
-from .model import DefUseAttr, FlowGraph, lower
+from .model import DefUseAttr, FlowGraph
 
 
 class Analysis:
@@ -18,11 +18,8 @@ class Analysis:
 
 
 def analyze(source: str) -> Analysis:
-    """Parse source text and run every stage of the pipeline.
-
-    The AST is freed once `lower` has mapped it: no later stage reads it.
-    """
-    graph, def_use = lower(mj.parse_program(source))
+    """Parse source text into its flow graph and run every later stage on it."""
+    graph, def_use = mj.parse_program(source)
     cf = compute_cf_edges(graph)
     df = compute_data_flow(graph, cf, def_use)
     return Analysis(graph, cf, def_use, df)

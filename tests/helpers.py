@@ -8,10 +8,13 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from flowgraphs import minijava as mj
 from flowgraphs.cli import main as cli_main
+from flowgraphs.errors import FlowgraphsError
+from flowgraphs.minijava import parse_program
 
 import progen
+import ref_parser
+import ref_walks
 
 TESTS_DIR = Path(__file__).parent
 CORPUS_DIR = TESTS_DIR / "corpus"
@@ -46,35 +49,66 @@ def golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text()
 
 
-def images(method: mj.Method) -> list:
-    """The AST node behind each flow-graph node, indexed by node id.
+def images(method: ref_parser.Method) -> list:
+    """The reference parser's node behind each flow-graph node, indexed by node id.
 
-    Written independently of `model.lower`: the Method, None for the Exit,
-    statements and loop/if conditions (`cond`: a label, or in a reference
-    parser's tree an Expression) in pre-order, then the Params and
-    LocalVarDecls that the variable nodes stand for, in declaration order.
+    Written independently of `ref_walks.lower`: the Method, None for the
+    Exit, statements and loop/if conditions (Expressions) in pre-order,
+    then the Params and LocalVarDecls that the variable nodes stand for,
+    in declaration order.
     """
     out: list = [method, None]
-    decls: list[mj.Node] = list(method.params)
+    decls: list[ref_parser.Node] = list(method.params)
 
-    def walk(s: mj.Statement) -> None:
+    def walk(s: ref_parser.Statement) -> None:
         out.append(s)
-        if isinstance(s, (mj.While, mj.If)):
+        if isinstance(s, (ref_parser.While, ref_parser.If)):
             out.append(s.cond)
-        if isinstance(s, mj.While):
+        if isinstance(s, ref_parser.While):
             walk(s.body)
-        elif isinstance(s, mj.If):
+        elif isinstance(s, ref_parser.If):
             walk(s.then)
             if s.orelse is not None:
                 walk(s.orelse)
-        elif isinstance(s, mj.Labeled):
+        elif isinstance(s, ref_parser.Labeled):
             walk(s.stmt)
-        elif isinstance(s, mj.Block):
+        elif isinstance(s, ref_parser.Block):
             for child in s.stmts:
                 walk(child)
-        elif isinstance(s, mj.LocalVarDecl):
+        elif isinstance(s, ref_parser.LocalVarDecl):
             decls.append(s)
 
     for stmt in method.body:
         walk(stmt)
     return out + decls
+
+
+def first_statement(source: str, *path: str):
+    """The graph of `source`, its def/use sets, and the node of its first
+    statement, or the node that the link fields in `path` lead to from it."""
+    graph, du = parse_program(source)
+    node = graph.node(graph.node(graph.method).stmts[0])
+    for link in path:
+        node = graph.node(getattr(node, link))
+    return graph, du, node
+
+
+def graph_of(build, source: str):
+    """What `build(source)`, a (FlowGraph, DefUseAttr) pair, makes of
+    `source`: the error's class, message, line and column, or the repr of
+    every node and the def and use tables in insertion order."""
+    try:
+        graph, du = build(source)
+    except FlowgraphsError as exc:
+        return type(exc), str(exc), exc.line, exc.column
+    return [repr(node) for node in graph.nodes], list(du.defs.items()), list(du.uses.items())
+
+
+def reference_graph(source: str):
+    """`ref_walks.lower` of the reference parser's tree for `source`."""
+    return ref_walks.lower(ref_parser.parse_program(source))
+
+
+def assert_matches_reference(source: str) -> None:
+    """The package's parser builds what the reference parser and `lower` build."""
+    assert graph_of(parse_program, source) == graph_of(reference_graph, source)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from flowgraphs import minijava as mj
+from flowgraphs.model import FlowGraph, NodeKind
 
 _REL_OPS = (" < ", " > ", " == ")
 _ARITH_OPS = (" + ", " - ", " * ", " / ")
@@ -254,25 +254,9 @@ def _wrap(shapes: list[tuple[str, str]], inner: str) -> str:
             + "".join(after for _, after in reversed(shapes)))
 
 
-def count_statements(method: mj.Method) -> int:
-    """Number of Statement nodes in the AST."""
-    total = 0
+_NOT_STATEMENTS = (NodeKind.METHOD, NodeKind.EXIT, NodeKind.EXPR, NodeKind.VAR, NodeKind.PARAM)
 
-    def walk(s: mj.Statement) -> None:
-        nonlocal total
-        total += 1
-        if isinstance(s, mj.While):
-            walk(s.body)
-        elif isinstance(s, mj.If):
-            walk(s.then)
-            if s.orelse is not None:
-                walk(s.orelse)
-        elif isinstance(s, mj.Labeled):
-            walk(s.stmt)
-        elif isinstance(s, mj.Block):
-            for child in s.stmts:
-                walk(child)
 
-    for stmt in method.body:
-        walk(stmt)
-    return total
+def count_statements(graph: FlowGraph) -> int:
+    """Number of statement nodes in the flow graph."""
+    return sum(node.kind not in _NOT_STATEMENTS for node in graph.nodes)

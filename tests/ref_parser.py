@@ -1,20 +1,19 @@
-"""The mini-Java front end as it was before its AST stopped at statements.
+"""The mini-Java front end as it was when it built a full AST.
 
 `tokenize` builds one `Token` named tuple per token, and `_Parser` reads
 tokens as objects, builds every position through `Token.pos`, and parses
 expressions by precedence climbing (Pratt, "Top Down Operator
 Precedence", POPL 1973) into full trees: a run of operators of one level
 becomes one flat n-ary `Chain`, and every identifier, assignment and
-suffix `++`/`--` node keeps a `decl` link. The node classes are the ones
-the package had: the package's own for the statements that hold no
-expression, and for `While` and `If`, whose `cond` holds an Expression
-here, and subclasses of the package's for those that hold one.
+suffix `++`/`--` node keeps a `decl` link. Each statement also keeps its
+label as `txt` and the declarations its own expression reads and writes
+as `reads` and `writes`. The node classes are the ones the package had,
+with the reprs they had as dataclasses.
 
-`statements_only` reduces such a tree to the package's statements-only
-AST, and `parse_statements` parses and reduces. That is the reference
-for the package's tokenizer and parser: for any input both must build the
-same statements, with the same positions, labels, condition labels and
-def/use sets, or raise the same error at the same place.
+`ref_walks.lower` maps such a tree onto the flow graph. That is the
+reference for the package's tokenizer and parser, which build the graph
+directly: for any input both must give the same nodes, with the same
+labels and def/use sets, or raise the same error at the same place.
 
 It lives apart from `oracle.py`, which the benchmark loads while it sets
 up, so that its size costs the benchmark nothing.
@@ -26,26 +25,91 @@ import enum
 import re
 from typing import NamedTuple
 
-from flowgraphs import minijava as mj
 from flowgraphs.errors import SourcePosError
 from flowgraphs.minijava import (
     KEYWORDS,
-    Block,
-    Break,
-    Continue,
-    If,
-    Labeled,
-    Method,
     MissingEnclosingLoopError,
-    Node,
-    Param,
     ParseError,
-    Pos,
-    Statement,
     UnresolvedLabelError,
     UnresolvedVariableError,
-    While,
 )
+
+
+class Pos(NamedTuple):
+    line: int
+    col: int
+
+
+class Node:
+    """A tree node. Positional arguments fill `_fields`, the fields the
+    repr shows; keywords set the position, the label, a statement's
+    `reads` and `writes` and an occurrence's `decl` link, which it leaves
+    out. Nodes compare by identity, so they can key dictionaries."""
+
+    _fields: tuple[str, ...] = ()
+    pos: Pos | None = None
+    txt = ""
+    reads: tuple = ()
+    writes: tuple = ()
+    decl: Node | None = None
+
+    def __init__(self, *values, **shared) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            setattr(self, name, value)
+        for name, value in shared.items():
+            setattr(self, name, value)
+
+    def __repr__(self) -> str:
+        return (type(self).__qualname__ + "("
+                + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields) + ")")
+
+
+class Param(Node):
+    _fields = ("name",)
+
+
+class Method(Node):
+    _fields = ("name", "params", "body")
+
+
+class Statement(Node):
+    pass
+
+
+class LocalVarDecl(Statement):
+    _fields = ("name", "init")
+
+
+class ExprStmt(Statement):
+    _fields = ("expr",)
+
+
+class While(Statement):
+    _fields = ("cond", "body")
+
+
+class If(Statement):
+    _fields = ("cond", "then", "orelse")
+
+
+class Return(Statement):
+    _fields = ("value",)
+
+
+class Break(Statement):
+    _fields = ("label",)
+
+
+class Continue(Statement):
+    _fields = ("label",)
+
+
+class Labeled(Statement):
+    _fields = ("name", "stmt")
+
+
+class Block(Statement):
+    _fields = ("stmts",)
 
 
 class Op(enum.Enum):
@@ -79,90 +143,28 @@ CHAIN_OPS = {
 }
 
 
-class LocalVarDecl(mj.LocalVarDecl):
-    __slots__ = ("init",)
-    _fields = ("name", "init")
-
-    def __init__(self, name: str, init: Expression, pos: Pos | None = None, txt: str = "",
-                 reads: tuple = (), writes: tuple = ()) -> None:
-        mj.LocalVarDecl.__init__(self, name, pos, txt, reads, writes)
-        self.init = init
-
-
-class ExprStmt(mj.ExprStmt):
-    __slots__ = _fields = ("expr",)
-
-    def __init__(self, expr: Expression, pos: Pos | None = None, txt: str = "",
-                 reads: tuple = (), writes: tuple = ()) -> None:
-        Statement.__init__(self, pos, txt, reads, writes)
-        self.expr = expr
-
-
-class Return(mj.Return):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: Expression | None, pos: Pos | None = None, txt: str = "",
-                 reads: tuple = (), writes: tuple = ()) -> None:
-        Statement.__init__(self, pos, txt, reads, writes)
-        self.value = value
-
-
 class Expression(Node):
-    __slots__ = ()
+    pass
 
 
 class Assign(Expression):
-    __slots__ = ("target", "value", "decl")
     _fields = ("target", "value")
-
-    def __init__(self, target: str, value: Expression, decl: Param | LocalVarDecl | None = None,
-                 pos: Pos | None = None, txt: str = "") -> None:
-        Node.__init__(self, pos, txt)
-        self.target = target
-        self.value = value
-        self.decl = decl
 
 
 class SuffixUnary(Expression):
-    __slots__ = ("target", "op", "decl")
     _fields = ("target", "op")
-
-    def __init__(self, target: str, op: Op, decl: Param | LocalVarDecl | None = None,
-                 pos: Pos | None = None, txt: str = "") -> None:
-        Node.__init__(self, pos, txt)
-        self.target = target
-        self.op = op
-        self.decl = decl
 
 
 class Chain(Expression):
-    __slots__ = _fields = ("kind", "children", "operators")
-
-    def __init__(self, kind: ChainKind, children: list[Expression], operators: list[Op],
-                 pos: Pos | None = None, txt: str = "") -> None:
-        Node.__init__(self, pos, txt)
-        self.kind = kind
-        self.children = children
-        self.operators = operators
+    _fields = ("kind", "children", "operators")
 
 
 class IdentRef(Expression):
-    __slots__ = ("name", "decl")
     _fields = ("name",)
-
-    def __init__(self, name: str, decl: Param | LocalVarDecl | None = None,
-                 pos: Pos | None = None, txt: str = "") -> None:
-        Node.__init__(self, pos, txt)
-        self.name = name
-        self.decl = decl
 
 
 class IntLit(Expression):
-    __slots__ = _fields = ("value",)
-
-    def __init__(self, value: int, pos: Pos | None = None, txt: str = "") -> None:
-        Node.__init__(self, pos, txt)
-        self.value = value
+    _fields = ("value",)
 
 
 # One match per token, told apart by `lastindex`. A newline is its own match
@@ -492,38 +494,3 @@ def parse_program(source: str) -> Method:
         raise error_class(message, tok.line, tok.col)
     return method
 
-
-
-def statements_only(method: Method) -> Method:
-    """`method` as the package's AST: its statements, each expression kept
-    only as its statement's label and def/use sets, and a condition as
-    its label, with every declaration in those sets replaced by its image."""
-    images: dict = {p: p for p in method.params}
-    return Method(method.name, method.params, [_reduce(s, images) for s in method.body],
-                  method.pos, method.txt)
-
-
-def _reduce(s: Statement, images: dict) -> Statement:
-    sets = tuple(images[d] for d in s.reads), tuple(images[d] for d in s.writes)
-    if isinstance(s, LocalVarDecl):
-        images[s] = mj.LocalVarDecl(s.name, s.pos, s.txt, *sets)
-        return images[s]
-    if isinstance(s, ExprStmt):
-        return mj.ExprStmt(s.pos, s.txt, *sets)
-    if isinstance(s, Return):
-        return mj.Return(s.pos, s.txt, *sets)
-    if isinstance(s, While):
-        return While(s.cond.txt, _reduce(s.body, images), s.pos, s.txt, *sets)
-    if isinstance(s, If):
-        orelse = None if s.orelse is None else _reduce(s.orelse, images)
-        return If(s.cond.txt, _reduce(s.then, images), orelse, s.pos, s.txt, *sets)
-    if isinstance(s, Labeled):
-        return Labeled(s.name, _reduce(s.stmt, images), s.pos, s.txt)
-    if isinstance(s, Block):
-        return Block([_reduce(child, images) for child in s.stmts], s.pos, s.txt)
-    return s  # Break and Continue hold no expression
-
-
-def parse_statements(source: str) -> Method:
-    """`parse_program`'s tree for `source`, reduced to statements."""
-    return statements_only(parse_program(source))

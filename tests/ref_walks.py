@@ -14,10 +14,13 @@ full tree from `ref_parser` that the package ran before the parser
 synthesized both: the references for each statement's stored `txt`,
 `reads` and `writes` and each condition's label.
 
-`lower` is the AST-to-model walk the package had before it built nodes
-positionally: the reference for the package's `lower`, node for node and
-set for set. It runs on subclasses that keep `FlowGraph.new_node` and
-`DefUseAttr.add`, which only it called.
+`lower` is the AST-to-model walk the package had before its parser built
+the flow graph, run on a full tree from `ref_parser`: the reference for
+the package's `parse_program`, node for node and set for set. It runs on
+subclasses that keep `FlowGraph.new_node` and `DefUseAttr.add`, which
+only it called. `render_graph` prints a flow graph back as source, as
+the package's `render_method` printed its AST, so that parsing a graph's
+text again can be checked to give the same graph.
 
 `json_doc` is the document `fg cfg --json` and `fg dfg --json` dumped with
 `json.dumps` before the CLI wrote the same bytes directly: the reference
@@ -34,7 +37,6 @@ from __future__ import annotations
 
 import re
 
-from flowgraphs import minijava as mj
 from flowgraphs.model import EXIT_TEXT, DefUseAttr, FlowGraph, FlowNode, NodeKind
 from flowgraphs.pipeline import Analysis
 from flowgraphs.validator import ValidateSyntaxError
@@ -57,6 +59,7 @@ from ref_parser import (
     Method,
     MissingEnclosingLoopError,
     Node,
+    Param,
     ParseError,
     Pos,
     Return,
@@ -287,15 +290,15 @@ class _DefUseAttr(DefUseAttr):
 
 
 _STMT_KIND = {
-    mj.LocalVarDecl: NodeKind.SIMPLE,
-    mj.ExprStmt: NodeKind.SIMPLE,
-    mj.Return: NodeKind.RETURN,
-    mj.Break: NodeKind.BREAK,
-    mj.Continue: NodeKind.CONTINUE,
+    LocalVarDecl: NodeKind.SIMPLE,
+    ExprStmt: NodeKind.SIMPLE,
+    Return: NodeKind.RETURN,
+    Break: NodeKind.BREAK,
+    Continue: NodeKind.CONTINUE,
 }
 
 
-def lower(method: mj.Method) -> tuple[FlowGraph, DefUseAttr]:
+def lower(method: Method) -> tuple[FlowGraph, DefUseAttr]:
     """Map the AST onto the flow-graph model and record def/use sets.
 
     One pre-order walk over the statements creates the Method plus its
@@ -307,10 +310,6 @@ def lower(method: mj.Method) -> tuple[FlowGraph, DefUseAttr]:
     whatever block declares it. Those come after every statement node, so
     the walk records def/use sets by declaration index and shifts them to
     node ids at the end.
-
-    The walk is module-level functions that take their state as
-    arguments, not closures: a recursive closure is a reference cycle,
-    which would keep the graph alive until the cyclic collector runs.
     """
     graph = _Graph()
     du = _DefUseAttr()
@@ -323,7 +322,7 @@ def lower(method: mj.Method) -> tuple[FlowGraph, DefUseAttr]:
     base = len(graph.nodes)
     root.vars = []
     for decl in var_of:
-        kind = NodeKind.PARAM if isinstance(decl, mj.Param) else NodeKind.VAR
+        kind = NodeKind.PARAM if isinstance(decl, Param) else NodeKind.VAR
         root.vars.append(graph.new_node(kind, decl.name).id)
     for table in (du.defs, du.uses):
         for var_ids in table.values():
@@ -331,44 +330,80 @@ def lower(method: mj.Method) -> tuple[FlowGraph, DefUseAttr]:
     return graph, du
 
 
-def _add_sets(nid: int, s: mj.Statement, du: DefUseAttr, var_of: dict) -> None:
+def _add_sets(nid: int, s: Statement, du: DefUseAttr, var_of: dict) -> None:
     writes = [var_of[d] for d in s.writes]
-    if isinstance(s, mj.LocalVarDecl):
+    if isinstance(s, LocalVarDecl):
         writes.append(var_of[s])  # a declaration defines its variable last
     du.add(nid, [var_of[d] for d in s.reads], writes)
 
 
-def _map_condition(s: mj.While | mj.If, graph: FlowGraph, du: DefUseAttr, var_of: dict) -> int:
-    nid = graph.new_node(NodeKind.EXPR, s.cond).id
+def _map_condition(s: While | If, graph: FlowGraph, du: DefUseAttr, var_of: dict) -> int:
+    nid = graph.new_node(NodeKind.EXPR, s.cond.txt).id
     _add_sets(nid, s, du, var_of)
     return nid
 
 
-def _map_stmt(s: mj.Statement, graph: FlowGraph, du: DefUseAttr, var_of: dict) -> int:
-    if isinstance(s, mj.While):
+def _map_stmt(s: Statement, graph: FlowGraph, du: DefUseAttr, var_of: dict) -> int:
+    if isinstance(s, While):
         node = graph.new_node(NodeKind.LOOP, s.txt)
         node.expr = _map_condition(s, graph, du, var_of)
         node.body = _map_stmt(s.body, graph, du, var_of)
-    elif isinstance(s, mj.If):
+    elif isinstance(s, If):
         node = graph.new_node(NodeKind.IF, s.txt)
         node.expr = _map_condition(s, graph, du, var_of)
         node.then = _map_stmt(s.then, graph, du, var_of)
         if s.orelse is not None:
             node.orelse = _map_stmt(s.orelse, graph, du, var_of)
-    elif isinstance(s, mj.Labeled):
+    elif isinstance(s, Labeled):
         node = graph.new_node(NodeKind.LABEL, s.txt, label=s.name)
         node.stmt = _map_stmt(s.stmt, graph, du, var_of)
-    elif isinstance(s, mj.Block):
+    elif isinstance(s, Block):
         node = graph.new_node(NodeKind.BLOCK, s.txt)
         node.stmts = [_map_stmt(child, graph, du, var_of) for child in s.stmts]
     else:
         kind = _STMT_KIND[type(s)]
-        jump = s.label if isinstance(s, (mj.Break, mj.Continue)) else None
+        jump = s.label if isinstance(s, (Break, Continue)) else None
         node = graph.new_node(kind, s.txt, label=jump)
-        if isinstance(s, mj.LocalVarDecl):
+        if isinstance(s, LocalVarDecl):
             var_of[s] = len(var_of)
         _add_sets(node.id, s, du, var_of)
     return node.id
+
+
+def render_graph(graph: FlowGraph) -> str:
+    """Compose a flow graph back into parseable source text.
+
+    Simple statements and returns are their labels, which are complete
+    statements, and a jump is its label plus its target label;
+    structured statements are rebuilt around their parts and their
+    conditions' labels. A label drops grouping parentheses, and nothing
+    in the graph depends on them, so parsing the text gives the graph
+    again.
+    """
+    root = graph.node(graph.method)
+    params = ", ".join("int " + graph.node(v).txt for v in root.vars
+                       if graph.node(v).kind is NodeKind.PARAM)
+    return ("int " + root.txt.removesuffix("()") + "(" + params + ") { "
+            + " ".join(_render(graph, s) for s in root.stmts) + " }")
+
+
+def _render(graph: FlowGraph, nid: int) -> str:
+    node = graph.node(nid)
+    kind = node.kind
+    if kind is NodeKind.SIMPLE or kind is NodeKind.RETURN:
+        return node.txt
+    if kind is NodeKind.LOOP:
+        return "while (" + graph.node(node.expr).txt + ") " + _render(graph, node.body)
+    if kind is NodeKind.IF:
+        out = "if (" + graph.node(node.expr).txt + ") " + _render(graph, node.then)
+        return out if node.orelse is None else out + " else " + _render(graph, node.orelse)
+    if kind is NodeKind.BLOCK:
+        return "{ " + " ".join(_render(graph, s) for s in node.stmts) + " }"
+    if kind is NodeKind.LABEL:
+        return node.txt + " " + _render(graph, node.stmt)  # txt is "name:"
+    if kind is NodeKind.BREAK or kind is NodeKind.CONTINUE:
+        return node.txt + (" " + node.label if node.label else "") + ";"  # txt is the keyword
+    raise TypeError(f"no source rule for {kind}")
 
 
 def json_doc(analysis: Analysis, with_df: bool) -> dict:

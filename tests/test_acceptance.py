@@ -15,7 +15,7 @@ from flowgraphs.pipeline import analyze
 from flowgraphs.validator import check, emit_spec, parse_spec
 
 import progen
-from helpers import CORPUS, golden, run_cli
+from helpers import CORPUS, first_statement, golden, run_cli
 from oracle import brute_force_df_edges
 
 
@@ -67,7 +67,7 @@ def test_criterion_2_structural_properties():
         while checked < 200:
             source = progen.gen_program(seed, strict=True, max_stmts=40)
             seed += 1
-            if progen.count_statements(parse_program(source)) > 50:
+            if progen.count_statements(parse_program(source)[0]) > 50:
                 continue
             a = analyze(source)
             checked += 1
@@ -174,28 +174,28 @@ def test_criterion_5_validation_roundtrip(tmp_path):
 
 def test_criterion_6_text_attribution_rules():
     with criterion(6, "text attribution unit coverage"):
-        def stmt(src):
-            return parse_program(f"int m(int a, int b, int c) {{ {src} }}").body[0]
+        def stmt(src, *path):
+            return first_statement(f"int m(int a, int b, int c) {{ {src} }}", *path)[2]
 
         # One assertion per rule; simple statements and conditions are
         # written unspaced, so that each label shows the canonical spacing.
-        assert parse_program("int f() { return; }").txt == "f()"
+        assert parse_program("int f() { return; }")[0].node(0).txt == "f()"
         assert stmt("int x=1;").txt == "int x = 1;"
         assert stmt("a=b;").txt == "a = b;"
         assert stmt("a++;").txt == "a++;"
         assert stmt("a--;").txt == "a--;"
         assert stmt("a*b/c;").txt == "a * b / c;"
         assert stmt("a+b-c;").txt == "a + b - c;"
-        assert stmt("while (a<b) a++;").cond == "a < b"
-        assert stmt("while (a>b) a++;").cond == "a > b"
-        assert stmt("if (a==b) a++;").cond == "a == b"
+        assert stmt("while (a<b) a++;", "expr").txt == "a < b"
+        assert stmt("while (a>b) a++;", "expr").txt == "a > b"
+        assert stmt("if (a==b) a++;", "expr").txt == "a == b"
         assert stmt("a;").txt == "a;"
         assert stmt("12;").txt == "12;"
         assert stmt("while (a < 1) a++;").txt == "while"
         assert stmt("if (a < 1) a++;").txt == "if"
         assert stmt("{ a++; }").txt == "{...}"
-        assert stmt("while (a < 1) continue;").body.txt == "continue"
-        assert stmt("while (a < 1) break;").body.txt == "break"
+        assert stmt("while (a < 1) continue;", "body").txt == "continue"
+        assert stmt("while (a < 1) break;", "body").txt == "break"
         assert stmt("return;").txt == "return;"
         assert stmt("return a;").txt == "return a;"
         assert stmt("lbl: a++;").txt == "lbl:"
@@ -210,7 +210,7 @@ def test_criterion_6_text_attribution_rules():
 def test_criterion_7_scale_smoke(tmp_path):
     with criterion(7, "10k-statement program under 10s"):
         source = progen.gen_scale(seed=7, n_stmts=10_000)
-        assert progen.count_statements(parse_program(source)) >= 10_000
+        assert progen.count_statements(parse_program(source)[0]) >= 10_000
         program = tmp_path / "big.mj"
         program.write_text(source)
         start = time.perf_counter()

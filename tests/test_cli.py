@@ -10,7 +10,7 @@ import flowgraphs
 from flowgraphs.cli import _HELP, _USAGE, _dot_listing, _json_text
 from flowgraphs.controlflow import compute_cf_edges
 from flowgraphs.dataflow import compute_data_flow
-from flowgraphs.minijava import ParseError, parse_program, render_method
+from flowgraphs.minijava import ParseError, parse_program
 from flowgraphs.model import DefUseAttr, FlowGraph, FlowNode, NodeKind
 from flowgraphs.pipeline import Analysis, analyze
 
@@ -300,6 +300,13 @@ USAGE_ERRORS = [
     (["cfg", "--dot"], "the following arguments are required: file"),
     (["validate", EX01], "validate requires --spec (or --emit)"),
     (["validate", "-", "--spec=-"], "program and spec cannot both come from stdin"),
+    # --emit writes a spec: it neither checks one nor reports as JSON
+    (["validate", EX01, "--emit", "--json"], "argument --json: not allowed with argument --emit"),
+    (["validate", "--json", EX01, "--emit"], "argument --emit: not allowed with argument --json"),
+    (["validate", EX01, "--emit", "--spec", "/nonexistent"],
+     "argument --spec: not allowed with argument --emit"),
+    (["validate", "--spec=x.validate", EX01, "--emit"],
+     "argument --emit: not allowed with argument --spec"),
 ]
 
 
@@ -429,6 +436,10 @@ def call_deeper(frames: int, f, *args):
 
 
 TOO_DEEP_ERROR = re.compile(r"fg: error: \d+:\d+: nesting is too deep to analyze\n")
+# The statements one level of each NESTING shape adds: else-ifs add an `if`
+# and its empty block, braced whiles a `while` and its block.
+LEVEL_STATEMENTS = {"blocks": 1, "whiles": 1, "braced whiles": 2, "ifs": 1, "else-ifs": 2,
+                    "labels": 1, "assignments": 0, "parentheses": 0}
 
 
 @pytest.mark.parametrize("shape", progen.NESTING)
@@ -453,8 +464,10 @@ def test_nesting_past_the_stack_is_a_positioned_error(shape, tmp_path):
         return (isinstance(result, ParseError) and result.__context__ is None
                 and str(result).endswith(": nesting is too deep to analyze"))
 
-    limit, methods = bisect_nesting(lambda depth: outcome(parse_program, depth), too_deep)
-    assert render_method(methods[limit - 1]).startswith("int m(int a) { ")
+    limit, graphs = bisect_nesting(lambda depth: outcome(parse_program, depth), too_deep)
+    # The deepest accepted program gives one node per statement, `a++;` among them.
+    graph, _ = graphs[limit - 1]
+    assert progen.count_statements(graph) == 1 + LEVEL_STATEMENTS[shape] * (limit - 1)
     # Called from a few frames deeper, everything else fails a level or two sooner.
     near = (limit - 8, limit + 2)
     for frames, bracket in ((0, near), (100, (limit - 128, limit + 2))):
@@ -603,6 +616,11 @@ def test_public_api_is_documented_in_readme():
     documented = {word for span in re.findall(r"`+([^`]+)`+", readme)
                   for word in re.findall(r"\w+", span)}
     assert [name for name in flowgraphs.__all__ if name not in documented] == []
+    # The names README lists as removed are gone from the package.
+    removed = re.search(r"there\s+is\s+no\s+AST\.\s+So\s+(.*?)\s+are\s+no\s+longer\s+part", readme,
+                        re.DOTALL)
+    gone = re.findall(r"`(\w+)`", removed[1])
+    assert "lower" in gone and [name for name in gone if hasattr(flowgraphs, name)] == []
 
 
 def test_repeated_calls_match_a_fresh_process():

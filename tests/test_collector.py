@@ -1,6 +1,6 @@
-"""One analysis is freed by reference counting alone, `render_method`
-leaves no cyclic garbage, and `fg` pauses the cyclic collector for the one
-command it runs, then restores the caller's setting."""
+"""One analysis is freed by reference counting alone, and `fg` pauses the
+cyclic collector for the one command it runs, then restores the caller's
+setting."""
 
 import gc
 from contextlib import contextmanager
@@ -8,7 +8,6 @@ from contextlib import contextmanager
 import pytest
 
 from flowgraphs.cli import _json_text
-from flowgraphs.minijava import parse_program, render_method
 from flowgraphs.pipeline import analyze
 
 import progen
@@ -37,15 +36,6 @@ def test_dropped_analysis_leaves_no_cyclic_garbage(name):
     with collector(enabled=False):
         gc.collect()
         _json_text(analyze(PROGRAMS[name]), with_df=True)
-        assert gc.collect() == 0
-
-
-@pytest.mark.parametrize("name", PROGRAMS)
-def test_render_method_leaves_no_cyclic_garbage(name):
-    method = parse_program(PROGRAMS[name])
-    with collector(enabled=False):
-        gc.collect()
-        render_method(method)
         assert gc.collect() == 0
 
 

@@ -2,14 +2,12 @@ import re
 
 import pytest
 
-from flowgraphs import minijava as mj
-from flowgraphs.minijava import parse_program
 from flowgraphs.model import NodeKind
 from flowgraphs.pipeline import analyze
 
 import progen
 import ref_parser
-from helpers import images
+from helpers import first_statement, images
 
 
 def names(analysis, ids):
@@ -25,10 +23,10 @@ def du_of(analysis, txt):
 
 
 def reads_writes(stmt_src: str):
-    """(reads, writes) the parser stores on the statement `stmt_src`, as variable names."""
-    method = parse_program(f"int m(int a, int b, int i) {{ {stmt_src} }}")
-    stmt = next(s for s in method.body if isinstance(s, mj.ExprStmt))
-    return [d.name for d in stmt.reads], [d.name for d in stmt.writes]
+    """(uses, definitions) of the expression statement `stmt_src`, as variable names."""
+    graph, du, stmt = first_statement(f"int m(int a, int b, int i) {{ {stmt_src} }}")
+    return ([graph.node(v).txt for v in du.use_of(stmt.id)],
+            [graph.node(v).txt for v in du.def_of(stmt.id)])
 
 
 def test_assignment_reads_value_writes_target():

@@ -1,5 +1,4 @@
 import importlib
-import inspect
 import pkgutil
 import random
 import re
@@ -14,48 +13,55 @@ from flowgraphs import minijava as mj
 from flowgraphs.errors import FlowgraphsError
 from flowgraphs.minijava import (
     ParseError,
-    Pos,
     UnresolvedLabelError,
     UnresolvedVariableError,
     parse_program,
-    render_method,
 )
-from flowgraphs.model import NodeKind
+from flowgraphs.model import EXIT_TEXT, NodeKind
 from flowgraphs.pipeline import Analysis, analyze
 
 import progen
 import ref_parser
 import ref_walks
-from helpers import CORPUS, random_sources
+from helpers import (
+    CORPUS,
+    assert_matches_reference,
+    first_statement,
+    graph_of,
+    images,
+    random_sources,
+    reference_graph,
+)
 
 
 def test_minimal_program():
-    method = parse_program("int m() { return; }")
-    assert method.name == "m"
-    assert method.params == []
-    assert len(method.body) == 1
-    ret = method.body[0]
-    assert isinstance(ret, mj.Return) and ret.txt == "return;"
-    assert ret.reads == ret.writes == ()
+    graph, du = parse_program("int m() { return; }")
+    root = graph.node(graph.method)
+    assert (root.kind, root.txt, root.exit, root.vars) == (NodeKind.METHOD, "m()", 1, [])
+    assert len(root.stmts) == 1
+    ret = graph.node(root.stmts[0])
+    assert ret.kind is NodeKind.RETURN and ret.txt == "return;"
+    assert du.defs == du.uses == {}
 
 
 def test_while_with_suffix_unary():
     source = "int m(int a) { while (a < 3) a++; }"
-    method = parse_program(source)
-    (a,) = method.params
-    loop = method.body[0]
-    assert isinstance(loop, mj.While)
-    assert (loop.cond, loop.reads, loop.writes) == ("a < 3", (a,), ())
-    body = loop.body
-    assert isinstance(body, mj.ExprStmt)
-    assert (body.txt, body.reads, body.writes) == ("a++;", (a,), (a,))
+    graph, du, loop = first_statement(source)
+    (a,) = graph.node(graph.method).vars
+    assert loop.kind is NodeKind.LOOP
+    cond = graph.node(loop.expr)
+    assert (cond.kind, cond.txt, du.use_of(cond.id), du.def_of(cond.id)) == (
+        NodeKind.EXPR, "a < 3", [a], [])
+    body = graph.node(loop.body)
+    assert (body.kind, body.txt, du.use_of(body.id), du.def_of(body.id)) == (
+        NodeKind.SIMPLE, "a++;", [a], [a])
     cond = ref_parser.parse_program(source).body[0].cond
     assert isinstance(cond, ref_parser.Chain)
     assert cond.kind is ref_parser.ChainKind.RELATIONAL
     assert cond.operators == [ref_parser.Op.LT]
     assert isinstance(cond.children[0], ref_parser.IdentRef) and cond.children[0].name == "a"
     assert isinstance(cond.children[1], ref_parser.IntLit) and cond.children[1].value == 3
-    assert_parsers_agree(source)
+    assert_matches_reference(source)
 
 
 def test_unresolved_label():
@@ -102,15 +108,15 @@ def test_declaration_in_branch_scoped_to_branch():
 
 
 def test_shadowing_binds_innermost():
-    method = parse_program("int m(int a) { { int a = a + 1; a++; } a--; }")
-    block = method.body[0]
-    inner_decl = block.stmts[0]
-    inner_use = block.stmts[1]  # a++
-    outer_use = method.body[1]  # a--
+    graph, du = parse_program("int m(int a) { { int a = a + 1; a++; } a--; }")
+    root = graph.node(graph.method)
+    param, local = root.vars
+    block, outer_use = root.stmts  # {...}, a--
+    inner_decl, inner_use = graph.node(block).stmts  # int a = a + 1;, a++
     # the initializer's `a` refers to the parameter, not the new local
-    assert inner_decl.reads == (method.params[0],)
-    assert inner_use.reads == inner_use.writes == (inner_decl,)
-    assert outer_use.reads == outer_use.writes == (method.params[0],)
+    assert (du.use_of(inner_decl), du.def_of(inner_decl)) == ([param], [local])
+    assert du.use_of(inner_use) == du.def_of(inner_use) == [local]
+    assert du.use_of(outer_use) == du.def_of(outer_use) == [param]
 
 
 def test_redeclaration_in_same_scope_is_accepted():
@@ -164,15 +170,15 @@ def test_declaration_requires_initializer():
 
 def test_assignment_is_right_associative():
     source = "int m(int a, int b) { a = b = 1; }"
-    method = parse_program(source)
-    a, b = method.params
-    assert (method.body[0].txt, method.body[0].writes) == ("a = b = 1;", (b, a))
+    graph, du, stmt = first_statement(source)
+    a, b = graph.node(graph.method).vars
+    assert (stmt.txt, du.def_of(stmt.id)) == ("a = b = 1;", [b, a])
     outer = ref_parser.parse_program(source).body[0].expr
     assert isinstance(outer, ref_parser.Assign) and outer.target == "a"
     inner = outer.value
     assert isinstance(inner, ref_parser.Assign) and inner.target == "b"
     assert isinstance(inner.value, ref_parser.IntLit)
-    assert_parsers_agree(source)
+    assert_matches_reference(source)
 
 
 def test_assignment_inside_chain_rejected():
@@ -188,9 +194,8 @@ def test_assignment_outside_statement_top_level_rejected():
 
 
 def test_parentheses_are_transparent():
-    plain = parse_program("int m(int a) { a = a + 1; }")
-    grouped = parse_program("int m(int a) { a = ((a) + (1)); }")
-    assert repr(plain) == repr(grouped)
+    plain = graph_of(parse_program, "int m(int a) { a = a + 1; }")
+    assert graph_of(parse_program, "int m(int a) { a = ((a) + (1)); }") == plain
 
 
 def test_parenthesized_grouping_changes_structure():
@@ -201,8 +206,8 @@ def test_parenthesized_grouping_changes_structure():
     assert value.kind is ref_parser.ChainKind.MULTIPLICATIVE
     assert isinstance(value.children[0], ref_parser.Chain)
     assert value.children[0].kind is ref_parser.ChainKind.ADDITIVE
-    assert parse_program(source).body[0].txt == "a = a + b * 2;"
-    assert_parsers_agree(source)
+    assert first_statement(source)[2].txt == "a = a + b * 2;"
+    assert_matches_reference(source)
 
 
 def test_suffix_unary_needs_variable_target():
@@ -218,7 +223,7 @@ def test_chains_are_flat_per_level():
     assert value.kind is ref_parser.ChainKind.ADDITIVE
     assert len(value.children) == 3
     assert value.operators == [ref_parser.Op.ADD, ref_parser.Op.SUB]
-    assert_parsers_agree(source)
+    assert_matches_reference(source)
 
 
 def test_mixed_precedence_nests_tighter_chains():
@@ -228,7 +233,7 @@ def test_mixed_precedence_nests_tighter_chains():
     mult = value.children[1]
     assert isinstance(mult, ref_parser.Chain)
     assert mult.kind is ref_parser.ChainKind.MULTIPLICATIVE
-    assert_parsers_agree(source)
+    assert_matches_reference(source)
 
 
 def test_relational_chain_of_three():
@@ -236,8 +241,9 @@ def test_relational_chain_of_three():
     cond = ref_parser.parse_program(source).body[0].cond
     assert cond.kind is ref_parser.ChainKind.RELATIONAL
     assert cond.operators == [ref_parser.Op.LT, ref_parser.Op.GT]
-    assert parse_program(source).body[0].cond == "a < b > c"
-    assert_parsers_agree(source)
+    graph, _, loop = first_statement(source)
+    assert graph.node(loop.expr).txt == "a < b > c"
+    assert_matches_reference(source)
 
 
 def test_deep_grouping_parentheses_are_accepted():
@@ -245,20 +251,13 @@ def test_deep_grouping_parentheses_are_accepted():
     # levels stay well inside Python's default recursion limit.
     deep = "int m(int a) { a = " + "(" * 150 + "a + 1" + ")" * 150 + "; return a; }"
     analyze(deep)
-    assert repr(parse_program(deep)) == repr(parse_program("int m(int a) { a = a + 1; return a; }"))
+    plain = "int m(int a) { a = a + 1; return a; }"
+    assert graph_of(parse_program, deep) == graph_of(parse_program, plain)
 
 
 def test_comments_and_crlf_accepted():
     source = "// leading comment\r\nint m() { // inline\r\n  return; // done\r\n}\r\n"
-    method = parse_program(source)
-    assert isinstance(method.body[0], mj.Return)
-
-
-def test_positions_attached():
-    method = parse_program("int m() {\n  return;\n}")
-    assert method.pos.line == 1
-    assert method.body[0].pos.line == 2
-    assert method.body[0].pos.col == 3
+    assert first_statement(source)[2].kind is NodeKind.RETURN
 
 
 def test_syntax_error_reports_position_and_expectation():
@@ -308,11 +307,15 @@ def test_trailing_garbage_rejected():
         parse_program("int m() { return; } int")
 
 
+def assert_render_roundtrip(source):
+    """The graph, printed back as source and parsed again, is the same graph."""
+    graph, _ = parse_program(source)
+    assert graph_of(parse_program, ref_walks.render_graph(graph)) == graph_of(parse_program, source)
+
+
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_render_roundtrip_on_corpus(path):
-    method = parse_program(path.read_text())
-    again = parse_program(render_method(method))
-    assert repr(again) == repr(method)
+    assert_render_roundtrip(path.read_text())
 
 
 EVERY_STATEMENT_KIND = """
@@ -332,40 +335,11 @@ int m(int a, int b) {
 
 
 def test_render_text_is_pinned():
-    assert render_method(parse_program(EVERY_STATEMENT_KIND)) == (
+    assert ref_walks.render_graph(parse_program(EVERY_STATEMENT_KIND)[0]) == (
         "int m(int a, int b) { int x = a + 1; x = x * b; outer: while (x < 10) {"
         " if (x == 3) { x++; continue outer; } else break;"
         " inner: { if (a > b) break inner; } while (b < 1) { { continue; } } {  } }"
         " if (a < b) return a; return; }")
-
-
-def test_render_rejects_unknown_statement_type():
-    with pytest.raises(TypeError, match="no source rule for Statement"):
-        render_method(mj.Method("m", [], [mj.Statement()]))
-
-
-AST_CLASSES = [cls for cls in vars(mj).values()
-               if isinstance(cls, type) and issubclass(cls, mj.Node)]
-
-
-def test_constructors_take_shared_fields_by_position_or_keyword():
-    shared = {"pos": Pos(3, 4), "txt": "t", "reads": ("r",), "writes": ("w",)}
-    assert len(AST_CLASSES) == 13  # Node, Param, Method, Statement and the nine statements
-    for cls in AST_CLASSES:
-        names = list(inspect.signature(cls).parameters)
-        own = names[:names.index("pos")]
-        base = names[len(own):]
-        assert base == list(shared)[:len(base)], cls
-        values = dict(zip(own, (object() for _ in own)), **{name: shared[name] for name in base})
-        by_position = cls(*values.values())
-        by_keyword = cls(*(values[name] for name in own), **{name: shared[name] for name in base})
-        slots = {slot for c in cls.__mro__ for slot in getattr(c, "__slots__", ())}
-        assert slots == set(names), cls
-        for node in (by_position, by_keyword):
-            assert all(getattr(node, name) is value for name, value in values.items()), cls
-    node, stmt = mj.Node(), mj.Statement()
-    assert (node.pos, node.txt) == (None, "")
-    assert (stmt.pos, stmt.txt, stmt.reads, stmt.writes) == (None, "", (), ())
 
 
 # Every statement kind, jumps with and without a label, a nested
@@ -388,14 +362,6 @@ int m(int a) {
 
 def test_repr_is_pinned():
     # Exactly, so that a repr that drops, adds or reorders a field fails.
-    assert repr(parse_program(EVERY_NODE_KIND)) == (
-        "Method(name='m', params=[Param(name='a')], body=[LocalVarDecl(name='x', "
-        "txt='int x = a + 1 - 2 * a / 3;'), Labeled(name='l', stmt=While(cond='x < a', "
-        "body=Block(stmts=[If(cond='x == 1', then=Break(label='l'), orelse=Continue(label='l')), "
-        "ExprStmt(txt='x++;')]))), While(cond='a > 0', body=Block(stmts=[ExprStmt(txt='a--;'), "
-        "Continue(label=None), Break(label=None)])), If(cond='a == 0', "
-        "then=Return(txt='return;'), orelse=None), ExprStmt(txt='x = a = 4;'), "
-        "Return(txt='return x;')])")
     # The reference parser's tree, with the reprs the classes had as dataclasses
     assert repr(ref_parser.parse_program(EVERY_NODE_KIND)) == (
         "Method(name='m', params=[Param(name='a')], body=[LocalVarDecl(name='x', "
@@ -489,9 +455,7 @@ def test_no_class_repeats_a_base_slot():
 
 
 def test_ast_and_flow_nodes_have_no_instance_dict():
-    method = parse_program(EVERY_NODE_KIND)
-    flow_nodes = analyze(EVERY_NODE_KIND).graph.nodes
-    for node in [method, *method.params, *ast_nodes(method), *flow_nodes]:
+    for node in parse_program(EVERY_NODE_KIND)[0].nodes:
         assert not hasattr(node, "__dict__"), type(node).__name__
 
 
@@ -499,9 +463,7 @@ def test_ast_and_flow_nodes_have_no_instance_dict():
 def test_render_roundtrip_on_random_programs(seed):
     # 500 cached programs in all, 12 or 13 per seed; every fourth is strict
     for source in random_sources()[seed:500:40]:
-        method = parse_program(source)
-        again = parse_program(render_method(method))
-        assert repr(again) == repr(method)
+        assert_render_roundtrip(source)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -513,7 +475,7 @@ def test_chain_invariants_on_random_programs(seed):
         if isinstance(e, ref_parser.Chain):
             assert len(e.operators) == len(e.children) - 1
             assert all(op in ref_parser.CHAIN_OPS[e.kind] for op in e.operators)
-    assert_parsers_agree(source)
+    assert_matches_reference(source)
 
 
 # ---- the parser's name binding against tests/ref_walks.py::resolve ----
@@ -521,11 +483,11 @@ def test_chain_invariants_on_random_programs(seed):
 
 def assert_links_match_reference(source):
     """The reference parser binds every name as `resolve` does, and the
-    package's def/use sets hold the same declarations."""
+    package's def/use sets hold the same declarations' variables."""
     ref_method = ref_parser.parse_program(source)
     for occ, decl in ref_walks.resolve(ref_method).items():
         assert occ.decl is decl
-    assert_labels_and_sets_match_reference(parse_program(source), ref_method)
+    assert_labels_and_sets_match_reference(*parse_program(source), ref_method)
 
 
 def test_decl_links_match_reference_resolve():
@@ -671,34 +633,12 @@ def test_tokenize_matches_reference(text):
     assert lex(lambda t: list(zip(*mj.tokenize(t))), text) == lex(ref_walks.tokenize, text)
 
 
-# ---- the parser against tests/ref_parser.py ----
-
-
-def front_end(parse, source):
-    """What `parse` makes of `source`: the error, or the AST's repr (its
-    statements, with each simple statement's label and each condition's)
-    and, per node in walk order, its position, label and def/use sets,
-    with declarations given by their walk position."""
-    try:
-        method = parse(source)
-    except FlowgraphsError as exc:
-        return type(exc), str(exc), exc.line, exc.column
-    nodes = [method, *method.params, *ast_nodes(method)]
-    at = {id(node): k for k, node in enumerate(nodes)}
-    return repr(method), [
-        (type(node.pos), node.pos, node.txt,
-         [at[id(decl)] for decl in getattr(node, "reads", ())],
-         [at[id(decl)] for decl in getattr(node, "writes", ())])
-        for node in nodes]
-
-
-def assert_parsers_agree(source):
-    assert front_end(parse_program, source) == front_end(ref_parser.parse_statements, source)
+# ---- the parser against tests/ref_parser.py and ref_walks.lower ----
 
 
 def test_parser_matches_reference_parser():
     for source in (*random_sources(), progen.gen_scale(1, 2_000)):
-        assert_parsers_agree(source)
+        assert_matches_reference(source)
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -723,7 +663,7 @@ def test_parser_matches_reference_parser():
 @example("int m() { x = y = z; }")
 @example(progen.nested_program(["parentheses"] * 300))
 def test_parser_matches_reference_parser_on_any_text(source):
-    assert_parsers_agree(source)
+    assert_matches_reference(source)
 
 
 def test_parser_matches_reference_parser_on_its_deepest_parentheses():
@@ -736,13 +676,12 @@ def test_parser_matches_reference_parser_on_its_deepest_parentheses():
     while failing - passes > 1:
         mid = (passes + failing) // 2
         try:
-            front_end(ref_parser.parse_statements, program(mid))
+            graph_of(reference_graph, program(mid))
             passes = mid
         except RecursionError:
             failing = mid
     assert passes > 100
-    source = program(passes)
-    assert front_end(parse_program, source) == front_end(ref_parser.parse_statements, source)
+    assert_matches_reference(program(passes))
 
 
 # A deep example costs about five others, so one in eight is deep.
@@ -759,12 +698,12 @@ def test_any_text_gives_analysis_or_flowgraphs_error(source):
     assert isinstance(result, Analysis)
 
 
-# ---- stored labels, def/use sets and positions ----
+# ---- labels and def/use sets against the reference walks ----
 
 
 def ast_nodes(node):
-    """The AST nodes below `node`, in pre-order: statements and, in a
-    reference parser's tree, expressions.
+    """The nodes below `node` in a reference parser's tree, in pre-order:
+    statements and expressions.
 
     Child fields are the ones in the repr (`_fields`); positions, labels,
     def/use sets and `decl` links are left out of it.
@@ -772,39 +711,52 @@ def ast_nodes(node):
     for name in node._fields:
         value = getattr(node, name)
         for child in value if isinstance(value, list) else [value]:
-            if isinstance(child, (mj.Statement, ref_parser.Expression)):
+            if isinstance(child, ref_parser.Node):
                 yield child
                 yield from ast_nodes(child)
 
 
 OWN_EXPRESSION = {ref_parser.LocalVarDecl: "init", ref_parser.ExprStmt: "expr",
-                  ref_parser.Return: "value", mj.While: "cond", mj.If: "cond"}
+                  ref_parser.Return: "value"}
 
 
-def assert_labels_and_sets_match_reference(method, ref_method):
-    """Each statement's label, and each condition's, is `text_of` the
-    reference parser's node, and its reads and writes are
-    `expr_reads_writes` of its expression there."""
-    assert method.txt == ref_walks.text_of(ref_method)
-    statements = list(ast_nodes(method))
-    ref_statements = [node for node in ast_nodes(ref_method) if isinstance(node, mj.Statement)]
-    assert len(statements) == len(ref_statements)
-    # each reference declaration -> the package's
-    image = dict(zip([*ref_method.params, *ref_statements], [*method.params, *statements]))
-    for node, ref in zip(statements, ref_statements):
-        assert isinstance(ref, type(node))
-        assert node.txt == ref_walks.text_of(ref)
-        if isinstance(node, (mj.While, mj.If)):
-            assert node.cond == ref_walks.text_of(ref.cond)
-        attr = OWN_EXPRESSION.get(type(ref))
-        expr = None if attr is None else getattr(ref, attr)
-        want = ([], []) if expr is None else ref_walks.expr_reads_writes(expr, image)
-        assert (list(node.reads), list(node.writes)) == want
+def assert_labels_and_sets_match_reference(graph, du, ref_method):
+    """Each node's label is `text_of` its image in the reference parser's
+    tree, and each flow instruction's uses and definitions are
+    `expr_reads_writes` of its expression there, duplicates dropped; a
+    declaration also defines its variable, last, and the Method its
+    parameters."""
+    sources = images(ref_method)
+    assert len(sources) == len(graph.nodes)
+    root = graph.node(graph.method)
+    var_of = {sources[v]: v for v in root.vars}
+    for node, ref in zip(graph.nodes, sources):
+        reads, writes = [], []
+        if ref is None:
+            assert node.txt == EXIT_TEXT
+        elif node.id in root.vars:
+            assert node.txt == ref.name
+        elif isinstance(ref, ref_parser.Method):
+            assert node.txt == ref_walks.text_of(ref)
+            writes = [var_of[p] for p in ref.params]
+        else:
+            assert node.txt == ref_walks.text_of(ref)
+            if isinstance(ref, ref_parser.Expression):  # a condition
+                expr = ref
+            else:
+                attr = OWN_EXPRESSION.get(type(ref))
+                expr = None if attr is None else getattr(ref, attr)
+            if expr is not None:
+                reads, writes = ref_walks.expr_reads_writes(expr, var_of)
+            if isinstance(ref, ref_parser.LocalVarDecl):
+                writes.append(var_of[ref])
+        assert du.use_of(node.id) == list(dict.fromkeys(reads))
+        assert du.def_of(node.id) == list(dict.fromkeys(writes))
 
 
 def test_labels_and_sets_match_reference():
     for source in random_sources():
-        assert_labels_and_sets_match_reference(parse_program(source),
+        assert_labels_and_sets_match_reference(*parse_program(source),
                                                ref_parser.parse_program(source))
 
 
@@ -813,53 +765,16 @@ def test_labels_and_sets_match_reference():
 @example("int m(int a, int b) { { int a = a++ + b; a = b = a-- * (a + 1); } return ((a)) == 007; }")
 def test_labels_and_sets_match_reference_on_any_text(source):
     try:
-        method = parse_program(source)
+        graph, du = parse_program(source)
     except FlowgraphsError:
         return
-    assert_labels_and_sets_match_reference(method, ref_parser.parse_program(source))
-
-
-def test_every_node_has_a_position():
-    source = "int m(int a, int b) {\n  a = (b + 1) * a < 2;\n}"
-    relational = ref_parser.parse_program(source).body[0].expr.value
-    assert relational.pos == relational.children[0].pos == Pos(2, 8)
-    assert parse_program(source).body[0].pos == Pos(2, 3)
-    for source in random_sources():
-        assert all(node.pos is not None for node in ast_nodes(parse_program(source)))
-
-
-# The first token of each node with a fixed one; the rest are checked below.
-FIRST_TOKEN = {mj.Method: "int", mj.LocalVarDecl: "int", mj.While: "while", mj.If: "if",
-               mj.Return: "return", mj.Break: "break", mj.Continue: "continue",
-               mj.Block: "{"}
-
-
-def test_positions_are_shared_and_point_at_first_tokens():
-    source = progen.gen_scale(3, 2_000)
-    method = parse_program(source)
-    nodes = [method, *method.params, *ast_nodes(method)]
-    # One Pos object per source position
-    assert len({id(node.pos) for node in nodes}) == len({node.pos for node in nodes})
-    _, texts, lines, cols = mj.tokenize(source)
-    tokens = dict(zip(zip(lines, cols), texts))
-    for node in nodes:
-        text = tokens[node.pos]
-        if type(node) in FIRST_TOKEN:
-            assert text == FIRST_TOKEN[type(node)]
-        elif isinstance(node, (mj.Param, mj.Labeled)):
-            assert text == node.name
-        else:
-            assert isinstance(node, mj.ExprStmt)
-            assert text == "(" or node.txt.startswith(text)
-    statements = [node.pos for node in nodes if isinstance(node, mj.Statement)]
-    assert statements == sorted(statements)
+    assert_labels_and_sets_match_reference(graph, du, ref_parser.parse_program(source))
 
 
 def test_statement_starting_with_a_parenthesis_keeps_its_own_position():
+    # In the reference parser's tree; the package keeps positions only for errors.
     source = "int m(int a) {\n  (a)++; a = 1;\n}"
-    stmt = parse_program(source).body
-    assert (stmt[0].pos, stmt[1].pos) == (Pos(2, 3), Pos(2, 10))
     ref_stmt = ref_parser.parse_program(source).body
-    assert (ref_stmt[0].pos, ref_stmt[0].expr.pos) == (Pos(2, 3), Pos(2, 4))
+    assert (ref_stmt[0].pos, ref_stmt[0].expr.pos) == ((2, 3), (2, 4))
     assert ref_stmt[1].pos is ref_stmt[1].expr.pos
-    assert_parsers_agree(source)
+    assert_matches_reference(source)

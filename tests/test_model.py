@@ -1,19 +1,13 @@
+"""The flow graph `parse_program` builds: its nodes, their order, labels and variables."""
+
 import pytest
 
-from flowgraphs import minijava as mj
 from flowgraphs.minijava import parse_program
-from flowgraphs.model import EXIT_TEXT, NodeKind, lower
+from flowgraphs.model import EXIT_TEXT, NodeKind
 
 import progen
-import ref_parser
-import ref_walks
-from helpers import CORPUS, images, random_sources
-
-
-def build(source: str):
-    method = parse_program(source)
-    graph, du = lower(method)
-    return method, graph, du
+import ref_parser as ref
+from helpers import CORPUS, assert_matches_reference, images
 
 
 def kinds(graph):
@@ -24,7 +18,7 @@ def kinds(graph):
 
 
 def test_minimal_mapping():
-    _, graph, _ = build("int m() { return; }")
+    graph, _ = parse_program("int m() { return; }")
     count = kinds(graph)
     assert count == {NodeKind.METHOD: 1, NodeKind.EXIT: 1, NodeKind.RETURN: 1}
     root = graph.node(graph.method)
@@ -33,7 +27,7 @@ def test_minimal_mapping():
 
 
 def test_loop_mapping_with_condition_expr():
-    _, graph, _ = build("int m(int a) { while (a < 3) a++; }")
+    graph, _ = parse_program("int m(int a) { while (a < 3) a++; }")
     loops = [n for n in graph.nodes if n.kind is NodeKind.LOOP]
     assert len(loops) == 1
     loop = loops[0]
@@ -44,39 +38,38 @@ def test_loop_mapping_with_condition_expr():
 
 
 def test_plain_expressions_get_no_node():
-    _, graph, _ = build("int m(int a) { a = a + 1; a++; }")
+    graph, _ = parse_program("int m(int a) { a = a + 1; a++; }")
     assert [n for n in graph.nodes if n.kind is NodeKind.EXPR] == []
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_node_count_invariants(seed):
     source = progen.gen_program(seed + 900, strict=False, max_stmts=30)
-    method = parse_program(source)
-    graph, _ = lower(method)
+    graph, _ = parse_program(source)
     count = kinds(graph)
 
     decls = exprs = whiles = ifs = 0
 
     def walk(s):
         nonlocal decls, exprs, whiles, ifs
-        if isinstance(s, (mj.LocalVarDecl, mj.ExprStmt)):
-            decls += isinstance(s, mj.LocalVarDecl)
-            exprs += isinstance(s, mj.ExprStmt)
-        elif isinstance(s, mj.While):
+        if isinstance(s, (ref.LocalVarDecl, ref.ExprStmt)):
+            decls += isinstance(s, ref.LocalVarDecl)
+            exprs += isinstance(s, ref.ExprStmt)
+        elif isinstance(s, ref.While):
             whiles += 1
             walk(s.body)
-        elif isinstance(s, mj.If):
+        elif isinstance(s, ref.If):
             ifs += 1
             walk(s.then)
             if s.orelse is not None:
                 walk(s.orelse)
-        elif isinstance(s, mj.Labeled):
+        elif isinstance(s, ref.Labeled):
             walk(s.stmt)
-        elif isinstance(s, mj.Block):
+        elif isinstance(s, ref.Block):
             for child in s.stmts:
                 walk(child)
 
-    for stmt in method.body:
+    for stmt in ref.parse_program(source).body:
         walk(stmt)
 
     assert count.get(NodeKind.SIMPLE, 0) == decls + exprs
@@ -85,51 +78,51 @@ def test_node_count_invariants(seed):
 
 
 KIND_OF = {
-    mj.Method: NodeKind.METHOD,
-    mj.LocalVarDecl: NodeKind.SIMPLE,
-    mj.ExprStmt: NodeKind.SIMPLE,
-    mj.While: NodeKind.LOOP,
-    mj.If: NodeKind.IF,
-    mj.Return: NodeKind.RETURN,
-    mj.Break: NodeKind.BREAK,
-    mj.Continue: NodeKind.CONTINUE,
-    mj.Labeled: NodeKind.LABEL,
-    mj.Block: NodeKind.BLOCK,
+    ref.Method: NodeKind.METHOD,
+    ref.LocalVarDecl: NodeKind.SIMPLE,
+    ref.ExprStmt: NodeKind.SIMPLE,
+    ref.While: NodeKind.LOOP,
+    ref.If: NodeKind.IF,
+    ref.Return: NodeKind.RETURN,
+    ref.Break: NodeKind.BREAK,
+    ref.Continue: NodeKind.CONTINUE,
+    ref.Labeled: NodeKind.LABEL,
+    ref.Block: NodeKind.BLOCK,
 }
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
 def test_trace_roundtrip(path):
-    # every node but the Exit is the image of exactly one AST node: node ids
-    # follow the pre-order of the AST, and each node carries its source's label
-    method = parse_program(path.read_text())
-    graph, _ = lower(method)
-    sources = images(method)
+    # every node but the Exit is the image of exactly one node of the
+    # reference parser's tree: node ids follow the pre-order of the tree's
+    # statements, and each node carries its source's label
+    graph, _ = parse_program(path.read_text())
+    sources = images(ref.parse_program(path.read_text()))
     assert len(sources) == len(graph.nodes)
     root = graph.node(graph.method)
     for node, ast_node in zip(graph.nodes, sources):
         if node.id == root.exit:
             assert ast_node is None and node.txt == EXIT_TEXT
         elif node.id in root.vars:
-            assert isinstance(ast_node, (mj.Param, mj.LocalVarDecl))
-            assert node.kind is (NodeKind.PARAM if isinstance(ast_node, mj.Param) else NodeKind.VAR)
+            assert isinstance(ast_node, (ref.Param, ref.LocalVarDecl))
+            assert node.kind is (NodeKind.PARAM if isinstance(ast_node, ref.Param) else NodeKind.VAR)
             assert node.txt == ast_node.name
-        elif isinstance(ast_node, str):  # a condition's label
-            assert node.kind is NodeKind.EXPR and node.txt == ast_node
+        elif isinstance(ast_node, ref.Expression):  # a condition
+            assert node.kind is NodeKind.EXPR and node.txt == ast_node.txt
         else:
             assert node.kind is KIND_OF[type(ast_node)]
             assert node.txt == ast_node.txt
 
 
 def test_block_order_preserved():
-    method, graph, _ = build("int m(int a) { a = 1; a = 2; a = 3; }")
+    graph, _ = parse_program("int m(int a) { a = 1; a = 2; a = 3; }")
     root = graph.node(graph.method)
     texts = [graph.node(nid).txt for nid in root.stmts]
     assert texts == ["a = 1;", "a = 2;", "a = 3;"]
 
 
 def test_collect_vars_params_and_order():
-    method, graph, du = build("int m(int a, int b) { int x = 1; }")
+    graph, du = parse_program("int m(int a, int b) { int x = 1; }")
     root = graph.node(graph.method)
     names = [(graph.node(v).kind, graph.node(v).txt) for v in root.vars]
     assert names == [
@@ -142,18 +135,18 @@ def test_collect_vars_params_and_order():
 
 
 def test_collect_vars_empty():
-    method, graph, _ = build("int m() { return; }")
+    graph, _ = parse_program("int m() { return; }")
     assert graph.node(graph.method).vars == []
 
 
 def test_nested_declaration_attaches_to_method():
-    method, graph, _ = build("int m() { { { int x = 1; } } }")
+    graph, _ = parse_program("int m() { { { int x = 1; } } }")
     root = graph.node(graph.method)
     assert [graph.node(v).txt for v in root.vars] == ["x"]
 
 
 def test_shadowing_creates_distinct_var_nodes():
-    method, graph, du = build("int m() { int x = 1; { int x = 2; } }")
+    graph, du = parse_program("int m() { int x = 1; { int x = 2; } }")
     root = graph.node(graph.method)
     assert [graph.node(v).txt for v in root.vars] == ["x", "x"]
     outer, block = root.stmts
@@ -162,21 +155,14 @@ def test_shadowing_creates_distinct_var_nodes():
     assert du.def_of(inner) == [root.vars[1]]
 
 
-def assert_lower_matches_reference(source):
-    """`lower` on the package's AST builds what the reference `lower` builds
-    on the reference parser's tree, reduced to statements."""
-    graph, du = lower(parse_program(source))
-    want_graph, want_du = ref_walks.lower(ref_parser.parse_statements(source))
-    assert graph.method == want_graph.method
-    assert [repr(n) for n in graph.nodes] == [repr(n) for n in want_graph.nodes]
-    assert list(du.defs.items()) == list(want_du.defs.items())
-    assert list(du.uses.items()) == list(want_du.uses.items())
-
+# The graph against `ref_walks.lower` of the reference parser's tree, on
+# programs that test_minijava's comparisons do not use.
 
 def test_lower_matches_reference_on_random_programs():
-    for source in random_sources():
-        assert_lower_matches_reference(source)
+    for seed in range(1000, 1500):
+        assert_matches_reference(progen.gen_program(seed, strict=seed % 4 == 0,
+                                                    max_stmts=10 + seed % 50))
 
 
 def test_lower_matches_reference_on_scale_program():
-    assert_lower_matches_reference(progen.gen_scale(1, 2_000))
+    assert_matches_reference(progen.gen_scale(4, 3_000))

@@ -1,45 +1,46 @@
 """One direct test per text-attribution rule, fixed literals included.
 
-The AST keeps an expression only as a label: a simple statement's, or a
-condition's. Each expression rule is read from those, and the reference
-parser's expression node must carry the same label.
+The flow graph keeps an expression only as a label: a simple statement's,
+or a condition's Expr node's. Each expression rule is read from those,
+and the reference parser's expression node must carry the same label.
 """
 
 import pytest
 
-from flowgraphs import minijava as mj
 from flowgraphs.minijava import parse_program
-from flowgraphs.model import EXIT_TEXT
+from flowgraphs.model import EXIT_TEXT, FlowNode
 
 import ref_parser
+from helpers import first_statement
 
 
 def source_of(body_src: str) -> str:
     return f"int m(int a, int b, int c) {{ {body_src} }}"
 
 
-def stmt_of(body_src: str) -> mj.Statement:
-    return parse_program(source_of(body_src)).body[0]
+def stmt_of(body_src: str, *path: str) -> FlowNode:
+    """The node of the first statement in `body_src`, or the node that the
+    link fields in `path` lead to from it."""
+    return first_statement(source_of(body_src), *path)[2]
 
 
 def expr_label(expr_src: str) -> str:
     """The label of `expr_src`, from the statement `expr_src;`."""
     source = source_of(f"{expr_src};")
-    txt = parse_program(source).body[0].txt
+    txt = stmt_of(f"{expr_src};").txt
     assert txt == ref_parser.parse_program(source).body[0].expr.txt + ";"
     return txt.removesuffix(";")
 
 
 def cond_label(stmt_src: str) -> str:
     """The label of the condition of `stmt_src`, a `while` or an `if`."""
-    source = source_of(stmt_src)
-    cond = parse_program(source).body[0].cond
-    assert cond == ref_parser.parse_program(source).body[0].cond.txt
+    cond = stmt_of(stmt_src, "expr").txt
+    assert cond == ref_parser.parse_program(source_of(stmt_src)).body[0].cond.txt
     return cond
 
 
 def test_method_label():
-    assert parse_program("int check() { return; }").txt == "check()"
+    assert parse_program("int check() { return; }")[0].node(0).txt == "check()"
 
 
 def test_local_var_decl_label():
@@ -98,18 +99,16 @@ def test_block_fixed_label():
 
 
 def test_continue_fixed_label():
-    loop = stmt_of("while (a < 1) continue;")
-    assert loop.body.txt == "continue"
+    assert stmt_of("while (a < 1) continue;", "body").txt == "continue"
 
 
 def test_break_fixed_label():
-    loop = stmt_of("while (a < 1) break;")
-    assert loop.body.txt == "break"
+    assert stmt_of("while (a < 1) break;", "body").txt == "break"
 
 
 def test_labeled_jump_keeps_plain_label():
-    loop = stmt_of("foo: while (a < 1) { break foo; }").stmt
-    assert loop.body.stmts[0].txt == "break"
+    jump = stmt_of("foo: while (a < 1) break foo;", "stmt", "body")
+    assert (jump.txt, jump.label) == ("break", "foo")
 
 
 def test_return_labels():
@@ -164,10 +163,10 @@ def test_fold_appends_operator_then_child():
 
 def test_labels_of_nested_statements_and_expressions():
     source = "int m(int a) { while (a < 3) { a = a + 1; } return a; }"
-    method = parse_program(source)
-    loop = method.body[0]
-    labels = [method.txt, loop.txt, loop.cond, loop.body.txt, loop.body.stmts[0].txt,
-              method.body[1].txt]
-    assert labels == ["m()", "while", "a < 3", "{...}", "a = a + 1;", "return a;"]
+    graph, _ = parse_program(source)
+    # In parse order: the method, its exit, the loop and its condition, the
+    # body and the statement in it, the return, and the parameter
+    assert [node.txt for node in graph.nodes] == [
+        "m()", "Exit", "while", "a < 3", "{...}", "a = a + 1;", "return a;", "a"]
     ref_loop = ref_parser.parse_program(source).body[0]
     assert (ref_loop.cond.txt, ref_loop.body.stmts[0].expr.txt) == ("a < 3", "a = a + 1")
