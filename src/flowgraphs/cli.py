@@ -194,9 +194,9 @@ def _parse_args(argv: list[str]) -> tuple[str, str, dict[str, str]]:
         flag, eq, value = arg.partition("=")
         if flag == "--spec" and flag in accepted:
             if not eq:
-                value = next(args, None)
-                if value is None or value.startswith("-") and value != "-":
-                    raise _UsageError("argument --spec: expected one argument")
+                value = next(args, "")
+            if not value or not eq and value.startswith("-") and value != "-":
+                raise _UsageError("argument --spec: expected one argument")
         elif arg in accepted:
             flag, value = arg, ""
         elif path is None and (arg == "-" or not arg.startswith("-")):

@@ -12,16 +12,15 @@ with a suffix `++`/`--`, and parenthesized groups with the binary
 operators `==`, `<`, `>`, `+`, `-`, `*` and `/`; an assignment may stand
 only at the top of an expression statement or initializer.
 
-`tokenize` makes one `finditer` scan over a single pattern. Each match takes
-one token together with the blanks before it, so each token (and each line
-end) costs one match, and a blank costs none; an unexpected character is
-caught by the pattern itself. Tokens come back as parallel lists of kinds,
-texts, lines and columns, with no object per token; the parser reads a
-position only to report an error. Statements are parsed by recursive
-descent, and each becomes its flow-graph node as it is parsed: there is no
-AST. An expression is read as its label, in one flat scan over its operands
-and operators, and leaves no node. A level of grouping parentheses costs
-one stack frame.
+`tokenize` gets the token texts from one `findall` of a single pattern,
+which skips the blanks and comments before each token; each distinct text
+is given its kind once, so there is no Python loop per token. Tokens are
+two parallel lists, kinds and texts. A token's line and column are worked
+out by `token_position`, from its index, only when an error is raised.
+Statements are parsed by recursive descent, and each becomes its flow-graph
+node as it is parsed: there is no AST. An expression is read as its label,
+in one flat scan over its operands and operators, and leaves no node. A
+level of grouping parentheses costs one stack frame.
 
 Node ids follow parse order. The Method is node 0 and its Exit node 1; a
 statement's node is made before its children are parsed, so statements
@@ -34,9 +33,9 @@ The parser also binds names as it goes: every identifier use, assignment
 and suffix `++`/`--` is looked up in the enclosing scopes (innermost
 declaration wins), every jump label must name an enclosing labeled
 statement, and every break/continue must have a loop to act on. A name
-error does not stop parsing; the first one in source order is raised once
-the whole input has parsed, so a syntax error anywhere takes precedence
-over it.
+error does not stop parsing, and a syntax error, which does, replaces it.
+The parser keeps the error as a token index, and `parse_program` raises
+the first name error, or the syntax error, once parsing has stopped.
 
 Each node gets its label (`txt`) as it is parsed. Structured statements
 use fixed labels ("while", "if", "{...}", "break", "continue", "name:");
@@ -62,6 +61,7 @@ statement nodes is known.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from .errors import SourcePosError
 from .model import EXIT_TEXT, DefUseAttr, FlowGraph, FlowNode, NodeKind
@@ -85,78 +85,73 @@ class MissingEnclosingLoopError(SourcePosError):
 
 KEYWORDS = {"int", "while", "if", "else", "return", "break", "continue"}
 
-# One match per token, with the blanks before it, told apart by `lastindex`.
-# A newline is its own match (so lines can be counted), a comment has no
-# group, and any other character but a blank is caught by group 5.
-# Identifiers, the commonest tokens, are tried first; comments go before
-# the operators, so that "//" is not read as two divisions. Blanks at the
-# end of input match with no group: whatever follows a run of blanks
-# matches at once, so no run is ever backtracked into and scanned again.
+# One match per token: the group, after the blanks, line ends and comments
+# before it ("//" is never two divisions). A run of blanks can be skipped
+# one way only, and the group matches wherever the skipping stops, since any
+# other non-blank character is a token and `\Z` ends the input; so nothing
+# is backtracked into, and trailing blanks are not scanned again.
 _TOKEN_RE = re.compile(
     r"""
-    [ \t\r]*
-    (?: ([A-Za-z_][A-Za-z_0-9]*)
-      | //[^\n]*
-      | (\+\+|--|==|[-+*/<>=(){};:,])
-      | (\d+)
-      | (\n)
-      | ([^ \t\r])
-      | \Z
+    [ \t\r\n]* (?: //[^\n]* [ \t\r\n]* )*
+    ( [A-Za-z_][A-Za-z_0-9]*
+    | \+\+ | -- | == | [-+*/<>=(){};:,]
+    | \d+
+    | [^ \t\r\n]
+    | \Z
     )
     """,
     re.VERBOSE,
 )
 
-Tokens = tuple[list[str], list[str], list[int], list[int]]
+# Token text -> its kind, for the texts whose kind is the text itself, and "eof"
+_KINDS = {text: text for text in (*KEYWORDS, "++", "--", "==", *"-+*/<>=(){};:,")}
+_KINDS[""] = "eof"
+
+Tokens = tuple[list[str], list[str]]
 
 
 def tokenize(source: str) -> Tokens:
-    """The tokens of `source` as parallel lists: kinds, texts, lines and columns.
+    """The tokens of `source` as two parallel lists, kinds and texts.
 
     A kind is 'ident', 'num', a keyword, an operator or punctuation text, or
-    'eof' for the end of input, which is always the last token.
+    'eof' for the end of input: the last token, whose text is "".
     """
-    kinds: list[str] = []
-    texts: list[str] = []
-    lines: list[int] = []
-    cols: list[int] = []
-    add_kind, add_text, add_line, add_col = kinds.append, texts.append, lines.append, cols.append
-    line, before_line = 1, -1  # the line number, and the index just before its start
-    for m in _TOKEN_RE.finditer(source):
-        group = m.lastindex
-        if group == 1:
-            text = m[1]
-            add_kind(text if text in KEYWORDS else "ident")
-        elif group == 2:
-            text = m[2]
-            add_kind(text)
-        elif group == 3:
-            text = m[3]
-            add_kind("num")
-        else:
-            if group == 4:
-                line += 1
-                before_line = m.start(4)
-            elif group == 5:
-                raise ParseError(f"unexpected character {m[5]!r}", line, m.start(5) - before_line)
-            continue
-        add_text(text)
-        add_line(line)
-        add_col(m.start(group) - before_line)
-    add_kind("eof")
-    add_text("")
-    add_line(line)
-    add_col(len(source) - before_line)
-    return kinds, texts, lines, cols
+    texts = _TOKEN_RE.findall(source)
+    if texts[-2:] == ["", ""]:  # after trailing blanks, `\Z` matched twice
+        texts.pop()
+    kind_of = dict.fromkeys(texts)  # each distinct text, in order of first occurrence
+    for text in kind_of:
+        kind = _KINDS.get(text)
+        if kind is None:
+            if text.isascii() and text.isidentifier():  # an ASCII letter or "_" first
+                kind = "ident"
+            elif text.isdecimal():  # the characters `\d` matches
+                kind = "num"
+            else:
+                raise ParseError(f"unexpected character {text!r}",
+                                 *token_position(source, texts.index(text)))
+        kind_of[text] = kind
+    return list(map(kind_of.__getitem__, texts)), texts
+
+
+def token_position(source: str, i: int) -> tuple[int, int]:
+    """The (line, column) of token `i` of `source`, counted from 1: a line ends
+    at "\\n", and a column counts code points. It scans the source up to the token."""
+    start = next(islice(_TOKEN_RE.finditer(source), i, None)).start(1)
+    return source.count("\n", 0, start) + 1, start - source.rfind("\n", 0, start)
 
 
 # Binary operator -> its text in a label
 _BINARY = {op: " " + op + " " for op in ("==", "<", ">", "+", "-", "*", "/")}
 
 
+class _Stop(Exception):
+    """Ends parsing at a syntax error, which the parser has recorded."""
+
+
 class _Parser:
     def __init__(self, tokens: Tokens):
-        self.kinds, self.texts, self.lines, self.cols = tokens
+        self.kinds, self.texts = tokens
         self.i = 0
         self.nodes: list[FlowNode] = []
         self.names: list[str] = []  # the variables' names, by declaration index
@@ -164,11 +159,11 @@ class _Parser:
         self.scopes: list[dict[str, int]] = []  # name -> declaration index
         self.labels: list[tuple[str, bool]] = []  # (name, wraps a While)
         self.loop_depth = 0
-        # The first name error, raised after parsing, as (class, message,
-        # line, col): a stored exception would be reachable from its own
-        # traceback (through this parser in parse_program's frame), a
-        # reference cycle.
-        self.error: tuple[type[SourcePosError], str, int, int] | None = None
+        # The error parse_program raises, as (class, message, token index): the
+        # first name error, or a syntax error, which replaces it and stops the
+        # parser. A stored exception would be reachable from its own traceback
+        # (through this parser in parse_program's frame), a reference cycle.
+        self.error: tuple[type[SourcePosError], str, int] | None = None
         # Declarations read and written since the last take_sets, in occurrence order
         self.reads: list[int | None] = []
         self.writes: list[int | None] = []
@@ -181,9 +176,14 @@ class _Parser:
     # token, or looking one token ahead, is safe whenever the current token
     # is not 'eof'.
 
-    def unexpected(self, expected: str, i: int) -> ParseError:
+    def syntax_error(self, i: int, message: str) -> _Stop:
+        """Records a ParseError at token `i`; the caller raises what this returns."""
+        self.error = (ParseError, message, i)
+        return _Stop()
+
+    def unexpected(self, expected: str, i: int) -> _Stop:
         found = "end of input" if self.kinds[i] == "eof" else repr(self.texts[i])
-        return ParseError(f"expected {expected}, found {found}", self.lines[i], self.cols[i])
+        return self.syntax_error(i, f"expected {expected}, found {found}")
 
     def expect(self, kind: str) -> int:
         """The index of the current token, which must be `kind`; steps over it."""
@@ -198,7 +198,7 @@ class _Parser:
 
     def fail(self, error_class: type[SourcePosError], message: str, i: int) -> None:
         if self.error is None:
-            self.error = (error_class, message, self.lines[i], self.cols[i])
+            self.error = (error_class, message, i)
 
     def lookup(self, i: int) -> int | None:
         name = self.texts[i]
@@ -245,7 +245,7 @@ class _Parser:
                 j = self.expect("ident")
                 pname = self.texts[j]
                 if pname in scope:
-                    raise ParseError(f"duplicate parameter {pname!r}", self.lines[j], self.cols[j])
+                    raise self.syntax_error(j, f"duplicate parameter {pname!r}")
                 scope[pname] = len(scope)
                 if self.kinds[self.i] != ",":
                     break
@@ -412,15 +412,14 @@ class _Parser:
                 try:
                     text = str(int(texts[i]))  # canonical: "007" labels as "7"
                 except ValueError:  # more digits than int() converts
-                    raise ParseError("integer literal is too long", self.lines[i],
-                                     self.cols[i]) from None
+                    raise self.syntax_error(i, "integer literal is too long")
                 i += 1
             elif kind == "(":
                 self.i = i + 1  # where the error points if nesting runs out of stack
                 text = self.parse_condition()
                 i = self.expect(")") + 1
             elif kind == "++" or kind == "--":
-                raise ParseError(f"prefix '{kind}' is not supported", self.lines[i], self.cols[i])
+                raise self.syntax_error(i, f"prefix '{kind}' is not supported")
             else:
                 raise self.unexpected("an expression", i)
             kind = kinds[i]
@@ -428,8 +427,7 @@ class _Parser:
                 # A variable, maybe in parentheses: its label is its name,
                 # and it was the last read
                 if not text.isidentifier():
-                    raise ParseError(f"'{kind}' target must be a variable", self.lines[i],
-                                     self.cols[i])
+                    raise self.syntax_error(i, f"'{kind}' target must be a variable")
                 self.writes.append(self.reads[-1])  # the variable is read, then written
                 text += kind
                 i += 1
@@ -454,14 +452,14 @@ def parse_program(source: str) -> tuple[FlowGraph, DefUseAttr]:
     parser = _Parser(tokenize(source))
     try:
         parser.parse_method()
-        too_deep = False
+    except _Stop:
+        pass
     except RecursionError:
-        too_deep = True  # raised outside the handler, which would make every parser frame its context
-    if too_deep:
         # No later walk of the graph recurses as deep as the parser, so this bounds them all.
-        raise ParseError("nesting is too deep to analyze", parser.lines[parser.i],
-                         parser.cols[parser.i])
+        parser.error = (ParseError, "nesting is too deep to analyze", parser.i)
     if parser.error is not None:
-        error_class, message, line, col = parser.error
-        raise error_class(message, line, col)
+        # Raised outside the handlers, which would make every parser frame its
+        # context, and positioned only now, at the top of the stack.
+        error_class, message, i = parser.error
+        raise error_class(message, *token_position(source, i))
     return parser.finish()

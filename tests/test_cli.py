@@ -307,6 +307,9 @@ USAGE_ERRORS = [
      "argument --spec: not allowed with argument --emit"),
     (["validate", "--spec=x.validate", EX01, "--emit"],
      "argument --emit: not allowed with argument --spec"),
+    # an empty spec path is no path, in either form
+    (["validate", EX01, "--spec="], "argument --spec: expected one argument"),
+    (["validate", "--spec", "", EX01], "argument --spec: expected one argument"),
 ]
 
 

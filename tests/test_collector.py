@@ -50,6 +50,7 @@ def test_commands_leave_no_cyclic_garbage(tmp_path):
         (["validate", EX09, "--emit"], None),
         (["validate", EX09, "--spec", str(spec), "--json"], None),
         (["cfg", "-"], "int m() { x = 1; }"),  # a name error, raised after parsing
+        (["cfg", "-"], "int m() { return 1 }"),  # a syntax error, raised after parsing stops
         (["cfg", "-"], "int m() { break; }"),
         (["cfg", "-"], TOO_DEEP),
     ]

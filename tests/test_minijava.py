@@ -282,14 +282,19 @@ def test_end_of_input_is_named_unquoted(source, message):
 
 
 def test_blanks_before_the_end_of_input_take_linear_time():
-    # A token's match takes the blanks before it; a run of blanks with no
-    # token after it must not be scanned again from each of its positions.
-    # Rescanning this tail takes seconds; one scan takes about a millisecond.
-    tail = " \t\r" * 5_000
-    start = time.perf_counter()
-    kinds, _, lines, cols = mj.tokenize("int m() { return; }" + tail)
-    assert time.perf_counter() - start < 1.0
-    assert (kinds[-1], lines[-1], cols[-1]) == ("eof", 1, 20 + len(tail))
+    # A token's match takes the blanks, line ends and comments before it; a
+    # run of them with no token after it must not be scanned again from
+    # each of its positions. Rescanning one of these tails takes seconds;
+    # one scan takes about a millisecond.
+    source = "int m() { return; }"
+    for tail, position in ((" \t\r" * 5_000, (1, 20 + 15_000)),
+                           ("\n" * 5_000, (5_001, 1)),
+                           ("// c\n" * 5_000, (5_001, 1))):
+        start = time.perf_counter()
+        kinds, texts = mj.tokenize(source + tail)
+        end = mj.token_position(source + tail, len(kinds) - 1)
+        assert time.perf_counter() - start < 1.0
+        assert (kinds[-2:], texts[-1], end) == (["}", "eof"], "", position)
 
 
 def test_many_parameters_take_linear_time():
@@ -619,6 +624,12 @@ def lex(tokenize, text):
         return str(exc), exc.line, exc.column
 
 
+def tokens_with_positions(text):
+    kinds, texts = mj.tokenize(text)
+    return [(kind, token, *mj.token_position(text, i))
+            for i, (kind, token) in enumerate(zip(kinds, texts))]
+
+
 @settings(max_examples=500, deadline=None, derandomize=True)
 @given(st.one_of(mini_java_text, st.text()))
 @example("")
@@ -629,8 +640,26 @@ def lex(tokenize, text):
 @example("12ab")
 @example("int x = 1; // a lone \r does not end a comment\n")
 @example("int m() { }  \t\r\n \n\t ")
+@example("int m() { }\n\n  ")  # trailing blanks: one end token
+@example("return \u0663;")  # an Arabic-Indic digit three is a number
+@example("return \u00b2;")  # a superscript two is not
+@example("int m() { return 1 }\n$")  # the character error, after a syntax error
 def test_tokenize_matches_reference(text):
-    assert lex(lambda t: list(zip(*mj.tokenize(t))), text) == lex(ref_walks.tokenize, text)
+    assert lex(tokens_with_positions, text) == lex(ref_walks.tokenize, text)
+
+
+def test_valid_programs_never_reach_token_position(monkeypatch):
+    # A position is worked out only to word an error; a valid program has none.
+    sources = ([path.read_text() for path in CORPUS] + list(random_sources()[:200])
+               + [progen.gen_scale(4, 3_000)])
+    expected = [graph_of(parse_program, source) for source in sources]
+
+    def refuse(source, i):
+        raise AssertionError(f"a valid program asked for the position of token {i}")
+
+    monkeypatch.setattr(mj, "token_position", refuse)
+    assert [graph_of(parse_program, source) for source in sources] == expected
+    assert all(isinstance(nodes, list) for nodes, *_ in expected)  # every one parsed
 
 
 # ---- the parser against tests/ref_parser.py and ref_walks.lower ----
@@ -638,6 +667,18 @@ def test_tokenize_matches_reference(text):
 
 def test_parser_matches_reference_parser():
     for source in (*random_sources(), progen.gen_scale(1, 2_000)):
+        assert_matches_reference(source)
+
+
+def test_errors_deep_in_a_large_file_match_reference():
+    # token_position finds the last token of a 230 kB program as the
+    # reference tokenizer counted it: a character error and a name error.
+    head, last, tail = progen.gen_scale(7, 10_000).rpartition("return v1;")
+    assert last and tail == "\n}\n"
+    for statement, error_class in (("return v1$", ParseError),
+                                   ("return undeclared;", UnresolvedVariableError)):
+        source = head + statement + tail
+        assert graph_of(parse_program, source)[0] is error_class
         assert_matches_reference(source)
 
 
@@ -662,6 +703,8 @@ def test_parser_matches_reference_parser():
 @example("int m(int a, int b, int c) { a + b = c; }")
 @example("int m() { x = y = z; }")
 @example(progen.nested_program(["parentheses"] * 300))
+@example("int m() { return \u0663; }")  # labelled "return 3;"
+@example("int m() { return 1 }\n$")  # the character error wins
 def test_parser_matches_reference_parser_on_any_text(source):
     assert_matches_reference(source)
 
