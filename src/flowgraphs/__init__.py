@@ -1,12 +1,11 @@
 """Flow-graph models for a structured mini-Java subset.
 
 Parses a single-method program into a language-independent flow-graph
-model with per-instruction def/use sets, computes control-flow edges and
-reaching-definition data-flow edges, and checks the result against
+model with its control-flow edges and per-instruction def/use sets,
+computes reaching-definition data-flow edges, and checks the result against
 `.validate` assertion documents.
 """
 
-from .controlflow import EdgeTable, compute_cf_edges, flow_instructions
 from .dataflow import DfEdgeTable, compute_data_flow
 from .errors import FlowgraphsError
 from .minijava import (
@@ -16,7 +15,7 @@ from .minijava import (
     UnresolvedVariableError,
     parse_program,
 )
-from .model import DefUseAttr, FlowGraph, NodeKind
+from .model import DefUseAttr, EdgeTable, FlowGraph, NodeKind, flow_instructions
 from .pipeline import Analysis, analyze
 from .validator import (
     OrderError,
@@ -46,7 +45,6 @@ __all__ = [
     "ValidationSpec",
     "analyze",
     "check",
-    "compute_cf_edges",
     "compute_data_flow",
     "emit_spec",
     "flow_instructions",

@@ -10,9 +10,8 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
-from .controlflow import flow_instructions
 from .errors import FlowgraphsError
-from .model import FlowGraph, sorted_pairs
+from .model import FlowGraph, flow_instructions, sorted_pairs
 from .pipeline import Analysis, analyze
 from .validator import FINDINGS, check, emit_spec, parse_spec, quote
 

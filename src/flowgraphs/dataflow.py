@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .controlflow import EdgeTable, flow_instructions
-from .model import DefUseAttr, FlowGraph, sorted_pairs
+from .model import DefUseAttr, EdgeTable, FlowGraph, flow_instructions, sorted_pairs
 
 
 class UndefinedUseWarning(NamedTuple):

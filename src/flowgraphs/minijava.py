@@ -1,4 +1,5 @@
-"""Lexer and parser for the mini-Java subset; the parser builds the flow graph.
+"""Lexer and parser for the mini-Java subset; the parser builds the flow graph,
+its control-flow edges and its def/use sets.
 
 The accepted language is a single method of the form
 
@@ -56,6 +57,34 @@ the declared variable, last, and the Method defines its parameters. While
 parsing, the sets hold declaration indices; they become variable node ids
 once the whole input has parsed without error, when the number of
 statement nodes is known.
+
+Control-flow edges are made by backpatching as the parser goes. A flow
+instruction gets its cfNext list when it is made, one slot per target,
+None until the target exists. The slots that wait for the next flow
+instruction are kept in one list, and the next one made fills them all,
+so a statement falls through to the entry of the one after it:
+
+- a simple statement's one slot waits, as does the Method's; a return
+  goes to Exit;
+- a loop's condition has the slots [continuation, body entry]. The body
+  entry waits; what the body leaves waiting goes to the condition, so an
+  empty body makes a self edge; then the continuation waits;
+- an if's condition has the slots [then entry, else entry or
+  continuation]. The then entry waits; what the then branch leaves
+  waiting is set aside while the else branch parses, then joined back.
+  Both slots get the same target only when both branches are empty, and
+  then the edge is made once;
+- a jump leaves nothing waiting. Loops and labels push a jump target
+  (label, continue target, break slots): a loop (None, its condition,
+  []), a label (name, the condition of the loop it wraps or None, []). A
+  break or continue takes the innermost target whose label equals its
+  own, so an unlabeled jump only matches a loop. A continue goes to the
+  target's condition; a break's slot joins the target's list, which
+  waits once the target statement ends;
+- at the end of the method, whatever still waits goes to Exit.
+
+cfPrev is built last, in one pass over cfNext in id order, so its
+sources come in ascending id order.
 """
 
 from __future__ import annotations
@@ -64,7 +93,7 @@ import re
 from itertools import islice
 
 from .errors import SourcePosError
-from .model import EXIT_TEXT, DefUseAttr, FlowGraph, FlowNode, NodeKind
+from .model import EXIT_TEXT, DefUseAttr, EdgeTable, FlowGraph, FlowNode, NodeKind
 
 
 class ParseError(SourcePosError):
@@ -157,8 +186,6 @@ class _Parser:
         self.names: list[str] = []  # the variables' names, by declaration index
         self.params = 0  # how many of them are parameters
         self.scopes: list[dict[str, int]] = []  # name -> declaration index
-        self.labels: list[tuple[str, bool]] = []  # (name, wraps a While)
-        self.loop_depth = 0
         # The error parse_program raises, as (class, message, token index): the
         # first name error, or a syntax error, which replaces it and stops the
         # parser. A stored exception would be reachable from its own traceback
@@ -170,6 +197,13 @@ class _Parser:
         # Flow instruction id -> the declarations it defines or uses
         self.defs: dict[int, list] = {}
         self.uses: dict[int, list] = {}
+        # Flow instruction id -> its cfNext targets, None in a slot whose
+        # target is not made yet; the slots, as (targets, index), that wait
+        # for the next flow instruction made; and the jump targets, innermost
+        # last, as (label or None, continue target or None, break slots).
+        self.next: dict[int, list] = {}
+        self.waiting: list[tuple[list, int]] = []
+        self.jumps: list[tuple[str | None, int | None, list[tuple[list, int]]]] = []
 
     # The parser reads token `self.i` from the parallel lists directly. The
     # last token is 'eof' and `i` never moves past it, so stepping over a
@@ -218,17 +252,38 @@ class _Parser:
             self.defs[nid] = self.writes
             self.writes = []
 
-    def check_jump(self, i: int, label: str | None) -> None:
+    def jump_target(self, i: int, label: str | None) -> tuple | None:
+        """The jump target of the break or continue at token `i`, or None
+        after recording the name error that it has none."""
         keyword = self.kinds[i]
-        if label is None:
-            if self.loop_depth == 0:
+        target = next((t for t in reversed(self.jumps) if t[0] == label), None)
+        if target is None:
+            if label is None:
                 self.fail(MissingEnclosingLoopError, f"'{keyword}' has no enclosing loop", i)
-            return
-        wraps_loop = next((w for name, w in reversed(self.labels) if name == label), None)
-        if wraps_loop is None:
-            self.fail(UnresolvedLabelError, f"no enclosing label {label!r}", i)
-        elif keyword == "continue" and not wraps_loop:
+            else:
+                self.fail(UnresolvedLabelError, f"no enclosing label {label!r}", i)
+        elif keyword == "continue" and target[1] is None:
             self.fail(MissingEnclosingLoopError, f"label {label!r} does not name a loop", i)
+            return None
+        return target
+
+    # ---- control flow ----
+
+    def fill(self, nid: int) -> None:
+        """Every waiting slot goes to node `nid`; none is left waiting."""
+        for targets, k in self.waiting:
+            targets[k] = nid
+        self.waiting.clear()
+
+    def instruction(self, nid: int, targets: list, waits: int | None = None) -> list:
+        """Makes node `nid` a flow instruction with cfNext `targets`: every
+        waiting slot goes to it, and then its own slot `waits`, if given,
+        is the one slot waiting. Returns `targets`."""
+        self.fill(nid)
+        if waits is not None:
+            self.waiting.append((targets, waits))
+        self.next[nid] = targets
+        return targets
 
     # ---- the method ----
 
@@ -237,6 +292,7 @@ class _Parser:
         name = self.texts[self.expect("ident")]
         root = FlowNode(0, NodeKind.METHOD, name + "()", exit=1)
         self.nodes += (root, FlowNode(1, NodeKind.EXIT, EXIT_TEXT))
+        self.instruction(0, [None], 0)
         self.expect("(")
         scope: dict[str, int] = {}  # the parameters, in order
         if self.kinds[self.i] != ")":
@@ -257,10 +313,12 @@ class _Parser:
             self.defs[0] = list(scope.values())
         self.scopes.append(scope)
         root.stmts = self.parse_block()
+        self.fill(1)  # the end of the method goes to Exit
         self.expect("eof")
 
-    def finish(self) -> tuple[FlowGraph, DefUseAttr]:
-        """The graph with its variable nodes, and the def/use sets as their ids.
+    def finish(self) -> tuple[FlowGraph, EdgeTable, DefUseAttr]:
+        """The graph with its variable nodes, its control-flow edges, and the
+        def/use sets as the variables' ids.
 
         Each variable's id is one int object, shared by every set that
         holds it, and a set of one id is a one-element list.
@@ -277,7 +335,13 @@ class _Parser:
                     table[nid] = [var_ids[decls[0]]]
                 else:  # duplicates dropped, first occurrence kept
                     table[nid] = list(dict.fromkeys([var_ids[d] for d in decls]))
-        return FlowGraph(nodes), DefUseAttr(self.defs, self.uses)
+        cf_prev: dict[int, list[int]] = {}
+        for src, targets in self.next.items():  # in the order the nodes were made
+            if len(targets) == 2 and targets[0] == targets[1]:
+                del targets[1]  # an if whose branches both fall through: one edge
+            for dst in targets:
+                cf_prev.setdefault(dst, []).append(src)
+        return FlowGraph(nodes), EdgeTable(self.next, cf_prev), DefUseAttr(self.defs, self.uses)
 
     # ---- statements ----
 
@@ -314,6 +378,7 @@ class _Parser:
             self.writes.append(decl)  # a declaration defines its variable last
             nodes.append(FlowNode(nid, NodeKind.SIMPLE, "int " + name + " = " + init + ";"))
             self.take_sets(nid)
+            self.instruction(nid, [None], 0)
         elif kind == "{":
             node = FlowNode(nid, NodeKind.BLOCK, "{...}")
             nodes.append(node)
@@ -332,17 +397,25 @@ class _Parser:
                             (), expr)
             nodes += (node, FlowNode(expr, NodeKind.EXPR, txt))
             self.take_sets(expr)
+            # [continuation, body entry] or [then entry, else entry or continuation]
+            targets = self.instruction(expr, [None, None], 1 if loop else 0)
             self.scopes.append({})
             if loop:
-                self.loop_depth += 1
+                breaks = []
+                self.jumps.append((None, expr, breaks))
                 node.body = self.parse_statement()
-                self.loop_depth -= 1
+                self.jumps.pop()
+                self.fill(expr)  # the end of the body goes back to the condition
+                self.waiting += (targets, 0), *breaks
             else:
                 node.then = self.parse_statement()
+                then_waiting = self.waiting  # set aside while the else branch parses
+                self.waiting = [(targets, 1)]
                 if kinds[self.i] == "else":
                     self.i += 1
                     self.scopes[-1] = {}  # the else branch has a scope of its own
                     node.orelse = self.parse_statement()
+                self.waiting += then_waiting
             self.scopes.pop()
         elif kind == "return":
             self.i += 1
@@ -350,6 +423,7 @@ class _Parser:
             self.expect(";")
             nodes.append(FlowNode(nid, NodeKind.RETURN, txt))
             self.take_sets(nid)
+            self.instruction(nid, [1])  # to Exit
         elif kind == "break" or kind == "continue":
             self.i += 1
             label = None
@@ -357,22 +431,31 @@ class _Parser:
                 label = self.texts[self.i]
                 self.i += 1
             self.expect(";")
-            self.check_jump(i, label)
             jump = NodeKind.BREAK if kind == "break" else NodeKind.CONTINUE
             nodes.append(FlowNode(nid, jump, kind, label=label))
+            targets = self.instruction(nid, [None])
+            target = self.jump_target(i, label)
+            if target is not None and jump is NodeKind.BREAK:
+                target[2].append((targets, 0))
+            elif target is not None:
+                targets[0] = target[1]
         elif kind == "ident" and kinds[i + 1] == ":":
             self.i += 2
             name = self.texts[i]
             node = FlowNode(nid, NodeKind.LABEL, name + ":", label=name)
             nodes.append(node)
-            self.labels.append((name, kinds[self.i] == "while"))
+            breaks = []
+            # A labeled loop's node comes right after the label's, and its condition's after that.
+            self.jumps.append((name, nid + 2 if kinds[self.i] == "while" else None, breaks))
             node.stmt = self.parse_statement()
-            self.labels.pop()
+            self.jumps.pop()
+            self.waiting += breaks
         else:
             txt = self.parse_expression() + ";"
             self.expect(";")
             nodes.append(FlowNode(nid, NodeKind.SIMPLE, txt))
             self.take_sets(nid)
+            self.instruction(nid, [None], 0)
         return nid
 
     # ---- expressions ----
@@ -441,8 +524,9 @@ class _Parser:
             i += 1
 
 
-def parse_program(source: str) -> tuple[FlowGraph, DefUseAttr]:
-    """Parse mini-Java source text into its flow graph and def/use sets.
+def parse_program(source: str) -> tuple[FlowGraph, EdgeTable, DefUseAttr]:
+    """Parse mini-Java source text into its flow graph, control-flow edges
+    and def/use sets.
 
     Raises ParseError on malformed input, or at the token where nesting
     runs the parser out of stack, and otherwise the first

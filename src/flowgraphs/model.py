@@ -5,8 +5,9 @@ links are id-valued fields on the nodes. `minijava.parse_program` builds
 it, and node ids follow parse order (method, exit, then statements in
 pre-order, each `while` or `if` followed by its condition, then the
 variables), which all later listings and edge tables inherit, so output
-is deterministic. Definition and use sets per flow instruction are kept
-beside the graph, in a `DefUseAttr`.
+is deterministic. Beside the graph the parser fills two tables over its
+flow instructions: the control-flow edges, in an `EdgeTable`, and the
+definition and use sets, in a `DefUseAttr`.
 """
 
 from __future__ import annotations
@@ -76,6 +77,35 @@ class FlowGraph:
     @property
     def exit(self) -> int:
         return self.nodes[self.method].exit
+
+
+FLOW_INSTR_KINDS = frozenset({
+    NodeKind.METHOD,
+    NodeKind.EXIT,
+    NodeKind.SIMPLE,
+    NodeKind.EXPR,
+    NodeKind.RETURN,
+    NodeKind.BREAK,
+    NodeKind.CONTINUE,
+})
+
+
+def flow_instructions(graph: FlowGraph) -> list[int]:
+    """Ids of the nodes that carry flow edges, in creation order."""
+    return [n.id for n in graph.nodes if n.kind in FLOW_INSTR_KINDS]
+
+
+class EdgeTable:
+    """Control-flow edges: node id -> its cfNext targets, and -> its cfPrev sources."""
+
+    def __init__(self, cf_next: dict[int, list[int]] | None = None,
+                 cf_prev: dict[int, list[int]] | None = None) -> None:
+        self.cf_next = {} if cf_next is None else cf_next
+        self.cf_prev = {} if cf_prev is None else cf_prev
+
+    def edges(self) -> list[tuple[int, int]]:
+        """(src, dst) pairs, sources ascending, targets in insertion order."""
+        return sorted_pairs(self.cf_next)
 
 
 class DefUseAttr:

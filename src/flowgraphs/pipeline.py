@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 from . import minijava as mj
-from .controlflow import EdgeTable, compute_cf_edges
 from .dataflow import DfEdgeTable, compute_data_flow
-from .model import DefUseAttr, FlowGraph
+from .model import DefUseAttr, EdgeTable, FlowGraph
 
 
 class Analysis:
@@ -18,8 +17,8 @@ class Analysis:
 
 
 def analyze(source: str) -> Analysis:
-    """Parse source text into its flow graph and run every later stage on it."""
-    graph, def_use = mj.parse_program(source)
-    cf = compute_cf_edges(graph)
+    """Parse source text into its flow graph, control flow and def/use sets,
+    then compute data flow over them."""
+    graph, cf, def_use = mj.parse_program(source)
     df = compute_data_flow(graph, cf, def_use)
     return Analysis(graph, cf, def_use, df)

@@ -29,10 +29,9 @@ from __future__ import annotations
 import re
 from typing import NamedTuple
 
-from .controlflow import EdgeTable
 from .dataflow import DfEdgeTable
 from .errors import SourcePosError
-from .model import FlowGraph
+from .model import EdgeTable, FlowGraph
 
 
 class ValidateSyntaxError(SourcePosError):

@@ -86,7 +86,7 @@ def images(method: ref_parser.Method) -> list:
 def first_statement(source: str, *path: str):
     """The graph of `source`, its def/use sets, and the node of its first
     statement, or the node that the link fields in `path` lead to from it."""
-    graph, du = parse_program(source)
+    graph, _, du = parse_program(source)
     node = graph.node(graph.node(graph.method).stmts[0])
     for link in path:
         node = graph.node(getattr(node, link))
@@ -94,21 +94,26 @@ def first_statement(source: str, *path: str):
 
 
 def graph_of(build, source: str):
-    """What `build(source)`, a (FlowGraph, DefUseAttr) pair, makes of
-    `source`: the error's class, message, line and column, or the repr of
-    every node and the def and use tables in insertion order."""
+    """What `build(source)`, a (FlowGraph, EdgeTable, DefUseAttr) triple,
+    makes of `source`: the error's class, message, line and column, or the
+    repr of every node, the def and use tables in insertion order, and the
+    cfNext and cfPrev tables, each list in order."""
     try:
-        graph, du = build(source)
+        graph, cf, du = build(source)
     except FlowgraphsError as exc:
         return type(exc), str(exc), exc.line, exc.column
-    return [repr(node) for node in graph.nodes], list(du.defs.items()), list(du.uses.items())
+    return ([repr(node) for node in graph.nodes], list(du.defs.items()), list(du.uses.items()),
+            cf.cf_next, cf.cf_prev)
 
 
 def reference_graph(source: str):
-    """`ref_walks.lower` of the reference parser's tree for `source`."""
-    return ref_walks.lower(ref_parser.parse_program(source))
+    """`ref_walks.lower` of the reference parser's tree for `source`, and
+    `ref_walks.compute_cf_edges` of that graph."""
+    graph, du = ref_walks.lower(ref_parser.parse_program(source))
+    return graph, ref_walks.compute_cf_edges(graph), du
 
 
 def assert_matches_reference(source: str) -> None:
-    """The package's parser builds what the reference parser and `lower` build."""
+    """The package's parser builds what the reference parser, `lower` and
+    the reference control-flow walk build."""
     assert graph_of(parse_program, source) == graph_of(reference_graph, source)

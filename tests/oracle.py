@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from flowgraphs.controlflow import EdgeTable, flow_instructions
 from flowgraphs.dataflow import DfEdgeTable, UndefinedUseWarning
-from flowgraphs.model import DefUseAttr, FlowGraph
+from flowgraphs.model import DefUseAttr, EdgeTable, FlowGraph, flow_instructions
 
 
 def brute_force_df_edges(graph: FlowGraph, cf: EdgeTable, du: DefUseAttr) -> set[tuple[int, int]]:

@@ -22,6 +22,12 @@ only it called. `render_graph` prints a flow graph back as source, as
 the package's `render_method` printed its AST, so that parsing a graph's
 text again can be checked to give the same graph.
 
+`compute_cf_edges` is the control-flow walk the package ran over the flow
+graph before its parser made the edges by backpatching: the reference
+for the package's `EdgeTable`, cfNext list for list. It builds cfPrev
+from cfNext afterwards, with sources in ascending id order, as the
+parser does; the walk itself added them in its own visiting order.
+
 `json_doc` is the document `fg cfg --json` and `fg dfg --json` dumped with
 `json.dumps` before the CLI wrote the same bytes directly: the reference
 for that writer.
@@ -37,7 +43,10 @@ from __future__ import annotations
 
 import re
 
-from flowgraphs.model import EXIT_TEXT, DefUseAttr, FlowGraph, FlowNode, NodeKind
+from collections.abc import Callable, Sequence
+from typing import NamedTuple
+
+from flowgraphs.model import EXIT_TEXT, DefUseAttr, EdgeTable, FlowGraph, FlowNode, NodeKind
 from flowgraphs.pipeline import Analysis
 from flowgraphs.validator import ValidateSyntaxError
 
@@ -368,6 +377,95 @@ def _map_stmt(s: Statement, graph: FlowGraph, du: DefUseAttr, var_of: dict) -> i
             var_of[s] = len(var_of)
         _add_sets(node.id, s, du, var_of)
     return node.id
+
+
+class _EdgeTable(EdgeTable):
+    def add(self, src: int, dst: int) -> None:
+        self.cf_next.setdefault(src, []).append(dst)
+
+
+def compute_cf_edges(graph: FlowGraph) -> EdgeTable:
+    """The control-flow edges of `graph`, from one walk over its statements.
+
+    `_lower(nid, cont)` visits every statement once. `cont` is the flow
+    instruction control reaches after the statement completes normally;
+    the walk adds the statement's outgoing edges and returns its entry,
+    the flow instruction control reaches when the statement starts:
+
+    - a block lowers its statements right to left, each one continuing at
+      the next one's entry; an empty block's entry is `cont`;
+    - a simple statement falls through to `cont`, a return goes to Exit;
+    - a loop's condition goes to `cont`, then into the body, whose own
+      continuation is the condition again; an if's condition goes to the
+      then branch, then to the else branch or `cont`;
+    - a label is entered at the statement it wraps.
+
+    Loops and labels push a jump target `(label, break_to, continue_to)`
+    while their body is lowered: a loop pushes `(None, cont, condition)`,
+    a label `(name, cont, condition or None)`. A break or continue takes
+    the innermost target whose label equals its own. The parser has
+    already rejected jumps without a valid target, so the walk has no
+    error path.
+    """
+    edges = _EdgeTable()
+    root = graph.nodes[graph.method]
+    walk = _Walk(graph.nodes, edges.add, root.exit, [])
+    edges.add(root.id, _lower_seq(root.stmts, root.exit, walk))
+    for src in sorted(edges.cf_next):
+        for dst in edges.cf_next[src]:
+            edges.cf_prev.setdefault(dst, []).append(src)
+    return edges
+
+
+class _Walk(NamedTuple):
+    """The state `_lower` threads through the walk."""
+
+    nodes: list[FlowNode]
+    add: Callable[[int, int], None]  # _EdgeTable.add
+    exit: int
+    targets: list[tuple[str | None, int, int | None]]  # jump targets, innermost last
+
+
+def _lower_seq(stmts: Sequence[int], cont: int, walk: _Walk) -> int:
+    for nid in reversed(stmts):
+        cont = _lower(nid, cont, walk)
+    return cont
+
+
+def _lower(nid: int, cont: int, walk: _Walk) -> int:
+    node = walk.nodes[nid]
+    kind = node.kind
+    add = walk.add
+    if kind is NodeKind.BLOCK:
+        return _lower_seq(node.stmts, cont, walk)
+    if kind is NodeKind.SIMPLE:
+        add(nid, cont)
+    elif kind is NodeKind.RETURN:
+        add(nid, walk.exit)
+    elif kind is NodeKind.LOOP:
+        walk.targets.append((None, cont, node.expr))
+        body = _lower(node.body, node.expr, walk)
+        walk.targets.pop()
+        add(node.expr, cont)
+        add(node.expr, body)
+        return node.expr
+    elif kind is NodeKind.IF:
+        then = _lower(node.then, cont, walk)
+        orelse = cont if node.orelse is None else _lower(node.orelse, cont, walk)
+        add(node.expr, then)
+        if orelse != then:  # both are `cont` when neither branch has a flow instruction
+            add(node.expr, orelse)
+        return node.expr
+    elif kind is NodeKind.LABEL:
+        inner = walk.nodes[node.stmt]
+        walk.targets.append((node.label, cont, inner.expr if inner.kind is NodeKind.LOOP else None))
+        entry = _lower(node.stmt, cont, walk)
+        walk.targets.pop()
+        return entry
+    else:  # Break, Continue
+        _, break_to, continue_to = next(t for t in reversed(walk.targets) if t[0] == node.label)
+        add(nid, break_to if kind is NodeKind.BREAK else continue_to)
+    return nid
 
 
 def render_graph(graph: FlowGraph) -> str:

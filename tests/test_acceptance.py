@@ -8,9 +8,8 @@ import json
 import time
 from contextlib import contextmanager
 
-from flowgraphs.controlflow import flow_instructions
 from flowgraphs.minijava import parse_program
-from flowgraphs.model import NodeKind
+from flowgraphs.model import NodeKind, flow_instructions
 from flowgraphs.pipeline import analyze
 from flowgraphs.validator import check, emit_spec, parse_spec
 

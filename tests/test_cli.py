@@ -8,7 +8,6 @@ import pytest
 
 import flowgraphs
 from flowgraphs.cli import _HELP, _USAGE, _dot_listing, _json_text
-from flowgraphs.controlflow import compute_cf_edges
 from flowgraphs.dataflow import compute_data_flow
 from flowgraphs.minijava import ParseError, parse_program
 from flowgraphs.model import DefUseAttr, FlowGraph, FlowNode, NodeKind
@@ -167,7 +166,7 @@ def escaping_analysis() -> Analysis:
     graph = FlowGraph(nodes)
     # Keys out of id order: the document sorts them.
     du = DefUseAttr(defs={first + 2: [var], first: [var]}, uses={first + 4: [var], first + 3: [var]})
-    cf = compute_cf_edges(graph)
+    cf = ref_walks.compute_cf_edges(graph)
     return Analysis(graph, cf, du, compute_data_flow(graph, cf, du))
 
 
@@ -469,7 +468,7 @@ def test_nesting_past_the_stack_is_a_positioned_error(shape, tmp_path):
 
     limit, graphs = bisect_nesting(lambda depth: outcome(parse_program, depth), too_deep)
     # The deepest accepted program gives one node per statement, `a++;` among them.
-    graph, _ = graphs[limit - 1]
+    graph, _, _ = graphs[limit - 1]
     assert progen.count_statements(graph) == 1 + LEVEL_STATEMENTS[shape] * (limit - 1)
     # Called from a few frames deeper, everything else fails a level or two sooner.
     near = (limit - 8, limit + 2)
@@ -623,7 +622,8 @@ def test_public_api_is_documented_in_readme():
     removed = re.search(r"there\s+is\s+no\s+AST\.\s+So\s+(.*?)\s+are\s+no\s+longer\s+part", readme,
                         re.DOTALL)
     gone = re.findall(r"`(\w+)`", removed[1])
-    assert "lower" in gone and [name for name in gone if hasattr(flowgraphs, name)] == []
+    assert "lower" in gone and "compute_cf_edges" in gone
+    assert [name for name in gone if hasattr(flowgraphs, name)] == []
 
 
 def test_repeated_calls_match_a_fresh_process():

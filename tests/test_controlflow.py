@@ -1,11 +1,11 @@
 import pytest
 
-from flowgraphs.controlflow import compute_cf_edges, flow_instructions
 from flowgraphs.minijava import MissingEnclosingLoopError
-from flowgraphs.model import NodeKind
+from flowgraphs.model import NodeKind, flow_instructions
 from flowgraphs.pipeline import analyze
 
 import progen
+import ref_walks
 from helpers import CORPUS
 
 
@@ -277,6 +277,6 @@ def test_determinism(seed):
 
 def test_attribute_recomputation_is_stable():
     a = analyze("int m(int a) { while (a < 3) { a++; } return a; }")
-    edges = compute_cf_edges(a.graph)
+    edges = ref_walks.compute_cf_edges(a.graph)
     assert edges.cf_next == a.cf.cf_next
     assert edges.cf_prev == a.cf.cf_prev

@@ -35,7 +35,7 @@ from helpers import (
 
 
 def test_minimal_program():
-    graph, du = parse_program("int m() { return; }")
+    graph, _, du = parse_program("int m() { return; }")
     root = graph.node(graph.method)
     assert (root.kind, root.txt, root.exit, root.vars) == (NodeKind.METHOD, "m()", 1, [])
     assert len(root.stmts) == 1
@@ -108,7 +108,7 @@ def test_declaration_in_branch_scoped_to_branch():
 
 
 def test_shadowing_binds_innermost():
-    graph, du = parse_program("int m(int a) { { int a = a + 1; a++; } a--; }")
+    graph, _, du = parse_program("int m(int a) { { int a = a + 1; a++; } a--; }")
     root = graph.node(graph.method)
     param, local = root.vars
     block, outer_use = root.stmts  # {...}, a--
@@ -314,7 +314,7 @@ def test_trailing_garbage_rejected():
 
 def assert_render_roundtrip(source):
     """The graph, printed back as source and parsed again, is the same graph."""
-    graph, _ = parse_program(source)
+    graph, _, _ = parse_program(source)
     assert graph_of(parse_program, ref_walks.render_graph(graph)) == graph_of(parse_program, source)
 
 
@@ -492,7 +492,8 @@ def assert_links_match_reference(source):
     ref_method = ref_parser.parse_program(source)
     for occ, decl in ref_walks.resolve(ref_method).items():
         assert occ.decl is decl
-    assert_labels_and_sets_match_reference(*parse_program(source), ref_method)
+    graph, _, du = parse_program(source)
+    assert_labels_and_sets_match_reference(graph, du, ref_method)
 
 
 def test_decl_links_match_reference_resolve():
@@ -576,6 +577,7 @@ def test_name_errors_match_reference_on_mutants(mutate, min_errors):
         assert outcome(parse_program, mutant) == expected, mutant
         if expected is None:
             assert_links_match_reference(mutant)
+        assert_matches_reference(mutant)
         errors += expected is not None
     assert errors >= min_errors
 
@@ -666,7 +668,8 @@ def test_valid_programs_never_reach_token_position(monkeypatch):
 
 
 def test_parser_matches_reference_parser():
-    for source in (*random_sources(), progen.gen_scale(1, 2_000)):
+    corpus = [path.read_text() for path in CORPUS]
+    for source in (*corpus, *random_sources(), progen.gen_scale(1, 2_000)):
         assert_matches_reference(source)
 
 
@@ -705,6 +708,20 @@ def test_errors_deep_in_a_large_file_match_reference():
 @example(progen.nested_program(["parentheses"] * 300))
 @example("int m() { return \u0663; }")  # labelled "return 3;"
 @example("int m() { return 1 }\n$")  # the character error wins
+# Jump shapes for the control-flow edges the parser makes as it goes: a
+# label shadowed by a loop's, and a loop's by a block's (where `continue`
+# finds no loop); two labels on one loop, where only the inner one names
+# it; a break out of an else branch; jumps after a return; and an empty
+# then branch before a full else, whose condition goes to the
+# continuation first.
+@example("int m(int a) { L: { L: while (a < 1) { a++; continue L; } a--; } return a; }")
+@example("int m(int a) { L: while (a < 1) { L: { break L; } a++; } return a; }")
+@example("int m(int a) { L: while (a < 1) { L: { continue L; } } }")
+@example("int m(int a) { A: B: while (a < 1) { a++; break A; } return a; }")
+@example("int m(int a) { A: B: while (a < 1) { continue A; } }")
+@example("int m(int a) { L: if (a < 1) a++; else { a--; break L; } return a; }")
+@example("int m(int a) { while (a < 1) { return a; break; continue; a++; } return; }")
+@example("int m(int a) { if (a < 1) {} else { a++; } return a; }")
 def test_parser_matches_reference_parser_on_any_text(source):
     assert_matches_reference(source)
 
@@ -799,8 +816,8 @@ def assert_labels_and_sets_match_reference(graph, du, ref_method):
 
 def test_labels_and_sets_match_reference():
     for source in random_sources():
-        assert_labels_and_sets_match_reference(*parse_program(source),
-                                               ref_parser.parse_program(source))
+        graph, _, du = parse_program(source)
+        assert_labels_and_sets_match_reference(graph, du, ref_parser.parse_program(source))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -808,7 +825,7 @@ def test_labels_and_sets_match_reference():
 @example("int m(int a, int b) { { int a = a++ + b; a = b = a-- * (a + 1); } return ((a)) == 007; }")
 def test_labels_and_sets_match_reference_on_any_text(source):
     try:
-        graph, du = parse_program(source)
+        graph, _, du = parse_program(source)
     except FlowgraphsError:
         return
     assert_labels_and_sets_match_reference(graph, du, ref_parser.parse_program(source))

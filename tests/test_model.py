@@ -18,7 +18,7 @@ def kinds(graph):
 
 
 def test_minimal_mapping():
-    graph, _ = parse_program("int m() { return; }")
+    graph, _, _ = parse_program("int m() { return; }")
     count = kinds(graph)
     assert count == {NodeKind.METHOD: 1, NodeKind.EXIT: 1, NodeKind.RETURN: 1}
     root = graph.node(graph.method)
@@ -27,7 +27,7 @@ def test_minimal_mapping():
 
 
 def test_loop_mapping_with_condition_expr():
-    graph, _ = parse_program("int m(int a) { while (a < 3) a++; }")
+    graph, _, _ = parse_program("int m(int a) { while (a < 3) a++; }")
     loops = [n for n in graph.nodes if n.kind is NodeKind.LOOP]
     assert len(loops) == 1
     loop = loops[0]
@@ -38,14 +38,14 @@ def test_loop_mapping_with_condition_expr():
 
 
 def test_plain_expressions_get_no_node():
-    graph, _ = parse_program("int m(int a) { a = a + 1; a++; }")
+    graph, _, _ = parse_program("int m(int a) { a = a + 1; a++; }")
     assert [n for n in graph.nodes if n.kind is NodeKind.EXPR] == []
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_node_count_invariants(seed):
     source = progen.gen_program(seed + 900, strict=False, max_stmts=30)
-    graph, _ = parse_program(source)
+    graph, _, _ = parse_program(source)
     count = kinds(graph)
 
     decls = exprs = whiles = ifs = 0
@@ -96,7 +96,7 @@ def test_trace_roundtrip(path):
     # every node but the Exit is the image of exactly one node of the
     # reference parser's tree: node ids follow the pre-order of the tree's
     # statements, and each node carries its source's label
-    graph, _ = parse_program(path.read_text())
+    graph, _, _ = parse_program(path.read_text())
     sources = images(ref.parse_program(path.read_text()))
     assert len(sources) == len(graph.nodes)
     root = graph.node(graph.method)
@@ -115,14 +115,14 @@ def test_trace_roundtrip(path):
 
 
 def test_block_order_preserved():
-    graph, _ = parse_program("int m(int a) { a = 1; a = 2; a = 3; }")
+    graph, _, _ = parse_program("int m(int a) { a = 1; a = 2; a = 3; }")
     root = graph.node(graph.method)
     texts = [graph.node(nid).txt for nid in root.stmts]
     assert texts == ["a = 1;", "a = 2;", "a = 3;"]
 
 
 def test_collect_vars_params_and_order():
-    graph, du = parse_program("int m(int a, int b) { int x = 1; }")
+    graph, _, du = parse_program("int m(int a, int b) { int x = 1; }")
     root = graph.node(graph.method)
     names = [(graph.node(v).kind, graph.node(v).txt) for v in root.vars]
     assert names == [
@@ -135,18 +135,18 @@ def test_collect_vars_params_and_order():
 
 
 def test_collect_vars_empty():
-    graph, _ = parse_program("int m() { return; }")
+    graph, _, _ = parse_program("int m() { return; }")
     assert graph.node(graph.method).vars == []
 
 
 def test_nested_declaration_attaches_to_method():
-    graph, _ = parse_program("int m() { { { int x = 1; } } }")
+    graph, _, _ = parse_program("int m() { { { int x = 1; } } }")
     root = graph.node(graph.method)
     assert [graph.node(v).txt for v in root.vars] == ["x"]
 
 
 def test_shadowing_creates_distinct_var_nodes():
-    graph, du = parse_program("int m() { int x = 1; { int x = 2; } }")
+    graph, _, du = parse_program("int m() { int x = 1; { int x = 2; } }")
     root = graph.node(graph.method)
     assert [graph.node(v).txt for v in root.vars] == ["x", "x"]
     outer, block = root.stmts

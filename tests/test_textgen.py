@@ -163,7 +163,7 @@ def test_fold_appends_operator_then_child():
 
 def test_labels_of_nested_statements_and_expressions():
     source = "int m(int a) { while (a < 3) { a = a + 1; } return a; }"
-    graph, _ = parse_program(source)
+    graph, _, _ = parse_program(source)
     # In parse order: the method, its exit, the loop and its condition, the
     # body and the statement in it, the return, and the parameter
     assert [node.txt for node in graph.nodes] == [
