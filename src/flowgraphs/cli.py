@@ -34,18 +34,6 @@ def _read_input(path: str) -> str:
     return text.removeprefix("\ufeff")  # the byte-order mark some editors write
 
 
-def _emit_listing(graph: FlowGraph, nid: int, depth: int, lines: list[str]) -> None:
-    # A module-level function, not a closure: a recursive closure is a
-    # reference cycle, left for the cyclic collector to free.
-    node = graph.node(nid)
-    lines.append(f'{"  " * depth}{node.kind} "{node.txt}"')
-    # Only a Method has vars and an exit; it lists them around its statements.
-    for child in (*node.vars, node.expr, node.then, node.orelse, node.stmt, node.body,
-                  *node.stmts, node.exit):
-        if child is not None:
-            _emit_listing(graph, child, depth + 1, lines)
-
-
 def _dot_listing(graph: FlowGraph, cf_edges, df_edges) -> list[str]:
     # Node ids are labels with a #k occurrence suffix; ids and labels are
     # quoted as `.validate` labels are.
@@ -97,8 +85,18 @@ def _print_warnings(analysis: Analysis) -> None:
 
 
 def _cmd_build(analysis: Analysis, command: str, opts: dict[str, str]) -> int:
-    lines: list[str] = []
-    _emit_listing(analysis.graph, analysis.graph.method, 0, lines)
+    """The containment listing, from an explicit stack, so any depth lists."""
+    graph = analysis.graph
+    lines = []
+    stack = [(graph.method, 0)]  # (node id, depth); the next node to list is last
+    while stack:
+        nid, depth = stack.pop()
+        node = graph.node(nid)
+        lines.append(f'{"  " * depth}{node.kind} "{node.txt}"')
+        # Only a Method has vars and an exit; it lists them around its statements.
+        children = (*node.vars, node.expr, node.then, node.orelse, node.stmt, node.body,
+                    *node.stmts, node.exit)
+        stack += [(child, depth + 1) for child in reversed(children) if child is not None]
     print("\n".join(lines))
     return 0
 

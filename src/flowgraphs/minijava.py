@@ -73,7 +73,11 @@ so a statement falls through to the entry of the one after it:
   continuation]. The then entry waits; what the then branch leaves
   waiting is set aside while the else branch parses, then joined back.
   Both slots get the same target only when both branches are empty, and
-  then the edge is made once;
+  then the edge is made once. An `else if` is read as the next arm of
+  the same statement, in a loop, not as a nested statement: each arm's
+  If node is the orelse of the one before, what every then branch
+  leaves waiting is set aside until the last arm ends, and the arms
+  share one scope, emptied for each branch;
 - a jump leaves nothing waiting. Loops and labels push a jump target
   (label, continue target, break slots): a loop (None, its condition,
   []), a label (name, the condition of the loop it wraps or None, []). A
@@ -384,38 +388,45 @@ class _Parser:
             nodes.append(node)
             node.stmts = self.parse_block()
         elif kind == "while" or kind == "if":
-            # The condition makes no node, so the statement's node, and its
-            # condition's Expr node after it, are made once it is read.
-            self.i += 1
-            self.expect("(")
-            txt = self.parse_condition()
-            self.expect(")")
-            expr = nid + 1
             loop = kind == "while"
-            # The label is a constant, not the token's text: one string for all
-            node = FlowNode(nid, NodeKind.LOOP if loop else NodeKind.IF, "while" if loop else "if",
-                            (), expr)
-            nodes += (node, FlowNode(expr, NodeKind.EXPR, txt))
-            self.take_sets(expr)
-            # [continuation, body entry] or [then entry, else entry or continuation]
-            targets = self.instruction(expr, [None, None], 1 if loop else 0)
+            then_waiting = []  # what each then branch of an if chain leaves waiting
             self.scopes.append({})
-            if loop:
-                breaks = []
-                self.jumps.append((None, expr, breaks))
-                node.body = self.parse_statement()
-                self.jumps.pop()
-                self.fill(expr)  # the end of the body goes back to the condition
-                self.waiting += (targets, 0), *breaks
-            else:
+            while True:  # one turn per arm: an `else if` is the next arm, not a nested statement
+                # The condition makes no node, so the arm's node, and its
+                # condition's Expr node after it, are made once it is read.
+                self.i += 1
+                self.expect("(")
+                txt = self.parse_condition()
+                self.expect(")")
+                arm = len(nodes)  # the statement's own node, on the first turn
+                expr = arm + 1
+                # The label is a constant, not the token's text: one string for all
+                node = FlowNode(arm, NodeKind.LOOP if loop else NodeKind.IF,
+                                "while" if loop else "if", (), expr)
+                nodes += (node, FlowNode(expr, NodeKind.EXPR, txt))
+                self.take_sets(expr)
+                # [continuation, body entry] or [then entry, else entry or continuation]
+                targets = self.instruction(expr, [None, None], 1 if loop else 0)
+                if loop:
+                    breaks = []
+                    self.jumps.append((None, expr, breaks))
+                    node.body = self.parse_statement()
+                    self.jumps.pop()
+                    self.fill(expr)  # the end of the body goes back to the condition
+                    self.waiting += (targets, 0), *breaks
+                    break
                 node.then = self.parse_statement()
-                then_waiting = self.waiting  # set aside while the else branch parses
+                then_waiting += self.waiting  # set aside while the else branch parses
                 self.waiting = [(targets, 1)]
-                if kinds[self.i] == "else":
-                    self.i += 1
-                    self.scopes[-1] = {}  # the else branch has a scope of its own
+                if kinds[self.i] != "else":
+                    break
+                self.i += 1
+                self.scopes[-1] = {}  # the else branch has a scope of its own
+                if kinds[self.i] != "if":
                     node.orelse = self.parse_statement()
-                self.waiting += then_waiting
+                    break
+                node.orelse = len(nodes)  # the next arm's node is the next one made
+            self.waiting += then_waiting
             self.scopes.pop()
         elif kind == "return":
             self.i += 1
@@ -539,7 +550,7 @@ def parse_program(source: str) -> tuple[FlowGraph, EdgeTable, DefUseAttr]:
     except _Stop:
         pass
     except RecursionError:
-        # No later walk of the graph recurses as deep as the parser, so this bounds them all.
+        # Only the parser recurses, so this is the one place the stack runs out.
         parser.error = (ParseError, "nesting is too deep to analyze", parser.i)
     if parser.error is not None:
         # Raised outside the handlers, which would make every parser frame its

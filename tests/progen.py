@@ -13,7 +13,9 @@ Two profiles:
 distances for the throughput smoke test.
 
 `nested_program` nests one statement in any number of levels of the
-`NESTING` shapes, to find where nesting runs the parser out of stack.
+`NESTING` shapes, to find where nesting runs the parser out of stack;
+its "else-ifs" shape builds else-if ladders, which are read in a loop
+and never do.
 """
 
 from __future__ import annotations

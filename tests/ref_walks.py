@@ -28,6 +28,10 @@ for the package's `EdgeTable`, cfNext list for list. It builds cfPrev
 from cfNext afterwards, with sources in ascending id order, as the
 parser does; the walk itself added them in its own visiting order.
 
+`listing` is the containment listing `fg build` printed with one
+recursive call per containment level, before it listed from an explicit
+stack: the reference for that listing, at the depths it can still reach.
+
 `json_doc` is the document `fg cfg --json` and `fg dfg --json` dumped with
 `json.dumps` before the CLI wrote the same bytes directly: the reference
 for that writer.
@@ -502,6 +506,23 @@ def _render(graph: FlowGraph, nid: int) -> str:
     if kind is NodeKind.BREAK or kind is NodeKind.CONTINUE:
         return node.txt + (" " + node.label if node.label else "") + ";"  # txt is the keyword
     raise TypeError(f"no source rule for {kind}")
+
+
+def listing(graph: FlowGraph) -> str:
+    """The `fg build` listing of `graph`, without the final newline."""
+    lines: list[str] = []
+    _emit_listing(graph, graph.method, 0, lines)
+    return "\n".join(lines)
+
+
+def _emit_listing(graph: FlowGraph, nid: int, depth: int, lines: list[str]) -> None:
+    node = graph.node(nid)
+    lines.append(f'{"  " * depth}{node.kind} "{node.txt}"')
+    # Only a Method has vars and an exit; it lists them around its statements.
+    for child in (*node.vars, node.expr, node.then, node.orelse, node.stmt, node.body,
+                  *node.stmts, node.exit):
+        if child is not None:
+            _emit_listing(graph, child, depth + 1, lines)
 
 
 def json_doc(analysis: Analysis, with_df: bool) -> dict:

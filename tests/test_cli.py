@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -41,6 +42,53 @@ def test_build_listing_full():
     code, out, _ = run_cli(["build", EX09])
     assert code == 0
     assert out == golden("ex09_labeled.build.txt")
+
+
+def assert_build_matches_reference(source: str):
+    code, out, _ = run_cli(["build", "-"], source)
+    assert code == 0
+    assert out == ref_walks.listing(parse_program(source)[0]) + "\n"
+
+
+def test_build_matches_reference():
+    for path in CORPUS:
+        assert_build_matches_reference(path.read_text())
+    for source in random_sources():
+        assert_build_matches_reference(source)
+    # Deep enough to list each shape's containment chain, shallow enough
+    # for the recursive reference: braced whiles take two frames a level.
+    for shape in progen.NESTING:
+        for depth in (1, 2, 300):
+            assert_build_matches_reference(progen.nested_program([shape] * depth))
+
+
+def called_names(function: ast.FunctionDef) -> set[str]:
+    """The names `function` calls as `name(...)` or `self.name(...)`."""
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(function) if isinstance(call, ast.Call)
+            and (isinstance(call.func, ast.Name) or isinstance(call.func, ast.Attribute)
+                 and isinstance(call.func.value, ast.Name) and call.func.value.id == "self")}
+
+
+def test_only_the_parser_recurses():
+    # The parser turns running out of stack into a positioned ParseError;
+    # a recursive walk anywhere else would end in a RecursionError instead.
+    recursive = set()
+    for path in sorted((SRC_DIR / "flowgraphs").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+        calls = {name: called_names(f) & functions.keys() for name, f in functions.items()}
+        for name in functions:
+            reached, todo = set(), list(calls[name])
+            while todo:
+                callee = todo.pop()
+                if callee not in reached:
+                    reached.add(callee)
+                    todo += calls[callee]
+            if name in reached:
+                recursive.add(f"{path.stem}.{name}")
+    assert recursive == {"minijava.parse_block", "minijava.parse_statement",
+                         "minijava.parse_expression", "minijava.parse_condition"}
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
@@ -444,13 +492,19 @@ LEVEL_STATEMENTS = {"blocks": 1, "whiles": 1, "braced whiles": 2, "ifs": 1, "els
                     "labels": 1, "assignments": 0, "parentheses": 0}
 
 
-@pytest.mark.parametrize("shape", progen.NESTING)
-def test_nesting_past_the_stack_is_a_positioned_error(shape, tmp_path):
-    # Every command starts from its own stack depth, so each has its own limit.
+def every_command(tmp_path) -> list[list[str]]:
+    """The argv of each command and output format, less the program path."""
     spec = tmp_path / "any.validate"
     spec.write_text("validate t\n")
-    commands = [["build"], ["cfg"], ["dfg"], ["dfg", "--json"], ["dfg", "--dot"],
-                ["validate", "--emit"], ["validate", "--spec", str(spec)]]
+    return [["build"], ["cfg"], ["dfg"], ["dfg", "--json"], ["dfg", "--dot"],
+            ["validate", "--emit"], ["validate", "--spec", str(spec)]]
+
+
+# An else-if ladder is read in a loop, so its arms are not nesting.
+@pytest.mark.parametrize("shape", [shape for shape in progen.NESTING if shape != "else-ifs"])
+def test_nesting_past_the_stack_is_a_positioned_error(shape, tmp_path):
+    # Every command starts from its own stack depth, so each has its own limit.
+    commands = every_command(tmp_path)
 
     def program(depth):
         return progen.nested_program([shape] * depth)
@@ -483,6 +537,22 @@ def test_nesting_past_the_stack_is_a_positioned_error(shape, tmp_path):
             code, out, err = results[depth]
             assert (code, out) == (2, ""), argv
             assert TOO_DEEP_ERROR.fullmatch(err), (argv, err)
+
+
+def test_else_if_ladders_are_not_nesting(tmp_path):
+    # A plain test: inside @given, Hypothesis raises the recursion limit.
+    # The parser reads an `else if` arm as one more turn of its loop, and
+    # `fg build` lists from a stack, so no ladder runs out of stack, as
+    # 991 arms once did.
+    arms = 20_000
+    source = progen.nested_program(["else-ifs"] * arms)
+    analysis = analyze(source)
+    assert progen.count_statements(analysis.graph) == 1 + LEVEL_STATEMENTS["else-ifs"] * arms
+    assert run_cli(["dfg", "-", "--json"], source) == (0, _json_text(analysis, True) + "\n", "")
+    source = progen.nested_program(["else-ifs"] * 2_000)
+    for argv in every_command(tmp_path):
+        code, _, err = run_cli([argv[0], "-", *argv[1:]], source)
+        assert code == (1 if "--spec" in argv else 0), (argv, err)
 
 
 def test_nesting_error_points_at_the_token_being_read():

@@ -101,6 +101,11 @@ def test_declaration_in_branch_scoped_to_branch():
     for source in (
         "int m(int c) { if (c < 1) int x = 1; x++; }",
         "int m(int c) { if (c < 1) c++; else int x = 1; x++; }",
+        # nor into the else branch, nor into an `else if` arm or its condition
+        "int m(int c) { if (c < 1) int x = 1; else x++; }",
+        "int m(int c) { if (c < 1) int x = 1; else if (x < 1) c++; }",
+        "int m(int c) { if (c < 1) c++; else if (c < 2) int x = 1; else x++; }",
+        "int m(int c) { if (c < 1) c++; else if (c < 2) int x = 1; x++; }",
         "int m(int c) { while (c < 1) int x = 1; x++; }",
     ):
         with pytest.raises(UnresolvedVariableError):
@@ -722,6 +727,15 @@ def test_errors_deep_in_a_large_file_match_reference():
 @example("int m(int a) { L: if (a < 1) a++; else { a--; break L; } return a; }")
 @example("int m(int a) { while (a < 1) { return a; break; continue; a++; } return; }")
 @example("int m(int a) { if (a < 1) {} else { a++; } return a; }")
+# Else-if chains, whose arms the parser reads in one loop: jumps out of
+# arms, empty arms, returns in every arm, a name declared in one arm and
+# read by the next arm's condition, and a syntax error in a later arm.
+@example("int m(int a) { L: while (a > 0) { if (a == 1) break; else if (a == 2) continue L;"
+         " else if (a == 3) { a--; } else a++; } return a; }")
+@example("int m(int a) { if (a < 1) { } else if (a < 2) { } else if (a < 3) { } return a; }")
+@example("int m(int a) { if (a < 1) return 1; else if (a < 2) return 2; else return 3; }")
+@example("int m(int a) { if (a < 1) int x = 1; else if (x < 2) a++; }")
+@example("int m(int a) { if (a < 1) a++; else if (a < 2 { } }")
 def test_parser_matches_reference_parser_on_any_text(source):
     assert_matches_reference(source)
 
