@@ -10,8 +10,10 @@ import os
 import sys
 from json.encoder import encode_basestring_ascii
 
+from .dataflow import DfEdgeTable
 from .errors import FlowgraphsError
-from .model import FlowGraph, flow_instructions, sorted_pairs
+from .minijava import parse_program
+from .model import DefUseAttr, FlowGraph, flow_instructions, sorted_pairs
 from .pipeline import Analysis, analyze
 from .validator import FINDINGS, check, emit_spec, parse_spec, quote
 
@@ -60,7 +62,7 @@ def _dot_listing(graph: FlowGraph, cf_edges, df_edges) -> list[str]:
 _encode = json.JSONEncoder(check_circular=False).encode
 
 
-def _json_text(analysis: Analysis, with_df: bool) -> str:
+def _json_text(analysis: Analysis) -> str:
     """The JSON document, as `json.dumps` writes it, without building it.
 
     Each node object is one f-string; `_value_` is the kind's plain string,
@@ -69,14 +71,11 @@ def _json_text(analysis: Analysis, with_df: bool) -> str:
     json_str = encode_basestring_ascii
     nodes = ", ".join([f'{{"id": {n.id}, "kind": "{n.kind._value_}", "txt": {json_str(n.txt)}}}'
                        for n in analysis.graph.nodes])
-    if not with_df:
-        tail = '"dfNext": [], "def": {}, "use": {}'
-    else:
-        du = analysis.def_use
-        tail = (f'"dfNext": {_encode(analysis.df.edges())}, '
-                f'"def": {_encode({n: du.defs[n] for n in sorted(du.defs)})}, '
-                f'"use": {_encode({n: du.uses[n] for n in sorted(du.uses)})}')
-    return f'{{"nodes": [{nodes}], "cfNext": {_encode(analysis.cf.edges())}, {tail}}}'
+    du = analysis.def_use
+    return (f'{{"nodes": [{nodes}], "cfNext": {_encode(analysis.cf.edges())}, '
+            f'"dfNext": {_encode(analysis.df.edges())}, '
+            f'"def": {_encode({n: du.defs[n] for n in sorted(du.defs)})}, '
+            f'"use": {_encode({n: du.uses[n] for n in sorted(du.uses)})}}}')
 
 
 def _print_warnings(analysis: Analysis) -> None:
@@ -102,24 +101,20 @@ def _cmd_build(analysis: Analysis, command: str, opts: dict[str, str]) -> int:
 
 
 def _cmd_graph(analysis: Analysis, command: str, opts: dict[str, str]) -> int:
-    """`fg cfg`, or `fg dfg`, which adds warnings, data flow and def/use sets."""
+    """`fg dfg`, or `fg cfg`, to which `main` gives empty def/use and data-flow
+    tables, so that it writes control flow alone, without `cfNext: ` as text."""
     graph = analysis.graph
-    with_df = command == "dfg"
-    if with_df:
-        _print_warnings(analysis)
+    _print_warnings(analysis)
     if "--json" in opts:
-        print(_json_text(analysis, with_df))
+        print(_json_text(analysis))
         return 0
-    cf_edges = analysis.cf.edges()
-    df_edges = analysis.df.edges() if with_df else []
+    cf_edges, df_edges = analysis.cf.edges(), analysis.df.edges()
     if "--dot" in opts:
         print("\n".join(_dot_listing(graph, cf_edges, df_edges)))
         return 0
-    sections = [("", cf_edges)]
-    if with_df:
-        du = analysis.def_use
-        sections = [("cfNext: ", cf_edges), ("dfNext: ", df_edges),
-                    ("def: ", sorted_pairs(du.defs)), ("use: ", sorted_pairs(du.uses))]
+    du = analysis.def_use
+    sections = [("cfNext: " if command == "dfg" else "", cf_edges), ("dfNext: ", df_edges),
+                ("def: ", sorted_pairs(du.defs)), ("use: ", sorted_pairs(du.uses))]
     for name, pairs in sections:
         for a, b in pairs:
             print(f"{name}{graph.node(a).txt} --> {graph.node(b).txt}")
@@ -235,7 +230,11 @@ def main(argv: list[str] | None = None) -> int:
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        analysis = analyze(_read_input(path))
+        if command in ("dfg", "validate"):
+            analysis = analyze(_read_input(path))
+        else:  # `build` and `cfg` print no data flow, so they stop at the parser
+            graph, cf, _ = parse_program(_read_input(path))
+            analysis = Analysis(graph, cf, DefUseAttr(), DfEdgeTable())
         code = _COMMANDS[command][0](analysis, command, opts)
         sys.stdout.flush()  # so that a closed pipe shows here, not at exit
         return code

@@ -2,15 +2,18 @@
 
 Two profiles:
 
-* strict=True  -- every if has an else, loop bodies and branches are
-  non-empty. Under those conditions each loop/if condition has exactly
-  two outgoing control-flow edges and every other reachable instruction
-  exactly one, which is what the structural acceptance checks assert.
-* strict=False -- richer shapes for the data-flow oracle: else-less ifs,
-  empty blocks and loop bodies, single-statement branches, dead code.
+* strict=True  -- every if, or else-if chain, ends in an else; loop
+  bodies and branches are non-empty. Under those conditions each
+  loop/if condition has exactly two outgoing control-flow edges and
+  every other reachable instruction exactly one, which is what the
+  structural acceptance checks assert.
+* strict=False -- richer shapes for the data-flow oracle: else-less ifs
+  and else-if chains, empty blocks and loop bodies, single-statement
+  branches, dead code.
 
 `gen_scale` produces large, mostly flat programs with short def-use
-distances for the throughput smoke test.
+distances for the throughput smoke test. `SHAPES` builds ROADMAP's
+adversarial shapes at any size.
 
 `nested_program` nests one statement in any number of levels of the
 `NESTING` shapes, to find where nesting runs the parser out of stack;
@@ -141,19 +144,26 @@ class _Gen:
         self.loop_labels.pop()
         return [indent + head] + body + [indent + "}"]
 
+    def branch(self, depth: int, indent: str) -> list[str]:
+        self.scopes.append([])
+        lines = self.stmts(depth + 1, indent + "    ",
+                           min_count=1 if self.strict else 0, max_count=3)
+        self.scopes.pop()
+        return lines
+
     def if_stmt(self, depth: int, indent: str) -> list[str]:
         self.spend(1, 1)
-        lines = [f"{indent}if ({self.cond()}) {{"]
-        self.scopes.append([])
-        lines += self.stmts(depth + 1, indent + "    ",
-                            min_count=1 if self.strict else 0, max_count=3)
-        self.scopes.pop()
-        if self.strict or self.rng.random() < 0.5:
-            lines.append(indent + "} else {")
-            self.scopes.append([])
-            lines += self.stmts(depth + 1, indent + "    ",
-                                min_count=1 if self.strict else 0, max_count=3)
-            self.scopes.pop()
+        lines = [f"{indent}if ({self.cond()}) {{"] + self.branch(depth, indent)
+        # An else may be another arm, `else if`; in strict mode the last arm
+        # still has an else.
+        while self.strict or self.rng.random() < 0.5:
+            if self.rng.random() < 0.3 and self.room(4, 3):
+                self.spend(1, 1)
+                lines.append(f"{indent}}} else if ({self.cond()}) {{")
+                lines += self.branch(depth, indent)
+                continue
+            lines += [indent + "} else {"] + self.branch(depth, indent)
+            break
         lines.append(indent + "}")
         return lines
 
@@ -222,6 +232,46 @@ def gen_scale(seed: int, n_stmts: int) -> str:
     lines.append("}")
     count += 1
     return "\n".join(lines) + "\n"
+
+
+# ROADMAP's adversarial shapes, each one method with n copies of a
+# statement pattern. A data-flow search that crosses blocks one use at a
+# time is quadratic on the first four; loop-nest has about n² edges.
+
+
+def branchy(n: int) -> str:
+    """Every use of `x` crosses all the ifs back to its definition."""
+    copies = "".join(f"if (s < {k}) {{ s = {k}; }} s = s + x; " for k in range(n))
+    return f"int m() {{ int x = 1; int s = 0; {copies}return s; }}"
+
+
+def branchy_then(n: int) -> str:
+    """Branchy with the read of `x` inside each then branch."""
+    copies = "".join(f"if (s < {k}) {{ s = {k} + x; }} s = s + 1; " for k in range(n))
+    return f"int m() {{ int x = 1; int s = 0; {copies}return s; }}"
+
+
+def many_vars(n: int) -> str:
+    """n variables, an if that may write each, and one return that reads all."""
+    decls = "".join(f"int v{k} = {k}; " for k in range(n))
+    ifs = "".join(f"if (v{k} < 1) {{ v{k} = 1; }} " for k in range(n))
+    return f"int m() {{ {decls}{ifs}return {' + '.join(f'v{k}' for k in range(n))}; }}"
+
+
+def ladder_reads(n: int) -> str:
+    """An n-arm else-if ladder whose every condition reads the parameter."""
+    arms = "".join(f"if (p == {k}) {{ q = {k}; }} else " for k in range(n))
+    return f"int m(int p) {{ int q = 0; {arms}{{ q = 1; }} return q; }}"
+
+
+def loop_nest(n: int) -> str:
+    """n loops in a row, any of which may be skipped."""
+    loops = "".join(f"while (s < {k}) {{ s = s + x; }} " for k in range(n))
+    return f"int m() {{ int x = 1; int s = 0; {loops}return s; }}"
+
+
+SHAPES = {"branchy": branchy, "branchy-then": branchy_then, "many-vars": many_vars,
+          "ladder-reads": ladder_reads, "loop-nest": loop_nest}
 
 
 # One level of each nesting shape: the text before and after what it nests.

@@ -9,7 +9,7 @@ import pytest
 
 import flowgraphs
 from flowgraphs.cli import _HELP, _USAGE, _dot_listing, _json_text
-from flowgraphs.dataflow import compute_data_flow
+from flowgraphs.dataflow import DfEdgeTable, compute_data_flow
 from flowgraphs.minijava import ParseError, parse_program
 from flowgraphs.model import DefUseAttr, FlowGraph, FlowNode, NodeKind
 from flowgraphs.pipeline import Analysis, analyze
@@ -221,8 +221,10 @@ def escaping_analysis() -> Analysis:
 def test_json_escapes_labels_as_json_dumps_does():
     analysis = escaping_analysis()
     assert analysis.df.edges()
-    for with_df in (False, True):
-        assert _json_text(analysis, with_df) == json.dumps(ref_walks.json_doc(analysis, with_df))
+    assert _json_text(analysis) == json.dumps(ref_walks.json_doc(analysis, True))
+    # `fg cfg` writes an analysis with empty def/use and data-flow tables.
+    control_flow = Analysis(analysis.graph, analysis.cf, DefUseAttr(), DfEdgeTable())
+    assert _json_text(control_flow) == json.dumps(ref_walks.json_doc(analysis, False))
 
 
 def test_dot_quotes_ids_and_labels_as_validate_does():
@@ -548,7 +550,7 @@ def test_else_if_ladders_are_not_nesting(tmp_path):
     source = progen.nested_program(["else-ifs"] * arms)
     analysis = analyze(source)
     assert progen.count_statements(analysis.graph) == 1 + LEVEL_STATEMENTS["else-ifs"] * arms
-    assert run_cli(["dfg", "-", "--json"], source) == (0, _json_text(analysis, True) + "\n", "")
+    assert run_cli(["dfg", "-", "--json"], source) == (0, _json_text(analysis) + "\n", "")
     source = progen.nested_program(["else-ifs"] * 2_000)
     for argv in every_command(tmp_path):
         code, _, err = run_cli([argv[0], "-", *argv[1:]], source)
@@ -580,6 +582,37 @@ def test_cfg_prints_no_warning():
     assert code == 0
     assert out == "m() --> return;\nreturn; --> Exit\nint x = a; --> Exit\n"
     assert err == ""
+
+
+def test_build_and_cfg_compute_no_data_flow(monkeypatch):
+    # They print no data flow, so they stop at the parser: with data flow
+    # made to fail, they still write what they wrote when they computed it.
+    source = progen.many_vars(300)
+    analysis = analyze(source)
+    graph = analysis.graph
+    dfg_dot = run_cli(["dfg", "-", "--dot"], source)[1].splitlines(keepends=True)
+    want = {
+        ("build",): ref_walks.listing(graph) + "\n",
+        ("cfg",): "".join(f"{graph.node(a).txt} --> {graph.node(b).txt}\n"
+                          for a, b in analysis.cf.edges()),
+        ("cfg", "--dot"): "".join(line for line in dfg_dot if "[style=dashed]" not in line),
+        ("cfg", "--json"): json.dumps(ref_walks.json_doc(analysis, False)) + "\n",
+    }
+
+    def no_data_flow(*args):
+        raise AssertionError("data flow was computed")
+
+    monkeypatch.setattr(flowgraphs.pipeline, "compute_data_flow", no_data_flow)
+    monkeypatch.setattr(flowgraphs.dataflow, "compute_data_flow", no_data_flow)
+    with pytest.raises(AssertionError, match="data flow was computed"):
+        run_cli(["dfg", "-"], source)
+    for argv, out in want.items():
+        assert run_cli([argv[0], "-", *argv[1:]], source) == (0, out, ""), argv
+    for path in CORPUS:
+        assert run_cli(["cfg", str(path)]) == (0, golden(path.stem + ".cfg.txt"), "")
+    for name in ("ex01_min", "ex09_labeled"):
+        path = str(CORPUS_DIR / (name + ".mj"))
+        assert run_cli(["build", path]) == (0, golden(name + ".build.txt"), "")
 
 
 def test_validate_clean_exit_0(tmp_path):

@@ -35,7 +35,7 @@ def test_dropped_analysis_leaves_no_cyclic_garbage(name):
     # Collector off, so that no automatic pass frees a cycle before the count.
     with collector(enabled=False):
         gc.collect()
-        _json_text(analyze(PROGRAMS[name]), with_df=True)
+        _json_text(analyze(PROGRAMS[name]))
         assert gc.collect() == 0
 
 

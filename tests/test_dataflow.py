@@ -110,19 +110,23 @@ def test_oracle_equivalence_on_random_programs(seed):
 def test_edge_table_is_deduplicated():
     # The tables add without a membership check: an if whose branches enter
     # the same instruction adds that edge once, and a definition that reaches
-    # one use through two variables (`x = a = 1`) adds that edge once.
+    # one use through two variables (`x = a = 1`) adds that edge once. No
+    # table lists an id without targets, so an encoder may take every list
+    # to have at least one.
     sources = [
         "int m(int c) { int x = 1; if (c == 1) c = 2; else c = 3; return x; }",
         "int m(int a) { if (a < 1) {} else {} }",
         "int m(int a) { if (a < 2) {} }",
         "int m(int a) { int x = a = 1; return x + a; }",
         *random_sources(),
+        *(path.read_text() for path in CORPUS),
+        *(build(200) for build in progen.SHAPES.values()),
     ]
     for source in sources:
         a = analyze(source)
-        for table in (a.cf.cf_next, a.cf.cf_prev, a.df.df_next):
+        for table in (a.cf.cf_next, a.cf.cf_prev, a.def_use.defs, a.def_use.uses, a.df.df_next):
             for targets in table.values():
-                assert len(targets) == len(set(targets)), source
+                assert targets and len(targets) == len(set(targets)), source
 
 
 def block_vs_bfs(source):
@@ -174,6 +178,7 @@ int m(int a) {
     pytest.param("int m(int c) { int x = 1; int y = 0; " + "if (c < 1) { y = c; } " * 300
                  + "return x; }", id="300_ifs_then_early_use"),
     pytest.param(LABELED_CONTINUE_INTO_DEAD_CODE, id="labeled_continue_into_dead_code"),
+    *[pytest.param(build(200), id=f"{name}_200") for name, build in progen.SHAPES.items()],
 ])
 def test_block_search_matches_bfs_on_built_shapes(source):
     got, want = block_vs_bfs(source)
