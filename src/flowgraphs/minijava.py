@@ -96,7 +96,7 @@ from __future__ import annotations
 import re
 from itertools import islice
 
-from .errors import SourcePosError
+from .errors import SourcePosError, line_col
 from .model import EXIT_TEXT, DefUseAttr, EdgeTable, FlowGraph, FlowNode, NodeKind
 
 
@@ -168,10 +168,8 @@ def tokenize(source: str) -> Tokens:
 
 
 def token_position(source: str, i: int) -> tuple[int, int]:
-    """The (line, column) of token `i` of `source`, counted from 1: a line ends
-    at "\\n", and a column counts code points. It scans the source up to the token."""
-    start = next(islice(_TOKEN_RE.finditer(source), i, None)).start(1)
-    return source.count("\n", 0, start) + 1, start - source.rfind("\n", 0, start)
+    """The `line_col` of token `i` of `source`. It scans the source up to the token."""
+    return line_col(source, next(islice(_TOKEN_RE.finditer(source), i, None)).start(1))
 
 
 # Binary operator -> its text in a label

@@ -12,10 +12,14 @@ The grammar:
     spec      := 'validate' ident assertion*
     assertion := ('cfNext' | 'dfNext') ':' label '-->' label
 
-`parse_spec` reads a valid spec with two patterns, one match for the header
-and one per assertion. A spec they do not read to its end is invalid; a
-table of token rules (`_HEADER`, then `_KEYWORD` and `_LINK` per assertion)
-reads its tokens again and raises at the first one that breaks its rule.
+`parse_spec` reads a spec in one scan. Where an assertion may start, one
+match reads the whole of it; elsewhere one match reads one token, which
+the next rule of `_RULES` checks: the header's two, then an assertion's
+five. After the first token that breaks its rule, or a cfNext after a
+dfNext, the scan goes on to the end, so that an unexpected character, an
+unterminated label or an invalid escape anywhere in the text is the
+error that is raised. An error's line and column are worked out from its
+offset only when it is raised.
 
 Checking reports two kinds of findings: a *false link* is a graph edge
 whose label pair no assertion covers, a *missing link* is an assertion
@@ -30,7 +34,7 @@ import re
 from typing import NamedTuple
 
 from .dataflow import DfEdgeTable
-from .errors import SourcePosError
+from .errors import SourcePosError, line_col
 from .model import EdgeTable, FlowGraph
 
 
@@ -75,122 +79,99 @@ class ValidationReport:
                 for name, prefix in FINDINGS for left, right in getattr(self, name)]
 
 
-# One match per token, told apart by `lastindex`; a comment has no group.
-# A label's body takes every character but a quote, a backslash or a line
-# end, and the escapes \" and \\; group 3, the closing quote, is missing
-# when an invalid escape, a line end or the end of text stops it. A word is
-# \w+, which is exactly the characters `str.isalnum` accepts plus "_"; one
-# that does not start with a letter or "_" is an unexpected character. Any
-# other character but a blank is caught by group 6, so `finditer` skips
-# only blanks. Only an invalid spec reaches the tokenizer, so `re` compiles
-# this pattern, as it does `_ESCAPE`, at its first use.
-_SPEC_TOKEN = r"""(?x)
-      (\n)
-    | //[^\n]*
-    | "((?:[^"\\\n]|\\["\\])*)(")?
-    | (-->|:)
-    | (\w+)
-    | ([^ \t\r])
-    """
+# The patterns `parse_spec` reads a spec with. `re` compiles them at their
+# first use and then finds them in its cache, so that only a command that
+# reads a spec pays for them. Blanks are " \t\r\n"; a comment runs to its
+# line end, so that a failed match backtracks over it in one step. A
+# label's body takes every character but a quote, a backslash or a line
+# end, and the escapes \" and \\.
+_SKIP = r"[ \t\r\n]*(?://[^\n]*(?![^\n])[ \t\r\n]*)*"
+_BODY = r'([^"\\\n]*(?:\\["\\][^"\\\n]*)*)'
+_SPEC_ASSERTION = rf'{_SKIP}(cfNext|dfNext){_SKIP}:{_SKIP}"{_BODY}"{_SKIP}-->{_SKIP}"{_BODY}"'
+# One token and the blanks and comments before it, told apart by
+# `lastindex`: 1 a label, whose closing quote, group 3, is missing when an
+# invalid escape, a line end or the end of text stops it; 4 a symbol; 5 a
+# word, \w+, which is exactly the characters `str.isalnum` accepts plus
+# "_" (one that does not start with a letter or "_" is an unexpected
+# character); 6 any other character. At the end of the text no group matches.
+_SPEC_TOKEN = rf'{_SKIP}(?:("{_BODY}(")?)|(-->|:)|(\w+)|(.))?'
 _ESCAPE = r"\\(.)"
 
-
-def _tokenize_spec(text: str) -> list[tuple[str, str, int, int]]:
-    """(kind, value, line, col) tuples; kinds: ident, string, ':', '-->'."""
-    tokens = []
-    line, before_line = 1, -1  # the line number, and the index just before its start
-    for m in re.finditer(_SPEC_TOKEN, text):
-        group = m.lastindex
-        if group == 1:
-            line += 1
-            before_line = m.start()
-            continue
-        col = m.start() - before_line
-        if group == 3:
-            value = m[2]
-            if "\\" in value:
-                value = re.sub(_ESCAPE, r"\1", value)
-            tokens.append(("string", value, line, col))
-        elif group == 2:  # no closing quote
-            if text.startswith("\\", m.end()):
-                raise ValidateSyntaxError("invalid escape in label", line, m.end() - before_line)
-            raise ValidateSyntaxError("unterminated label string", line, col)
-        elif group == 4:
-            tokens.append((m[0], m[0], line, col))
-        elif group == 5 and (m[0][0].isalpha() or m[0][0] == "_"):
-            tokens.append(("ident", m[0], line, col))
-        elif group is not None:
-            raise ValidateSyntaxError(f"unexpected character {m[0][0]!r}", line, col)
-    return tokens
-
-
-# Token rules: (kind, what an error calls it, accepted words or () for any)
-_HEADER = (("ident", "'validate'", ("validate",)), ("ident", "a specification name", ()))
-_KEYWORD = ("ident", "'cfNext' or 'dfNext'", ("cfNext", "dfNext"))
-_LABEL = ("string", "a quoted label", ())
-_LINK = ((":", "':'", ()), _LABEL, ("-->", "'-->'", ()), _LABEL)  # the rest of an assertion
-
-
-def _take(tokens: list, i: int, kind: str, what: str, words=()) -> tuple[str, str, int, int]:
-    """tokens[i], if it is of `kind` and, when `words` are given, one of them."""
-    if i < len(tokens):
-        tok = tokens[i]
-        if tok[0] == kind and (not words or tok[1] in words):
-            return tok
-        raise ValidateSyntaxError(f"expected {what}, found {tok[1]!r}", tok[2], tok[3])
-    _, _, line, col = tokens[-1] if tokens else ("", "", 1, 1)
-    raise ValidateSyntaxError(f"expected {what}, found end of input", line, col)
-
-
-# The patterns `parse_spec` reads a valid spec with. `re` compiles them at
-# their first use and then finds them in its cache, so that only a command
-# that reads a spec pays for them. Between tokens they take what
-# `_tokenize_spec` skips; a comment runs to its line end, so that a failed
-# match backtracks over it in one step.
-_SKIP = r"[ \t\r\n]*(?://[^\n]*(?![^\n])[ \t\r\n]*)*"
-_QUOTED = r'"([^"\\\n]*(?:\\["\\][^"\\\n]*)*)"'  # a label, its body in a group
-_SPEC_HEADER = rf"{_SKIP}validate(?!\w){_SKIP}(\w+){_SKIP}"
-_SPEC_ASSERTION = rf"(cfNext|dfNext){_SKIP}:{_SKIP}{_QUOTED}{_SKIP}-->{_SKIP}{_QUOTED}{_SKIP}"
+# Token rules: (kind, what an error calls it, accepted words or () for any);
+# the header's two, then an assertion's five, which repeat.
+_RULES = (("ident", "'validate'", ("validate",)), ("ident", "a specification name", ()),
+          ("ident", "'cfNext' or 'dfNext'", ("cfNext", "dfNext")), (":", "':'", ()),
+          ("string", "a quoted label", ()), ("-->", "'-->'", ()), ("string", "a quoted label", ()))
+_ASSERTION = 2  # the rule an assertion starts at
+_ORDER = "cfNext assertions must precede dfNext assertions"
 
 
 def parse_spec(text: str) -> ValidationSpec:
     """Parse a `.validate` document.
 
     Raises ValidateSyntaxError on malformed input and OrderError when a
-    cfNext assertion follows a dfNext assertion.
+    cfNext assertion follows a dfNext assertion. An unexpected character,
+    an unterminated label or an invalid escape is the error wherever it
+    is; otherwise the first token that breaks its rule is, or the end of
+    a spec cut short.
     """
-    header = re.compile(_SPEC_HEADER).match(text)
-    if header and (header[1][0].isalpha() or header[1][0] == "_"):  # as `_tokenize_spec` requires
-        spec = ValidationSpec(header[1])
-        links, df_links = spec.cf_links, spec.df_links
-        pos, end, match = header.end(), len(text), re.compile(_SPEC_ASSERTION).match
-        while pos < end and (m := match(text, pos)):
+    spec = ValidationSpec("")
+    links, df_links = spec.cf_links, spec.df_links
+    assertion, token = re.compile(_SPEC_ASSERTION).match, re.compile(_SPEC_TOKEN).match
+    pos = rule = last = 0  # `last`: the offset of the last token a rule took
+    error = None  # the first grammar error, (class, message, offset); the scan goes on
+    while True:
+        if rule == _ASSERTION and error is None and (m := assertion(text, pos)):
             keyword, left, right = m.groups()
             if keyword == "dfNext":
                 links = df_links
             elif links is df_links:
-                break
-            if "\\" in m[0]:
+                error = (OrderError, _ORDER, m.start(1))
+            if "\\" in left or "\\" in right:
                 left, right = re.sub(_ESCAPE, r"\1", left), re.sub(_ESCAPE, r"\1", right)
             links.append(LinkAssertion(left, right))
             pos = m.end()
-        if pos == end:
-            return spec
-    # Not a valid spec: the token rules find its first error.
-    tokens = _tokenize_spec(text)
-    _, name = [_take(tokens, i, *rule)[1] for i, rule in enumerate(_HEADER)]
-    spec = ValidationSpec(name)
-    links = spec.cf_links
-    for i in range(len(_HEADER), len(tokens), 1 + len(_LINK)):
-        head = _take(tokens, i, *_KEYWORD)
-        if head[1] == "dfNext":
-            links = spec.df_links
-        elif links is spec.df_links:
-            raise OrderError("cfNext assertions must precede dfNext assertions", head[2], head[3])
-        # fields passed one by one: a call with *rule is not specialized
-        _, left, _, right = [_take(tokens, i + j, kind, what, words)[1]
-                             for j, (kind, what, words) in enumerate(_LINK, 1)]
-        links.append(LinkAssertion(left, right))
+            continue
+        m = token(text, pos)
+        group = m.lastindex
+        if group is None:
+            break
+        start, pos = m.start(group), m.end()
+        if group == 1 and m[3]:
+            kind, value = "string", m[2]
+            if "\\" in value:
+                value = re.sub(_ESCAPE, r"\1", value)
+        elif group == 1:  # no closing quote
+            if text.startswith("\\", pos):
+                raise ValidateSyntaxError("invalid escape in label", *line_col(text, pos))
+            raise ValidateSyntaxError("unterminated label string", *line_col(text, start))
+        elif group == 4:
+            kind = value = m[4]
+        elif group == 5 and (m[5][0].isalpha() or m[5][0] == "_"):
+            kind, value = "ident", m[5]
+        else:
+            raise ValidateSyntaxError(f"unexpected character {text[start]!r}", *line_col(text, start))
+        if error:
+            continue
+        rule_kind, what, words = _RULES[rule]
+        if kind != rule_kind or words and value not in words:
+            error = (ValidateSyntaxError, f"expected {what}, found {value!r}", start)
+        elif rule == 1:  # the spec's name
+            spec.name = value
+        elif rule == _ASSERTION and value == "dfNext":
+            links = df_links
+        elif rule == _ASSERTION and links is df_links:
+            error = (OrderError, _ORDER, start)
+        elif rule == 4:  # an assertion's left label
+            left = value
+        elif rule == 6:  # and its right label
+            links.append(LinkAssertion(left, value))
+        last, rule = start, rule + 1 if rule + 1 < len(_RULES) else _ASSERTION
+    if error is None and rule != _ASSERTION:
+        error = (ValidateSyntaxError, f"expected {_RULES[rule][1]}, found end of input", last)
+    if error:
+        cls, message, offset = error
+        raise cls(message, *line_col(text, offset))
     return spec
 
 

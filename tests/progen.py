@@ -11,6 +11,12 @@ Two profiles:
   and else-if chains, empty blocks and loop bodies, single-statement
   branches, dead code.
 
+`gen_jumps` writes loose programs full of jumps: else-if ladders,
+labeled blocks left by `break L`, labeled loops with `continue L` from
+inner loops, dead code after every kind of jump, and `++`/`--` in
+conditions. It is an entry point of its own, so that `gen_program`'s
+programs stay as they were.
+
 `gen_scale` produces large, mostly flat programs with short def-use
 distances for the throughput smoke test. `SHAPES` builds ROADMAP's
 adversarial shapes at any size.
@@ -32,6 +38,10 @@ _ARITH_OPS = (" + ", " - ", " * ", " / ")
 
 
 class _Gen:
+    # The chances that a loop has a label, that an if has an else, and
+    # that the else is another arm
+    LOOP_LABEL, ELSE, ELSE_IF = 0.3, 0.5, 0.3
+
     def __init__(self, rng: random.Random, strict: bool, max_stmts: int, max_instrs: int):
         self.rng = rng
         self.strict = strict
@@ -133,7 +143,7 @@ class _Gen:
         return self.simple_stmt(indent)
 
     def while_stmt(self, depth: int, indent: str) -> list[str]:
-        label = self.fresh_label() if self.rng.random() < 0.3 else None
+        label = self.fresh_label() if self.rng.random() < self.LOOP_LABEL else None
         self.spend(2 if label else 1, 1)
         head = (f"{label}: " if label else "") + f"while ({self.cond()}) {{"
         self.loop_labels.append(label)
@@ -156,8 +166,8 @@ class _Gen:
         lines = [f"{indent}if ({self.cond()}) {{"] + self.branch(depth, indent)
         # An else may be another arm, `else if`; in strict mode the last arm
         # still has an else.
-        while self.strict or self.rng.random() < 0.5:
-            if self.rng.random() < 0.3 and self.room(4, 3):
+        while self.strict or self.rng.random() < self.ELSE:
+            if self.rng.random() < self.ELSE_IF and self.room(4, 3):
                 self.spend(1, 1)
                 lines.append(f"{indent}}} else if ({self.cond()}) {{")
                 lines += self.branch(depth, indent)
@@ -195,6 +205,72 @@ class _Gen:
 def gen_program(seed: int, *, strict: bool = False,
                 max_stmts: int = 40, max_instrs: int = 10 ** 9) -> str:
     return _Gen(random.Random(seed), strict, max_stmts, max_instrs).generate()
+
+
+class _JumpGen(_Gen):
+    """Loose programs whose statements jump as often as the nesting allows."""
+
+    LOOP_LABEL, ELSE, ELSE_IF = 0.7, 0.8, 0.7
+
+    def __init__(self, rng: random.Random, max_stmts: int):
+        super().__init__(rng, False, max_stmts, 10 ** 9)
+        self.block_labels: list[str] = []
+
+    def cond(self) -> str:
+        names = self.visible()
+        if names and self.rng.random() < 0.3:  # a condition that starts with a suffix ++/--
+            step = self.rng.choice(names) + self.rng.choice(("++", "--"))
+            return step + self.rng.choice(_REL_OPS) + self.operand()
+        return super().cond()
+
+    def stmt(self, depth: int, indent: str) -> list[str]:
+        roll = self.rng.random()
+        deep_ok = depth < 5 and self.room(4, 3)
+        if deep_ok and roll < 0.16:
+            return self.while_stmt(depth, indent)
+        if deep_ok and roll < 0.30:
+            return self.if_stmt(depth, indent)
+        if deep_ok and roll < 0.38:
+            return self.labeled_block(depth, indent)
+        if (self.loop_labels or self.block_labels) and roll < 0.60:
+            self.spend(1, 1)
+            return [indent + self.jump()] + self.dead_code(depth, indent)
+        if roll < 0.66:
+            self.spend(1, 1)
+            return [f"{indent}return {self.arith()};"] + self.dead_code(depth, indent)
+        return self.simple_stmt(indent)
+
+    def jump(self) -> str:
+        """break or continue, to any target that takes it; a labeled one
+        is as likely as every unlabeled one together."""
+        loops = [label for label in self.loop_labels if label is not None]
+        labeled = [f"break {label};" for label in loops + self.block_labels]
+        labeled += [f"continue {label};" for label in loops]
+        if not self.loop_labels or labeled and self.rng.random() < 0.5:
+            return self.rng.choice(labeled)
+        return self.rng.choice(("break;", "continue;"))
+
+    def dead_code(self, depth: int, indent: str) -> list[str]:
+        """Seven times in ten, a statement after a jump or a return, which
+        nothing reaches."""
+        if self.rng.random() < 0.7 and self.room(1, 1):
+            return self.stmt(depth, indent)
+        return []
+
+    def labeled_block(self, depth: int, indent: str) -> list[str]:
+        label = self.fresh_label()
+        self.spend(2, 0)
+        self.block_labels.append(label)
+        self.scopes.append([])
+        body = self.stmts(depth + 1, indent + "    ", min_count=0, max_count=4)
+        self.scopes.pop()
+        self.block_labels.pop()
+        return [f"{indent}{label}: {{"] + body + [indent + "}"]
+
+
+def gen_jumps(seed: int, max_stmts: int = 30) -> str:
+    """A loose program of at most about `max_stmts` statements, full of jumps."""
+    return _JumpGen(random.Random(seed), max_stmts).generate()
 
 
 def gen_scale(seed: int, n_stmts: int) -> str:

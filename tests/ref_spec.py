@@ -3,8 +3,10 @@
 `parse_spec` walks the tokens through a `take` closure that advances a
 shared position and checks the keywords by hand. It is the reference for
 the package's `parse_spec`: for any text both must give the same name and
-links, or raise the same error at the same place. It reads the package's
-own tokenizer, which has a reference of its own in `ref_walks.py`.
+links, or raise the same error at the same place. It takes its tokens from
+`ref_walks.tokenize_spec`, a character-by-character tokenizer that reads
+the whole text, and raises its first character error, before any rule is
+checked.
 
 It lives apart from `oracle.py`, which the benchmark loads while it sets
 up, so that its size costs the benchmark nothing.
@@ -17,8 +19,9 @@ from flowgraphs.validator import (
     OrderError,
     ValidateSyntaxError,
     ValidationSpec,
-    _tokenize_spec,
 )
+
+from ref_walks import tokenize_spec
 
 
 def parse_spec(text: str) -> ValidationSpec:
@@ -27,7 +30,7 @@ def parse_spec(text: str) -> ValidationSpec:
     Raises ValidateSyntaxError on malformed input and OrderError when a
     cfNext assertion follows a dfNext assertion.
     """
-    tokens = _tokenize_spec(text)
+    tokens = tokenize_spec(text)
     pos = 0
 
     def take(kind: str, what: str) -> tuple[str, str, int, int]:

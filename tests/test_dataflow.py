@@ -1,5 +1,10 @@
+import functools
+from collections import Counter
+
 import pytest
 
+from flowgraphs.minijava import parse_program
+from flowgraphs.model import NodeKind
 from flowgraphs.pipeline import analyze
 
 import progen
@@ -136,18 +141,79 @@ def block_vs_bfs(source):
     return [(t.edges(), t.df_next, t.warnings) for t in (a.df, ref)]
 
 
+@functools.cache
+def jump_sources() -> tuple[str, ...]:
+    """2,000 `progen.gen_jumps` programs of up to 60 statements."""
+    return tuple(progen.gen_jumps(seed, max_stmts=10 + seed % 51) for seed in range(2000))
+
+
 # Loose programs weigh more: else-less ifs, empty bodies and dead code are
 # the shapes that split blocks. Up to 120 statements, beyond the brute-force
 # oracle's 25 instructions.
-@pytest.mark.parametrize("strict, count", [(False, 1500), (True, 500)], ids=["loose", "strict"])
-def test_block_search_matches_bfs_on_random_programs(strict, count):
+@pytest.mark.parametrize("programs", [
+    lambda: (progen.gen_program(seed + 9000, strict=False, max_stmts=10 + seed % 111)
+             for seed in range(1500)),
+    lambda: (progen.gen_program(seed + 9000, strict=True, max_stmts=10 + seed % 111)
+             for seed in range(500)),
+    jump_sources,
+], ids=["loose", "strict", "jumps"])
+def test_block_search_matches_bfs_on_random_programs(programs):
     bad = []
-    for seed in range(count):
-        got, want = block_vs_bfs(progen.gen_program(seed + 9000, strict=strict,
-                                                    max_stmts=10 + seed % 111))
+    for seed, source in enumerate(programs()):
+        got, want = block_vs_bfs(source)
         if got != want:
             bad.append(seed)
     assert bad == []
+
+
+def jump_features(source):
+    """The features of `progen.gen_jumps` that `source` has, read from its flow graph."""
+    nodes = parse_program(source)[0].nodes
+    found = set()
+
+    def walk(nid, loops, blocks, label=None):
+        # loops: the labels of the enclosing loops, None if unlabeled; blocks: of labeled blocks
+        node = nodes[nid]
+        if node.kind is NodeKind.BLOCK:
+            for stmt in node.stmts[:-1]:
+                if nodes[stmt].kind in (NodeKind.RETURN, NodeKind.BREAK, NodeKind.CONTINUE):
+                    found.add(f"dead code after {nodes[stmt].kind.value.lower()}")
+            for stmt in node.stmts:
+                walk(stmt, loops, blocks)
+        elif node.kind is NodeKind.LABEL:
+            if nodes[node.stmt].kind is NodeKind.BLOCK:
+                walk(node.stmt, loops, blocks + [node.label])
+            else:
+                walk(node.stmt, loops, blocks, node.label)
+        elif node.kind in (NodeKind.LOOP, NodeKind.IF):
+            if "++" in nodes[node.expr].txt or "--" in nodes[node.expr].txt:
+                found.add("++/-- in a condition")
+            if node.kind is NodeKind.LOOP:
+                walk(node.body, loops + [label], blocks)
+            else:
+                if node.orelse is not None and nodes[node.orelse].kind is NodeKind.IF:
+                    found.add("else if")
+                for branch in (node.then, node.orelse):
+                    if branch is not None:
+                        walk(branch, loops, blocks)
+        elif node.kind is NodeKind.BREAK and node.label in blocks:
+            found.add("break out of a labeled block")
+        elif node.kind is NodeKind.CONTINUE and node.label in loops[:-1]:
+            found.add("continue to an outer loop")
+
+    for stmt in nodes[0].stmts:
+        walk(stmt, [], [])
+    return found
+
+
+def test_jump_heavy_programs_have_every_feature():
+    # Each feature in at least 50 of the programs the BFS check runs.
+    counts = Counter(feature for source in jump_sources() for feature in jump_features(source))
+    assert sorted(counts) == sorted([
+        "else if", "break out of a labeled block", "continue to an outer loop",
+        "dead code after return", "dead code after break", "dead code after continue",
+        "++/-- in a condition"])
+    assert min(counts.values()) >= 50, counts
 
 
 LABELED_CONTINUE_INTO_DEAD_CODE = """

@@ -1,4 +1,5 @@
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,6 @@ from flowgraphs.validator import (
     LinkAssertion,
     OrderError,
     ValidateSyntaxError,
-    _tokenize_spec,
     check,
     emit_spec,
     parse_spec,
@@ -174,7 +174,7 @@ def test_emit_quotes_and_names():
     assert 'cfNext : "count()" --> "int a = 1;"' in text
 
 
-# ---- the one-scan tokenizer against tests/ref_walks.py::tokenize_spec ----
+# ---- the one-scan parser against tests/ref_spec.py::parse_spec ----
 
 SPEC_PIECES = ("validate", "cfNext", "dfNext", " ", "\t", "\r", "\n", ":", "-->", "->", "-",
                ">", '"', "\\", '\\"', "\\\\", "\\n", "//", "/", "a", "_x1", "1", "2b", "\u00b2",
@@ -183,39 +183,27 @@ SPEC_PIECES = ("validate", "cfNext", "dfNext", " ", "\t", "\r", "\n", ":", "-->"
 spec_text = st.lists(st.sampled_from(SPEC_PIECES), max_size=30).map("".join)
 
 
-def lex_spec(tokenize, text):
-    try:
-        return tokenize(text)
-    except ValidateSyntaxError as exc:
-        return type(exc), str(exc), exc.line, exc.column
-
-
-@settings(max_examples=800, deadline=None, derandomize=True)
-@given(st.one_of(spec_text, st.text()))
-@example("")
-@example('validate t\ncfNext : "a\\"b" --> "c\\\\"\r\n// done')
-@example('x "abc\\')
-@example('x "ab\\\ncd"')
-@example('x "abc\n"')
-@example("\u00b2a")
-@example("a\u00b2\u00bd \u00bd")
-@example("x --- y")
-def test_tokenize_spec_matches_reference(text):
-    assert lex_spec(_tokenize_spec, text) == lex_spec(ref_walks.tokenize_spec, text)
-
-
-# ---- the table-driven parser against tests/ref_spec.py::parse_spec ----
-
 # Whole assertions, so that parses get past the header and reach the order
-# check: sorted, the cfNext ones come first. One piece may follow them.
+# check: sorted, the cfNext ones come first. Up to two pieces go between
+# them, so that a grammar error may come before more whole assertions, and
+# one may follow them.
 spec_assertion = st.builds("{} : {} --> {}".format, st.sampled_from(("cfNext", "dfNext")),
                            st.sampled_from(('"a"', '"int a = 1;"', '"a \\"b\\" \\\\"', '"m()"')),
                            st.sampled_from(('"Exit"', '"return a;"', '""')))
+
+
+def spec_lines(header, links, ordered, inserts, tail):
+    lines = sorted(links) if ordered else list(links)
+    for at, piece in inserts:
+        lines.insert(at % (len(lines) + 1), piece)
+    return header + "\n".join(lines) + tail
+
+
 spec_document = st.builds(
-    lambda header, links, ordered, tail:
-        header + "\n".join(sorted(links) if ordered else links) + tail,
+    spec_lines,
     st.sampled_from(("validate t\n",) * 4 + ("validate t ", "validate\n", "validate 1\n", "")),
     st.lists(spec_assertion, max_size=8), st.booleans(),
+    st.lists(st.tuples(st.integers(0, 8), st.sampled_from(SPEC_PIECES)), max_size=2),
     st.sampled_from(("",) * len(SPEC_PIECES) + SPEC_PIECES),
 )
 
@@ -244,24 +232,55 @@ def parse_outcome(parse, text):
 @example('validate t\ncfNext : "a" --> "b"\ndfNext : "c" --> "d"\ncfNext : "e" --> "f"')
 @example('validate t\ncfNextx : "a" --> "b"')
 @example('validate t\ncfNext : "a" --> "b" // no newline after me')
+@example('validate t\ncfNext : "a\\"b" --> "c\\\\"\r\n// done')
+@example('x "abc\\')
+@example('x "ab\\\ncd"')
+@example('x "abc\n"')
+@example("\u00b2a")
+@example("a\u00b2\u00bd \u00bd")
+@example("x --- y")
+@example('validate t\ncfNext "a" --> "b"\ncfNext : "c" --> "d" $')  # the character error wins
+@example('validate t\ndfNext : "a" --> "b"\ncfNext : "c" --> "d" "e')  # over an order error too
 def test_parse_spec_matches_reference(text):
     assert parse_outcome(parse_spec, text) == parse_outcome(ref_spec.parse_spec, text)
 
 
-def test_valid_specs_never_reach_the_token_rules(monkeypatch):
-    # Two patterns read a valid spec; the token rules only name errors. Were
-    # the patterns to stop matching, every spec would still parse, slowly.
+def test_valid_specs_never_reach_line_col(monkeypatch):
+    # A position is worked out only to word an error; a valid spec has none.
     specs = []
     for source in [path.read_text() for path in CORPUS] + list(random_sources()[:200]):
         a = analyze(source)
         specs.append(emit_spec(a.graph, a.cf, a.df))
     expected = [parse_outcome(ref_spec.parse_spec, text) for text in specs]
 
-    def refuse(text):
-        raise AssertionError(f"a valid spec reached the tokenizer:\n{text}")
+    def refuse(text, offset):
+        raise AssertionError(f"a valid spec asked for the position of offset {offset}:\n{text}")
 
-    monkeypatch.setattr(validator, "_tokenize_spec", refuse)
+    monkeypatch.setattr(validator, "line_col", refuse)
     assert [parse_outcome(parse_spec, text) for text in specs] == expected
+    assert all(isinstance(name, str) for name, *_ in expected)  # every one parsed
+
+
+@pytest.mark.parametrize("head, tail, message", [
+    ("", "", None),
+    ("", 'cfNext : "a" "b"\n', "50002:14: expected '-->', found 'b'"),
+    ("", 'dfNext : "a" --> "b"\ncfNext : "c" --> "d"\n',
+     "50003:1: cfNext assertions must precede dfNext assertions"),
+    ("cfNext :\n", "$", "50003:1: unexpected character '$'"),
+], ids=["valid", "missing-arrow", "order", "character-after-grammar-error"])
+def test_many_assertions_take_linear_time(head, tail, message):
+    # One match per assertion, and one per token after a broken rule, which
+    # the scan reads on to find any character error; a pattern that scans
+    # the text again from each assertion takes minutes at this size.
+    text = ("validate t\n" + head + 'cfNext : "int a = 1;" --> "return a;" // ok\n' * 50_000
+            + tail)
+    start = time.perf_counter()
+    try:
+        outcome = len(parse_spec(text).cf_links)
+    except ValidateSyntaxError as exc:
+        outcome = str(exc)
+    assert time.perf_counter() - start < 1.0
+    assert outcome == (message or 50_000)
 
 
 def test_import_compiles_no_spec_pattern():
