@@ -18,10 +18,11 @@ which skips the blanks and comments before each token; each distinct text
 is given its kind once, so there is no Python loop per token. Tokens are
 two parallel lists, kinds and texts. A token's line and column are worked
 out by `token_position`, from its index, only when an error is raised.
-Statements are parsed by recursive descent, and each becomes its flow-graph
-node as it is parsed: there is no AST. An expression is read as its label,
-in one flat scan over its operands and operators, and leaves no node. A
-level of grouping parentheses costs one stack frame.
+Statements are read in one loop, and each becomes its flow-graph node as
+it is parsed: there is no AST. A statement that holds others stays open,
+on an explicit stack, until the last one it holds ends. An expression is
+read as its label, in one flat scan over its operands, operators and
+parentheses, and leaves no node. Nothing recurses, so no depth is too deep.
 
 Node ids follow parse order. The Method is node 0 and its Exit node 1; a
 statement's node is made before its children are parsed, so statements
@@ -73,11 +74,8 @@ so a statement falls through to the entry of the one after it:
   continuation]. The then entry waits; what the then branch leaves
   waiting is set aside while the else branch parses, then joined back.
   Both slots get the same target only when both branches are empty, and
-  then the edge is made once. An `else if` is read as the next arm of
-  the same statement, in a loop, not as a nested statement: each arm's
-  If node is the orelse of the one before, what every then branch
-  leaves waiting is set aside until the last arm ends, and the arms
-  share one scope, emptied for each branch;
+  then the edge is made once. An `else if` is an else branch that holds
+  an if;
 - a jump leaves nothing waiting. Loops and labels push a jump target
   (label, continue target, break slots): a loop (None, its condition,
   []), a label (name, the condition of the loop it wraps or None, []). A
@@ -187,7 +185,7 @@ class _Parser:
         self.nodes: list[FlowNode] = []
         self.names: list[str] = []  # the variables' names, by declaration index
         self.params = 0  # how many of them are parameters
-        self.scopes: list[dict[str, int]] = []  # name -> declaration index
+        self.visible: dict[str, int] = {}  # name -> the declaration index it has in scope
         # The error parse_program raises, as (class, message, token index): the
         # first name error, or a syntax error, which replaces it and stops the
         # parser. A stored exception would be reachable from its own traceback
@@ -237,12 +235,10 @@ class _Parser:
             self.error = (error_class, message, i)
 
     def lookup(self, i: int) -> int | None:
-        name = self.texts[i]
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        self.fail(UnresolvedVariableError, f"undeclared variable {name!r}", i)
-        return None
+        decl = self.visible.get(self.texts[i])
+        if decl is None:
+            self.fail(UnresolvedVariableError, f"undeclared variable {self.texts[i]!r}", i)
+        return decl
 
     def take_sets(self, nid: int) -> None:
         """Record what was read and written since the last call as the uses
@@ -296,7 +292,7 @@ class _Parser:
         self.nodes += (root, FlowNode(1, NodeKind.EXIT, EXIT_TEXT))
         self.instruction(0, [None], 0)
         self.expect("(")
-        scope: dict[str, int] = {}  # the parameters, in order
+        scope = self.visible  # the parameters, in order, until a local is declared
         if self.kinds[self.i] != ")":
             while True:
                 self.expect("int")
@@ -313,8 +309,7 @@ class _Parser:
         self.params = len(scope)
         if scope:
             self.defs[0] = list(scope.values())
-        self.scopes.append(scope)
-        root.stmts = self.parse_block()
+        self.parse_body(root)
         self.fill(1)  # the end of the method goes to Exit
         self.expect("eof")
 
@@ -347,125 +342,155 @@ class _Parser:
 
     # ---- statements ----
 
-    def parse_block(self) -> list[int]:
-        """The node ids of the statements of a `{ ... }`, which opens a scope."""
-        self.expect("{")
-        self.scopes.append({})
-        kinds = self.kinds
-        stmts = []
-        while (kind := kinds[self.i]) != "}":
-            if kind == "eof":
-                raise self.unexpected("'}'", self.i)
-            stmts.append(self.parse_statement())
-        self.i += 1
-        self.scopes.pop()
-        return stmts
+    def parse_body(self, root: FlowNode) -> None:
+        """The method's `{ ... }`, as `root`'s statements, read in one loop.
 
-    def parse_statement(self) -> int:
-        """The statement at the current token, as the id of its node."""
-        kinds = self.kinds
-        nodes = self.nodes
-        i = self.i
-        kind = kinds[i]
-        nid = len(nodes)  # a statement's node is the first it makes
-        if kind == "int":
-            self.i += 1
-            name = self.texts[self.expect("ident")]
-            self.expect("=")
-            init = self.parse_expression()  # bound before the declared name is in scope
-            self.expect(";")
-            decl = len(self.names)
-            self.names.append(name)
-            self.scopes[-1][name] = decl
-            self.writes.append(decl)  # a declaration defines its variable last
-            nodes.append(FlowNode(nid, NodeKind.SIMPLE, "int " + name + " = " + init + ";"))
-            self.take_sets(nid)
-            self.instruction(nid, [None], 0)
-        elif kind == "{":
-            node = FlowNode(nid, NodeKind.BLOCK, "{...}")
-            nodes.append(node)
-            node.stmts = self.parse_block()
-        elif kind == "while" or kind == "if":
-            loop = kind == "while"
-            then_waiting = []  # what each then branch of an if chain leaves waiting
-            self.scopes.append({})
-            while True:  # one turn per arm: an `else if` is the next arm, not a nested statement
-                # The condition makes no node, so the arm's node, and its
-                # condition's Expr node after it, are made once it is read.
+        A statement that holds others is open, on `frames`, innermost last,
+        until the last one it holds ends. Its frame keeps what it needs then:
+        ("{", its statements, node id, the (name, declaration index it had
+        before or None) of each declaration in it) for a block or the
+        method's body; ("while", node, condition's targets); ("if", node,
+        condition's targets) until the then branch ends, then ("else", node,
+        the slots the then branch left waiting); (":", node, None). A loop's
+        or label's break slots are in its jump target.
+        """
+        kinds, texts, nodes, visible = self.kinds, self.texts, self.nodes, self.visible
+        self.expect("{")
+        # The statements of the innermost open statement if it is a block, else None
+        stmts = root.stmts = []
+        frames: list[tuple] = [("{", stmts, 0, [])]
+        while True:
+            i = self.i
+            kind = kinds[i]
+            nid = len(nodes)  # a statement's node is the first it makes
+            if (kind == "}" or kind == "eof") and stmts is not None:
+                if kind == "eof":
+                    raise self.unexpected("'}'", i)
+                self.i = i + 1
+                _, _, nid, declared = frames.pop()
+                if not frames:  # the method's body
+                    return
+                for name, before in reversed(declared):  # the block's scope ends
+                    if before is None:
+                        del visible[name]
+                    else:
+                        visible[name] = before
+                stmts = None  # the block has ended; what holds it is found below
+            elif kind == "int":
+                self.i += 1
+                name = texts[self.expect("ident")]
+                self.expect("=")
+                init = self.parse_expression()  # bound before the declared name is in scope
+                self.expect(";")
+                decl = len(self.names)
+                self.names.append(name)
+                k = len(frames) - 1
+                while frames[k][0] == ":":  # a label opens no scope
+                    k -= 1
+                # A loop body or branch that is a declaration is its own scope: nothing sees it.
+                if frames[k][0] == "{":
+                    frames[k][3].append((name, visible.get(name)))
+                    visible[name] = decl
+                self.writes.append(decl)  # a declaration defines its variable last
+                nodes.append(FlowNode(nid, NodeKind.SIMPLE, "int " + name + " = " + init + ";"))
+                self.take_sets(nid)
+                self.instruction(nid, [None], 0)
+            elif kind == "{":
+                self.i += 1
+                stmts = []
+                nodes.append(FlowNode(nid, NodeKind.BLOCK, "{...}", stmts))
+                frames.append(("{", stmts, nid, []))
+                continue
+            elif kind == "while" or kind == "if":
+                loop = kind == "while"
+                # The condition makes no node, so the statement's node, and
+                # its condition's Expr node after it, are made once it is read.
                 self.i += 1
                 self.expect("(")
                 txt = self.parse_condition()
                 self.expect(")")
-                arm = len(nodes)  # the statement's own node, on the first turn
-                expr = arm + 1
                 # The label is a constant, not the token's text: one string for all
-                node = FlowNode(arm, NodeKind.LOOP if loop else NodeKind.IF,
-                                "while" if loop else "if", (), expr)
-                nodes += (node, FlowNode(expr, NodeKind.EXPR, txt))
-                self.take_sets(expr)
+                node = FlowNode(nid, NodeKind.LOOP if loop else NodeKind.IF,
+                                "while" if loop else "if", (), nid + 1)
+                nodes += (node, FlowNode(nid + 1, NodeKind.EXPR, txt))
+                self.take_sets(nid + 1)
                 # [continuation, body entry] or [then entry, else entry or continuation]
-                targets = self.instruction(expr, [None, None], 1 if loop else 0)
+                targets = self.instruction(nid + 1, [None, None], 1 if loop else 0)
                 if loop:
-                    breaks = []
-                    self.jumps.append((None, expr, breaks))
-                    node.body = self.parse_statement()
-                    self.jumps.pop()
-                    self.fill(expr)  # the end of the body goes back to the condition
-                    self.waiting += (targets, 0), *breaks
-                    break
-                node.then = self.parse_statement()
-                then_waiting += self.waiting  # set aside while the else branch parses
-                self.waiting = [(targets, 1)]
-                if kinds[self.i] != "else":
-                    break
+                    self.jumps.append((None, nid + 1, []))
+                frames.append(("while" if loop else "if", node, targets))
+                stmts = None
+                continue
+            elif kind == "return":
                 self.i += 1
-                self.scopes[-1] = {}  # the else branch has a scope of its own
-                if kinds[self.i] != "if":
-                    node.orelse = self.parse_statement()
-                    break
-                node.orelse = len(nodes)  # the next arm's node is the next one made
-            self.waiting += then_waiting
-            self.scopes.pop()
-        elif kind == "return":
-            self.i += 1
-            txt = "return;" if kinds[self.i] == ";" else "return " + self.parse_condition() + ";"
-            self.expect(";")
-            nodes.append(FlowNode(nid, NodeKind.RETURN, txt))
-            self.take_sets(nid)
-            self.instruction(nid, [1])  # to Exit
-        elif kind == "break" or kind == "continue":
-            self.i += 1
-            label = None
-            if kinds[self.i] == "ident":
-                label = self.texts[self.i]
+                txt = "return;" if kinds[self.i] == ";" else "return " + self.parse_condition() + ";"
+                self.expect(";")
+                nodes.append(FlowNode(nid, NodeKind.RETURN, txt))
+                self.take_sets(nid)
+                self.instruction(nid, [1])  # to Exit
+            elif kind == "break" or kind == "continue":
                 self.i += 1
-            self.expect(";")
-            jump = NodeKind.BREAK if kind == "break" else NodeKind.CONTINUE
-            nodes.append(FlowNode(nid, jump, kind, label=label))
-            targets = self.instruction(nid, [None])
-            target = self.jump_target(i, label)
-            if target is not None and jump is NodeKind.BREAK:
-                target[2].append((targets, 0))
-            elif target is not None:
-                targets[0] = target[1]
-        elif kind == "ident" and kinds[i + 1] == ":":
-            self.i += 2
-            name = self.texts[i]
-            node = FlowNode(nid, NodeKind.LABEL, name + ":", label=name)
-            nodes.append(node)
-            breaks = []
-            # A labeled loop's node comes right after the label's, and its condition's after that.
-            self.jumps.append((name, nid + 2 if kinds[self.i] == "while" else None, breaks))
-            node.stmt = self.parse_statement()
-            self.jumps.pop()
-            self.waiting += breaks
-        else:
-            txt = self.parse_expression() + ";"
-            self.expect(";")
-            nodes.append(FlowNode(nid, NodeKind.SIMPLE, txt))
-            self.take_sets(nid)
-            self.instruction(nid, [None], 0)
-        return nid
+                label = None
+                if kinds[self.i] == "ident":
+                    label = texts[self.i]
+                    self.i += 1
+                self.expect(";")
+                jump = NodeKind.BREAK if kind == "break" else NodeKind.CONTINUE
+                nodes.append(FlowNode(nid, jump, kind, label=label))
+                targets = self.instruction(nid, [None])
+                target = self.jump_target(i, label)
+                if target is not None and jump is NodeKind.BREAK:
+                    target[2].append((targets, 0))
+                elif target is not None:
+                    targets[0] = target[1]
+            elif kind == "ident" and kinds[i + 1] == ":":
+                self.i += 2
+                name = texts[i]
+                node = FlowNode(nid, NodeKind.LABEL, name + ":", label=name)
+                nodes.append(node)
+                # A labeled loop's node comes right after the label's, and its condition's after that.
+                self.jumps.append((name, nid + 2 if kinds[self.i] == "while" else None, []))
+                frames.append((":", node, None))
+                stmts = None
+                continue
+            else:
+                txt = self.parse_expression() + ";"
+                self.expect(";")
+                nodes.append(FlowNode(nid, NodeKind.SIMPLE, txt))
+                self.take_sets(nid)
+                self.instruction(nid, [None], 0)
+            if stmts is not None:
+                stmts.append(nid)
+                continue
+            # Statement `nid` has ended, and with it every open statement it was the last of.
+            while frames[-1][0] != "{":
+                tag, node, slots = frames.pop()
+                if tag == "while":
+                    node.body = nid
+                    self.fill(node.expr)  # the end of the body goes back to the condition
+                    self.waiting = [(slots, 0), *self.jumps.pop()[2]]  # and its breaks wait
+                elif tag == "if":
+                    node.then = nid
+                    if kinds[self.i] == "else":
+                        self.i += 1
+                        frames.append(("else", node, self.waiting))  # set aside
+                        self.waiting = [(slots, 1)]
+                        break
+                    self.waiting.append((slots, 1))
+                elif tag == "else":
+                    node.orelse = nid
+                    # The shorter list joins the longer, or nested ifs would
+                    # copy their waiting slots once per level.
+                    shorter, longer = sorted((slots, self.waiting), key=len)
+                    longer += shorter
+                    self.waiting = longer
+                else:
+                    node.stmt = nid
+                    self.waiting += self.jumps.pop()[2]  # its breaks wait
+                nid = node.id
+            else:
+                stmts = frames[-1][1]
+                stmts.append(nid)
 
     # ---- expressions ----
     # An expression is read as its label. Assignments are legal only at
@@ -473,13 +498,19 @@ class _Parser:
     # and return values go through parse_condition.
 
     def parse_expression(self) -> str:
-        i = self.i
-        if self.kinds[i] == "ident" and self.kinds[i + 1] == "=":
-            self.i = i + 2
-            value = self.parse_expression()  # bound before the target
+        """The label of `target = ... = value`, with any number of targets;
+        they are bound after the value, the innermost first."""
+        kinds = self.kinds
+        start = end = self.i
+        while kinds[end] == "ident" and kinds[end + 1] == "=":
+            end += 2
+        if end == start:
+            return self.parse_condition()
+        self.i = end
+        value = self.parse_condition()
+        for i in range(end - 2, start - 1, -2):
             self.writes.append(self.lookup(i))
-            return self.texts[i] + " = " + value
-        return self.parse_condition()
+        return " = ".join(self.texts[start:end:2]) + " = " + value
 
     def parse_condition(self) -> str:
         """The label of `operand (op operand)*`, read in one flat scan.
@@ -492,67 +523,70 @@ class _Parser:
         """
         kinds, texts = self.kinds, self.texts
         parts = []
+        groups = []  # the index in `parts` of each open group's first part, innermost last
         i = self.i
         while True:
             kind = kinds[i]
             if kind == "ident":
-                self.i = i  # where the error points if lookup runs out of stack
                 self.reads.append(self.lookup(i))
-                text = texts[i]
-                i += 1
+                parts.append(texts[i])
             elif kind == "num":
                 try:
-                    text = str(int(texts[i]))  # canonical: "007" labels as "7"
+                    parts.append(str(int(texts[i])))  # canonical: "007" labels as "7"
                 except ValueError:  # more digits than int() converts
                     raise self.syntax_error(i, "integer literal is too long")
-                i += 1
             elif kind == "(":
-                self.i = i + 1  # where the error points if nesting runs out of stack
-                text = self.parse_condition()
-                i = self.expect(")") + 1
+                groups.append(len(parts))
+                i += 1
+                continue
             elif kind == "++" or kind == "--":
                 raise self.syntax_error(i, f"prefix '{kind}' is not supported")
             else:
                 raise self.unexpected("an expression", i)
-            kind = kinds[i]
-            if kind == "++" or kind == "--":
-                # A variable, maybe in parentheses: its label is its name,
-                # and it was the last read
-                if not text.isidentifier():
-                    raise self.syntax_error(i, f"'{kind}' target must be a variable")
-                self.writes.append(self.reads[-1])  # the variable is read, then written
-                text += kind
-                i += 1
-                kind = kinds[i]
-            parts.append(text)
-            op = _BINARY.get(kind)
-            if op is None:
-                self.i = i
-                return "".join(parts)
-            parts.append(op)
             i += 1
+            single = True  # the operand just read is one part of the label
+            while True:  # one turn per group the operand ends
+                kind = kinds[i]
+                if kind == "++" or kind == "--":
+                    # A variable, maybe in parentheses: its label is its name,
+                    # and it was the last read
+                    if not (single and parts[-1].isidentifier()):
+                        raise self.syntax_error(i, f"'{kind}' target must be a variable")
+                    self.writes.append(self.reads[-1])  # the variable is read, then written
+                    parts[-1] += kind
+                    i += 1
+                    kind = kinds[i]
+                op = _BINARY.get(kind)
+                if op is not None:
+                    parts.append(op)
+                    i += 1
+                    break
+                if not groups:
+                    self.i = i
+                    return "".join(parts)
+                if kind != ")":
+                    raise self.unexpected("')'", i)
+                single = len(parts) - groups.pop() == 1
+                i += 1
 
 
 def parse_program(source: str) -> tuple[FlowGraph, EdgeTable, DefUseAttr]:
     """Parse mini-Java source text into its flow graph, control-flow edges
     and def/use sets.
 
-    Raises ParseError on malformed input, or at the token where nesting
-    runs the parser out of stack, and otherwise the first
+    Raises ParseError on malformed input, and otherwise the first
     UnresolvedVariableError / UnresolvedLabelError /
-    MissingEnclosingLoopError in source order.
+    MissingEnclosingLoopError in source order. Nothing recurses, so any
+    depth of nesting parses, and the recursion limit has no effect.
     """
     parser = _Parser(tokenize(source))
     try:
         parser.parse_method()
     except _Stop:
         pass
-    except RecursionError:
-        # Only the parser recurses, so this is the one place the stack runs out.
-        parser.error = (ParseError, "nesting is too deep to analyze", parser.i)
     if parser.error is not None:
-        # Raised outside the handlers, which would make every parser frame its
-        # context, and positioned only now, at the top of the stack.
+        # Raised outside the handler, which would make the _Stop, and the
+        # parser frames of its traceback, this error's context.
         error_class, message, i = parser.error
         raise error_class(message, *token_position(source, i))
     return parser.finish()

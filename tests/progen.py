@@ -22,9 +22,8 @@ distances for the throughput smoke test. `SHAPES` builds ROADMAP's
 adversarial shapes at any size.
 
 `nested_program` nests one statement in any number of levels of the
-`NESTING` shapes, to find where nesting runs the parser out of stack;
-its "else-ifs" shape builds else-if ladders, which are read in a loop
-and never do.
+`NESTING` shapes, its "else-ifs" shape building else-if ladders, to show
+that no depth runs the parser out of stack.
 """
 
 from __future__ import annotations
@@ -369,8 +368,9 @@ def nested_program(levels: list[str]) -> str:
     """`a++;` in `levels`, NESTING shape names listed outermost first.
 
     Statement shapes nest the statement and expression shapes its `a++`,
-    each in their order in `levels`. Parentheses may not hold an
-    assignment, so such a program is a syntax error.
+    each in their order in `levels`, as many as wanted: the parser has no
+    depth limit. Parentheses may not hold an assignment, so such a program
+    is a syntax error.
     """
     statements = [NESTING[name] for name in levels if name not in _EXPRESSION_NESTING]
     expressions = [NESTING[name] for name in levels if name in _EXPRESSION_NESTING]

@@ -10,7 +10,8 @@ import pytest
 import flowgraphs
 from flowgraphs.cli import _HELP, _USAGE, _dot_listing, _json_text
 from flowgraphs.dataflow import DfEdgeTable, compute_data_flow
-from flowgraphs.minijava import ParseError, parse_program
+from flowgraphs.errors import FlowgraphsError
+from flowgraphs.minijava import parse_program
 from flowgraphs.model import DefUseAttr, FlowGraph, FlowNode, NodeKind
 from flowgraphs.pipeline import Analysis, analyze
 
@@ -70,9 +71,9 @@ def called_names(function: ast.FunctionDef) -> set[str]:
                  and isinstance(call.func.value, ast.Name) and call.func.value.id == "self")}
 
 
-def test_only_the_parser_recurses():
-    # The parser turns running out of stack into a positioned ParseError;
-    # a recursive walk anywhere else would end in a RecursionError instead.
+def test_nothing_recurses():
+    # No function in the package is on a call cycle, so no depth of input
+    # runs it out of stack.
     recursive = set()
     for path in sorted((SRC_DIR / "flowgraphs").glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -87,8 +88,7 @@ def test_only_the_parser_recurses():
                     todo += calls[callee]
             if name in reached:
                 recursive.add(f"{path.stem}.{name}")
-    assert recursive == {"minijava.parse_block", "minijava.parse_statement",
-                         "minijava.parse_expression", "minijava.parse_condition"}
+    assert recursive == set()
 
 
 @pytest.mark.parametrize("path", CORPUS, ids=lambda p: p.stem)
@@ -450,44 +450,15 @@ def test_overlong_integer_literal_exit_2():
 
 
 def test_pathological_nesting_exit_2():
+    # A syntax error at the bottom of 100,000 nested blocks is reported at its
+    # line:col, as anywhere else.
     depth = 100_000
-    source = "int m(int a) { " + "{ " * depth + "a++; " + "} " * depth + "}"
-    code, _, err = run_cli(["cfg", "-"], stdin_text=source)
-    assert code == 2
-    assert "nesting" in err
+    source = "int m(int a) { " + "{ " * depth + "a++ " + "} " * depth + "}"
+    code, out, err = run_cli(["cfg", "-"], stdin_text=source)
+    assert (code, out) == (2, "")
+    assert err == f"fg: error: 1:{20 + 2 * depth}: expected ';', found '}}'\n"
 
 
-def bisect_nesting(run, failed, passes=1, failing=3_000) -> tuple[int, dict]:
-    """The smallest depth in (passes, failing] at which `failed(run(depth))`.
-
-    Returns it with `run`'s result at each depth it tried, two past it
-    among them. Every run starts from the same stack depth, on which the
-    limit depends.
-    """
-    results = {}
-
-    def fails(depth):
-        if depth not in results:
-            results[depth] = run(depth)
-        return failed(results[depth])
-
-    assert not fails(passes) and fails(failing)
-    while failing - passes > 1:
-        mid = (passes + failing) // 2
-        if fails(mid):
-            failing = mid
-        else:
-            passes = mid
-    assert fails(failing + 1) and fails(failing + 2)
-    return failing, results
-
-
-def call_deeper(frames: int, f, *args):
-    """f(*args), called `frames` stack frames below this call."""
-    return f(*args) if frames == 0 else call_deeper(frames - 1, f, *args)
-
-
-TOO_DEEP_ERROR = re.compile(r"fg: error: \d+:\d+: nesting is too deep to analyze\n")
 # The statements one level of each NESTING shape adds: else-ifs add an `if`
 # and its empty block, braced whiles a `while` and its block.
 LEVEL_STATEMENTS = {"blocks": 1, "whiles": 1, "braced whiles": 2, "ifs": 1, "else-ifs": 2,
@@ -502,71 +473,45 @@ def every_command(tmp_path) -> list[list[str]]:
             ["validate", "--emit"], ["validate", "--spec", str(spec)]]
 
 
-# An else-if ladder is read in a loop, so its arms are not nesting.
-@pytest.mark.parametrize("shape", [shape for shape in progen.NESTING if shape != "else-ifs"])
-def test_nesting_past_the_stack_is_a_positioned_error(shape, tmp_path):
-    # Every command starts from its own stack depth, so each has its own limit.
-    commands = every_command(tmp_path)
-
-    def program(depth):
-        return progen.nested_program([shape] * depth)
-
-    def outcome(f, depth):
-        try:
-            return f(program(depth))
-        except ParseError as exc:  # any other exception fails the test
-            return exc
-
-    def too_deep(result):
-        # With the RecursionError as its context, the error would hold every parser frame.
-        return (isinstance(result, ParseError) and result.__context__ is None
-                and str(result).endswith(": nesting is too deep to analyze"))
-
-    limit, graphs = bisect_nesting(lambda depth: outcome(parse_program, depth), too_deep)
-    # The deepest accepted program gives one node per statement, `a++;` among them.
-    graph, _, _ = graphs[limit - 1]
-    assert progen.count_statements(graph) == 1 + LEVEL_STATEMENTS[shape] * (limit - 1)
-    # Called from a few frames deeper, everything else fails a level or two sooner.
-    near = (limit - 8, limit + 2)
-    for frames, bracket in ((0, near), (100, (limit - 128, limit + 2))):
-        bisect_nesting(lambda depth: call_deeper(frames, outcome, analyze, depth), too_deep, *bracket)
-    for argv in commands:
-        command_limit, results = bisect_nesting(
-            lambda depth: run_cli([argv[0], "-", *argv[1:]], program(depth)),
-            lambda result: result[0] == 2, *near)
-        assert results[command_limit - 1][0] == (1 if "--spec" in argv else 0), argv
-        for depth in (command_limit, command_limit + 1, command_limit + 2):
-            code, out, err = results[depth]
-            assert (code, out) == (2, ""), argv
-            assert TOO_DEEP_ERROR.fullmatch(err), (argv, err)
-
-
-def test_else_if_ladders_are_not_nesting(tmp_path):
-    # A plain test: inside @given, Hypothesis raises the recursion limit.
-    # The parser reads an `else if` arm as one more turn of its loop, and
-    # `fg build` lists from a stack, so no ladder runs out of stack, as
-    # 991 arms once did.
-    arms = 20_000
-    source = progen.nested_program(["else-ifs"] * arms)
+@pytest.mark.parametrize("shape", progen.NESTING)
+def test_every_nesting_shape_parses_at_any_depth(shape, tmp_path):
+    # Nothing recurses, so depth costs no stack: 10,000 levels, ten times
+    # the default recursion limit, go through `analyze` and `fg`.
+    source = progen.nested_program([shape] * 10_000)
     analysis = analyze(source)
-    assert progen.count_statements(analysis.graph) == 1 + LEVEL_STATEMENTS["else-ifs"] * arms
+    assert progen.count_statements(analysis.graph) == 1 + LEVEL_STATEMENTS[shape] * 10_000
     assert run_cli(["dfg", "-", "--json"], source) == (0, _json_text(analysis) + "\n", "")
-    source = progen.nested_program(["else-ifs"] * 2_000)
+    source = progen.nested_program([shape] * 2_000)
     for argv in every_command(tmp_path):
         code, _, err = run_cli([argv[0], "-", *argv[1:]], source)
         assert code == (1 if "--spec" in argv else 0), (argv, err)
 
 
+@pytest.mark.parametrize("shape", progen.NESTING)
+def test_nesting_past_the_stack_is_a_positioned_error(shape, tmp_path):
+    # Nesting past what the interpreter's stack could hold is no error of its
+    # own; an error inside it is, and every command reports it at its
+    # line:col: here an undeclared name in the innermost statement.
+    source = progen.nested_program([shape] * 2_000).replace("a++", "b++")
+    want = f"fg: error: 1:{source.index('b++') + 1}: undeclared variable 'b'\n"
+    for argv in every_command(tmp_path):
+        assert run_cli([argv[0], "-", *argv[1:]], source) == (2, "", want), argv
+
+
 def test_nesting_error_points_at_the_token_being_read():
-    # Each level reads `1 + a` before its group, so the stack runs out in
-    # the lookup of an `a`, not on the level's first token.
-    for depth in (2_000, 2_001, 2_002):
-        source = "int m(int a) {\nreturn " + "(1 + a + " * depth + "a" + ")" * depth + "; }"
-        for frames in range(3):
-            with pytest.raises(ParseError, match="nesting is too deep to analyze") as caught:
-                call_deeper(frames, analyze, source)
-            assert caught.value.line == 2
-            assert source.splitlines()[1][caught.value.column - 1] == "a"
+    # Open groups are kept on a list, not on the stack, so an error 2,000
+    # groups deep points at the token the scan was reading: an undeclared
+    # name, or the `;` where a `)` is missing.
+    depth = 2_000
+    head = "int m(int a) {\nreturn " + "(1 + a + " * depth
+    for inner, message, token in (("b" + ")" * depth, "undeclared variable 'b'", "b"),
+                                  ("a" + ")" * (depth - 1), "expected ')', found ';'", ";")):
+        source = head + inner + "; }"
+        with pytest.raises(FlowgraphsError, match=re.escape(message)) as caught:
+            analyze(source)
+        assert caught.value.line == 2
+        assert source.splitlines()[1][caught.value.column - 1] == token
+        assert caught.value.__context__ is None  # which would hold the parser's frames
 
 
 def test_dfg_prints_undefined_use_warning():

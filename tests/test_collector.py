@@ -17,7 +17,9 @@ PROGRAMS = {path.stem: path.read_text() for path in CORPUS}
 PROGRAMS["gen_scale"] = progen.gen_scale(1, 2_000)
 
 EX09 = str(CORPUS_DIR / "ex09_labeled.mj")
-TOO_DEEP = "int m(int a) { " + "{ " * 5_000 + "a++; " + "} " * 5_000 + "}"
+# Five times as deep as the interpreter's default recursion limit
+DEEP = "int m(int a) { " + "{ " * 5_000 + "a++; " + "} " * 5_000 + "}"
+DEEP_CFG = "m() --> a++;\na++; --> Exit\n"
 
 
 @contextmanager
@@ -52,14 +54,16 @@ def test_commands_leave_no_cyclic_garbage(tmp_path):
         (["cfg", "-"], "int m() { x = 1; }"),  # a name error, raised after parsing
         (["cfg", "-"], "int m() { return 1 }"),  # a syntax error, raised after parsing stops
         (["cfg", "-"], "int m() { break; }"),
-        (["cfg", "-"], TOO_DEEP),
+        (["cfg", "-"], DEEP),
     ]
     run_cli(["cfg", EX09])  # a first call, so that nothing built once per process counts
     with collector(enabled=False):
         for argv, stdin in commands:
             gc.collect()
-            run_cli(argv, stdin)
+            code, out, _ = run_cli(argv, stdin)
             assert gc.collect() == 0, argv
+            if stdin is DEEP:
+                assert (code, out) == (0, DEEP_CFG)
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
@@ -72,10 +76,12 @@ def test_main_restores_collector_setting(enabled, tmp_path):
         (["cfg", "-"], "int m() { x = 1; }", 2, "undeclared variable"),
         (["validate", EX09], None, 2, "requires --spec"),
         (["frobnicate", EX09], None, 2, "invalid choice"),
-        (["cfg", "-"], TOO_DEEP, 2, "nesting is too deep"),
+        (["cfg", "-"], DEEP, 0, ""),
     ]
     with collector(enabled):
         for argv, stdin, want_code, want_err in cases:
-            code, _, err = run_cli(argv, stdin)
+            code, out, err = run_cli(argv, stdin)
             assert (code, gc.isenabled()) == (want_code, enabled), argv
             assert want_err in err
+            if stdin is DEEP:
+                assert (out, err) == (DEEP_CFG, "")

@@ -1,3 +1,4 @@
+import gc
 import importlib
 import itertools
 import pkgutil
@@ -31,7 +32,6 @@ from helpers import (
     graph_of,
     images,
     random_sources,
-    reference_graph,
 )
 
 
@@ -253,9 +253,9 @@ def test_relational_chain_of_three():
 
 
 def test_deep_grouping_parentheses_are_accepted():
-    # Each level of parentheses costs the parser one stack frame, so 150
-    # levels stay well inside Python's default recursion limit.
-    deep = "int m(int a) { a = " + "(" * 150 + "a + 1" + ")" * 150 + "; return a; }"
+    # Open groups are kept on a list, not on the stack, so 10,000 levels are
+    # ten times the default recursion limit.
+    deep = "int m(int a) { a = " + "(" * 10_000 + "a + 1" + ")" * 10_000 + "; return a; }"
     analyze(deep)
     plain = "int m(int a) { a = a + 1; return a; }"
     assert graph_of(parse_program, deep) == graph_of(parse_program, plain)
@@ -311,6 +311,30 @@ def test_many_parameters_take_linear_time():
     a = analyze(source)
     assert time.perf_counter() - start < 1.0
     assert len(a.graph.node(0).vars) == 20_000
+
+
+def test_deep_nesting_takes_linear_time():
+    # An if joins the slots its then branch left waiting with its else
+    # branch's, the shorter list into the longer, and a name is found in
+    # one dict, not by a walk over every open scope: either otherwise takes
+    # tens of seconds on the last program, ifs nested in then branches, each
+    # with an else that reads `a`. The collector is paused, so that its
+    # passes over the tests' own objects do not count.
+    depth = 40_000
+    for source, statements in ((progen.nested_program(["ifs"] * depth), depth + 1),
+                               (progen.nested_program(["else-ifs"] * depth), 2 * depth + 1),
+                               ("int m(int a) { " + "if (1) " * depth + "a++;" + " else a--;" * depth
+                                + " }", 2 * depth + 1)):
+        gc.disable()
+        try:
+            start = time.perf_counter()
+            graph, _, _ = parse_program(source)
+            elapsed = time.perf_counter() - start
+        finally:
+            gc.enable()
+        assert elapsed < 1.0
+        assert progen.count_statements(graph) == statements
+        del graph
 
 
 def test_trailing_garbage_rejected():
@@ -721,7 +745,7 @@ def test_errors_deep_in_a_large_file_match_reference():
 # long as the fanout benchmark's `return`, mixed levels, nested groups, a
 # suffix after anything but a variable, assignment to a chain, an
 # assignment whose names are all undeclared (the value binds first), and
-# deep parentheses (the test below goes as deep as the reference follows).
+# deep parentheses (below, with the other nesting shapes).
 @example("int m(int a) { return " + " + ".join(["a"] * 800) + "; }")
 @example("int m(int a, int b, int c, int d, int e) { return a + b * c == d < e; }")
 @example("int m(int a, int b) { return ((a + 1)) * (b); }")
@@ -730,7 +754,6 @@ def test_errors_deep_in_a_large_file_match_reference():
 @example("int m(int a) { a++ ++; }")
 @example("int m(int a, int b, int c) { a + b = c; }")
 @example("int m() { x = y = z; }")
-@example(progen.nested_program(["parentheses"] * 300))
 @example("int m() { return \u0663; }")  # labelled "return 3;"
 @example("int m() { return 1 }\n$")  # the character error wins
 # Jump shapes for the control-flow edges the parser makes as it goes: a
@@ -747,8 +770,8 @@ def test_errors_deep_in_a_large_file_match_reference():
 @example("int m(int a) { L: if (a < 1) a++; else { a--; break L; } return a; }")
 @example("int m(int a) { while (a < 1) { return a; break; continue; a++; } return; }")
 @example("int m(int a) { if (a < 1) {} else { a++; } return a; }")
-# Else-if chains, whose arms the parser reads in one loop: jumps out of
-# arms, empty arms, returns in every arm, a name declared in one arm and
+# Else-if chains, each arm an else branch that holds the next if: jumps out
+# of arms, empty arms, returns in every arm, a name declared in one arm and
 # read by the next arm's condition, and a syntax error in a later arm.
 @example("int m(int a) { L: while (a > 0) { if (a == 1) break; else if (a == 2) continue L;"
          " else if (a == 3) { a--; } else a++; } return a; }")
@@ -756,26 +779,26 @@ def test_errors_deep_in_a_large_file_match_reference():
 @example("int m(int a) { if (a < 1) return 1; else if (a < 2) return 2; else return 3; }")
 @example("int m(int a) { if (a < 1) int x = 1; else if (x < 2) a++; }")
 @example("int m(int a) { if (a < 1) a++; else if (a < 2 { } }")
+# Scopes: a declaration under a label in a block is seen after it, one that
+# is a loop body (through a label) is not, and a block's declarations, one
+# name twice among them, are undone when it ends.
+@example("int m(int a) { { L: int x = 1; x++; } while (a < 1) L: int y = 1; y++; }")
+@example("int m(int a) { int x = a; { int a = 1; int x = 2; int x = 3; { int a = x; } a++; }"
+         " return a + x; }")
+# Every nesting shape 300 levels deep, which the reference parser follows
+# inside @given, and all but assignments (which parentheses may not hold)
+# mixed, so that frames of every kind stack up in turn.
+@example(progen.nested_program(["blocks"] * 300))
+@example(progen.nested_program(["whiles"] * 300))
+@example(progen.nested_program(["braced whiles"] * 300))
+@example(progen.nested_program(["ifs"] * 300))
+@example(progen.nested_program(["else-ifs"] * 300))
+@example(progen.nested_program(["labels"] * 300))
+@example(progen.nested_program(["assignments"] * 300))
+@example(progen.nested_program(["parentheses"] * 300))
+@example(progen.nested_program([shape for shape in progen.NESTING if shape != "assignments"] * 40))
 def test_parser_matches_reference_parser_on_any_text(source):
     assert_matches_reference(source)
-
-
-def test_parser_matches_reference_parser_on_its_deepest_parentheses():
-    # The reference parser spends two stack frames on a level of parentheses
-    # and the package one, so the reference runs out of stack first.
-    def program(depth):
-        return progen.nested_program(["parentheses"] * depth)
-
-    passes, failing = 1, 3_000
-    while failing - passes > 1:
-        mid = (passes + failing) // 2
-        try:
-            graph_of(reference_graph, program(mid))
-            passes = mid
-        except RecursionError:
-            failing = mid
-    assert passes > 100
-    assert_matches_reference(program(passes))
 
 
 # A deep example costs about five others, so one in eight is deep.
