@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import io
-import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 
 from .dataflow import DfEdgeTable
 from .errors import FlowgraphsError
@@ -57,25 +54,39 @@ def _dot_listing(graph: FlowGraph, cf_edges, df_edges) -> list[str]:
     return lines
 
 
-# Containers go through one encoder; it has no cycle check, since edge
-# lists and def/use tables hold only ints.
-_encode = json.JSONEncoder(check_circular=False).encode
-
-
 def _json_text(analysis: Analysis) -> str:
-    """The JSON document, as `json.dumps` writes it, without building it.
+    """The JSON document, as `json.dumps` writes it, without the `json` module.
 
     Each node object is one f-string; `_value_` is the kind's plain string,
-    read without the enum's `value` property.
+    read without the enum's `value` property. A label goes between quotes as
+    it is when every label of the document is printable ASCII without `"` or
+    `\\`, as every parsed program's are; otherwise each is escaped as `json`
+    escapes it. An edge or a def/use list holds only ints, whose `str` is JSON.
     """
-    json_str = encode_basestring_ascii
-    nodes = ", ".join([f'{{"id": {n.id}, "kind": "{n.kind._value_}", "txt": {json_str(n.txt)}}}'
-                       for n in analysis.graph.nodes])
-    du = analysis.def_use
-    return (f'{{"nodes": [{nodes}], "cfNext": {_encode(analysis.cf.edges())}, '
-            f'"dfNext": {_encode(analysis.df.edges())}, '
-            f'"def": {_encode({n: du.defs[n] for n in sorted(du.defs)})}, '
-            f'"use": {_encode({n: du.uses[n] for n in sorted(du.uses)})}}}')
+    nodes = analysis.graph.nodes
+    txts = [n.txt for n in nodes]
+    labels = "".join(txts)
+    if not (labels.isascii() and labels.isprintable()) or '"' in labels or "\\" in labels:
+        from json.encoder import encode_basestring_ascii
+
+        txts = [encode_basestring_ascii(txt)[1:-1] for txt in txts]
+    node_list = ", ".join([f'{{"id": {n.id}, "kind": "{n.kind._value_}", "txt": "{txt}"}}'
+                           for n, txt in zip(nodes, txts)])
+    cf_next, df_next, du = analysis.cf.cf_next, analysis.df.df_next, analysis.def_use
+    return (f'{{"nodes": [{node_list}], "cfNext": [{_edge_list(cf_next)}], '
+            f'"dfNext": [{_edge_list(df_next)}], "def": {{{_id_lists(du.defs)}}}, '
+            f'"use": {{{_id_lists(du.uses)}}}}}')
+
+
+def _edge_list(table: dict[int, list[int]]) -> str:
+    """The [src, dst] pairs of an id -> [ids] table, sources ascending."""
+    return ", ".join([f"[{src}, {dst}]" for src in sorted(table) for dst in table[src]])
+
+
+def _id_lists(table: dict[int, list[int]]) -> str:
+    """The "id": [ids] members of an id -> [ids] table, ids ascending."""
+    return ", ".join([f'"{nid}": [{ids[0]}]' if len(ids) == 1 else f'"{nid}": {ids}'
+                      for nid, ids in sorted(table.items())])
 
 
 def _print_warnings(analysis: Analysis) -> None:
@@ -132,6 +143,8 @@ def _cmd_validate(analysis: Analysis, command: str, opts: dict[str, str]) -> int
     for line in report.lines():
         print(f"{_RED}{line}{_RESET}" if color else line)
     if "--json" in opts:
+        import json
+
         doc = {name: getattr(report, name) for name, _ in FINDINGS}
         doc["warnings"] = [w.message(analysis.graph) for w in analysis.df.warnings]
         print(json.dumps(doc))
@@ -241,8 +254,11 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader closed the output: stop quietly, with a shell's status for
         # SIGPIPE. What is still buffered goes to devnull, so the flush at exit passes.
-        with open(os.devnull, "w") as devnull, contextlib.suppress(OSError, ValueError):
-            os.dup2(devnull.fileno(), sys.stdout.fileno())  # io.StringIO has no descriptor
+        with open(os.devnull, "w") as devnull:
+            try:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+            except (OSError, ValueError):  # io.StringIO has no descriptor
+                pass
         return 141
     except (FlowgraphsError, OSError, UnicodeDecodeError) as exc:
         print(f"fg: error: {exc}", file=sys.stderr)

@@ -21,14 +21,14 @@ blocks crossed, not statements crossed.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .model import DefUseAttr, EdgeTable, FlowGraph, flow_instructions, sorted_pairs
 
 
-class UndefinedUseWarning(NamedTuple):
-    var: int  # variable node id
-    node: int  # flow instruction using it
+# `var` is the variable's node id and `node` the flow instruction that uses it.
+class UndefinedUseWarning(namedtuple("UndefinedUseWarning", "var node")):
+    __slots__ = ()
 
     def message(self, graph: FlowGraph) -> str:
         return (

@@ -77,12 +77,13 @@ so a statement falls through to the entry of the one after it:
   then the edge is made once. An `else if` is an else branch that holds
   an if;
 - a jump leaves nothing waiting. Loops and labels push a jump target
-  (label, continue target, break slots): a loop (None, its condition,
-  []), a label (name, the condition of the loop it wraps or None, []). A
-  break or continue takes the innermost target whose label equals its
-  own, so an unlabeled jump only matches a loop. A continue goes to the
-  target's condition; a break's slot joins the target's list, which
-  waits once the target statement ends;
+  (continue target, break slots) on the stack of their label, None for a
+  loop: a loop (its condition, []), a label (the condition of the loop it
+  wraps or None, []). A break or continue takes the innermost target of
+  its own label's stack, so an unlabeled jump only matches a loop, in one
+  step however many targets are open. A continue goes to the target's
+  condition; a break's slot joins the target's list, which waits once the
+  target statement ends;
 - at the end of the method, whatever still waits goes to Exit.
 
 cfPrev is built last, in one pass over cfNext in id order, so its
@@ -199,11 +200,12 @@ class _Parser:
         self.uses: dict[int, list] = {}
         # Flow instruction id -> its cfNext targets, None in a slot whose
         # target is not made yet; the slots, as (targets, index), that wait
-        # for the next flow instruction made; and the jump targets, innermost
-        # last, as (label or None, continue target or None, break slots).
+        # for the next flow instruction made; and the open jump targets, as
+        # label (None for a loop) -> its targets, innermost last, each a
+        # (continue target or None, break slots).
         self.next: dict[int, list] = {}
         self.waiting: list[tuple[list, int]] = []
-        self.jumps: list[tuple[str | None, int | None, list[tuple[list, int]]]] = []
+        self.jumps: dict[str | None, list[tuple[int | None, list[tuple[list, int]]]]] = {None: []}
 
     # The parser reads token `self.i` from the parallel lists directly. The
     # last token is 'eof' and `i` never moves past it, so stepping over a
@@ -254,13 +256,14 @@ class _Parser:
         """The jump target of the break or continue at token `i`, or None
         after recording the name error that it has none."""
         keyword = self.kinds[i]
-        target = next((t for t in reversed(self.jumps) if t[0] == label), None)
+        stack = self.jumps.get(label)
+        target = stack[-1] if stack else None
         if target is None:
             if label is None:
                 self.fail(MissingEnclosingLoopError, f"'{keyword}' has no enclosing loop", i)
             else:
                 self.fail(UnresolvedLabelError, f"no enclosing label {label!r}", i)
-        elif keyword == "continue" and target[1] is None:
+        elif keyword == "continue" and target[0] is None:
             self.fail(MissingEnclosingLoopError, f"label {label!r} does not name a loop", i)
             return None
         return target
@@ -417,7 +420,7 @@ class _Parser:
                 # [continuation, body entry] or [then entry, else entry or continuation]
                 targets = self.instruction(nid + 1, [None, None], 1 if loop else 0)
                 if loop:
-                    self.jumps.append((None, nid + 1, []))
+                    self.jumps[None].append((nid + 1, []))
                 frames.append(("while" if loop else "if", node, targets))
                 stmts = None
                 continue
@@ -440,16 +443,17 @@ class _Parser:
                 targets = self.instruction(nid, [None])
                 target = self.jump_target(i, label)
                 if target is not None and jump is NodeKind.BREAK:
-                    target[2].append((targets, 0))
+                    target[1].append((targets, 0))
                 elif target is not None:
-                    targets[0] = target[1]
+                    targets[0] = target[0]
             elif kind == "ident" and kinds[i + 1] == ":":
                 self.i += 2
                 name = texts[i]
                 node = FlowNode(nid, NodeKind.LABEL, name + ":", label=name)
                 nodes.append(node)
                 # A labeled loop's node comes right after the label's, and its condition's after that.
-                self.jumps.append((name, nid + 2 if kinds[self.i] == "while" else None, []))
+                loop_cond = nid + 2 if kinds[self.i] == "while" else None
+                self.jumps.setdefault(name, []).append((loop_cond, []))
                 frames.append((":", node, None))
                 stmts = None
                 continue
@@ -468,7 +472,7 @@ class _Parser:
                 if tag == "while":
                     node.body = nid
                     self.fill(node.expr)  # the end of the body goes back to the condition
-                    self.waiting = [(slots, 0), *self.jumps.pop()[2]]  # and its breaks wait
+                    self.waiting = [(slots, 0), *self.jumps[None].pop()[1]]  # and its breaks wait
                 elif tag == "if":
                     node.then = nid
                     if kinds[self.i] == "else":
@@ -486,7 +490,7 @@ class _Parser:
                     self.waiting = longer
                 else:
                     node.stmt = nid
-                    self.waiting += self.jumps.pop()[2]  # its breaks wait
+                    self.waiting += self.jumps[node.label].pop()[1]  # its breaks wait
                 nid = node.id
             else:
                 stmts = frames[-1][1]

@@ -31,7 +31,7 @@ is connected. `FINDINGS` names the report's four lists in output order.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .dataflow import DfEdgeTable
 from .errors import SourcePosError, line_col
@@ -46,9 +46,7 @@ class OrderError(ValidateSyntaxError):
     """A cfNext assertion appeared after a dfNext assertion."""
 
 
-class LinkAssertion(NamedTuple):
-    left: str
-    right: str
+LinkAssertion = namedtuple("LinkAssertion", "left right")
 
 
 class ValidationSpec:

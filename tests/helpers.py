@@ -45,6 +45,12 @@ def random_sources() -> tuple[str, ...]:
                  for seed in range(1000))
 
 
+@functools.cache
+def jump_sources() -> tuple[str, ...]:
+    """2,000 `progen.gen_jumps` programs of up to 60 statements."""
+    return tuple(progen.gen_jumps(seed, max_stmts=10 + seed % 51) for seed in range(2000))
+
+
 def golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text()
 

@@ -17,7 +17,7 @@ from flowgraphs.pipeline import Analysis, analyze
 
 import progen
 import ref_walks
-from helpers import CORPUS, CORPUS_DIR, TESTS_DIR, golden, random_sources, run_cli
+from helpers import CORPUS, CORPUS_DIR, TESTS_DIR, golden, jump_sources, random_sources, run_cli
 
 EX01 = str(CORPUS_DIR / "ex01_min.mj")
 EX02 = str(CORPUS_DIR / "ex02_straight.mj")
@@ -225,6 +225,19 @@ def test_json_escapes_labels_as_json_dumps_does():
     # `fg cfg` writes an analysis with empty def/use and data-flow tables.
     control_flow = Analysis(analysis.graph, analysis.cf, DefUseAttr(), DfEdgeTable())
     assert _json_text(control_flow) == json.dumps(ref_walks.json_doc(analysis, False))
+
+
+def test_parsed_labels_need_no_json_escape():
+    # `_json_text` writes labels between quotes as they are when all of a
+    # document's labels are printable ASCII without `"` or `\`. Were some
+    # parsed label to fail that, every document would take the escaping path.
+    sources = [*(path.read_text() for path in CORPUS), *random_sources(), *jump_sources(),
+               *(build(200) for build in progen.SHAPES.values())]
+    for source in sources:
+        graph, _, _ = parse_program(source)
+        labels = "".join([node.txt for node in graph.nodes])
+        assert labels.isascii() and labels.isprintable(), source
+        assert '"' not in labels and "\\" not in labels, source
 
 
 def test_dot_quotes_ids_and_labels_as_validate_does():
@@ -695,12 +708,14 @@ def test_repeated_calls_match_a_fresh_process():
 
 def test_import_loads_no_dataclasses():
     # Start-up is most of a small program's run; `dataclasses`, with the
-    # `inspect` it imports and the code it generates per class, tripled it.
+    # `inspect` it imports and the code it generates per class, tripled it,
+    # and `json`, `typing` and `contextlib` took a third of what was left.
+    # `-S` skips `site`, whose `.pth` files may import any of them first.
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
              "import flowgraphs.cli; print(*sorted(set(sys.modules) - before))")
-    proc = subprocess.run([sys.executable, "-I", "-c", probe, str(SRC_DIR)],
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", probe, str(SRC_DIR)],
                           capture_output=True, text=True, timeout=60, check=True)
     added = proc.stdout.split()
     assert "flowgraphs.cli" in added
-    forbidden = ("dataclasses", "inspect", "argparse", "gettext")
+    forbidden = ("dataclasses", "inspect", "argparse", "gettext", "json", "typing", "contextlib")
     assert [name for name in forbidden if name in added] == []

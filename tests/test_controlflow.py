@@ -177,7 +177,18 @@ def test_empty_loop_body_makes_condition_self_loop():
         "int m(int a) { if (a < 3) {} return a; }",
         [("m()", "a < 3"), ("a < 3", "return a;"), ("return a;", "Exit")],
     ),
-], ids=["unlabeled-in-labeled-block", "break-labeled-if", "inner-break", "empty-then"])
+    # Of two open labels with one name the inner one wins; once it ends, the
+    # outer one is the target again.
+    (
+        "int m(int a) { L: while (a < 9) { L: { if (a == 1) break L; a--; }"
+        " if (a == 2) break L; a++; } return a; }",
+        [("m()", "a < 9"), ("a < 9", "return a;"), ("a < 9", "a == 1"),
+         ("a == 1", "break"), ("a == 1", "a--;"), ("break", "a == 2"), ("a--;", "a == 2"),
+         ("a == 2", "break"), ("a == 2", "a++;"), ("break", "return a;"),
+         ("a++;", "a < 9"), ("return a;", "Exit")],
+    ),
+], ids=["unlabeled-in-labeled-block", "break-labeled-if", "inner-break", "empty-then",
+        "same-name-labels"])
 def test_jump_stack_shapes(source, expected):
     assert edge_labels(analyze(source)) == expected
 

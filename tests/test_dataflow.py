@@ -1,4 +1,3 @@
-import functools
 from collections import Counter
 
 import pytest
@@ -8,7 +7,7 @@ from flowgraphs.model import NodeKind
 from flowgraphs.pipeline import analyze
 
 import progen
-from helpers import CORPUS, random_sources
+from helpers import CORPUS, jump_sources, random_sources
 from oracle import bfs_data_flow, brute_force_df_edges
 
 
@@ -139,12 +138,6 @@ def block_vs_bfs(source):
     a = analyze(source)
     ref = bfs_data_flow(a.graph, a.cf, a.def_use)
     return [(t.edges(), t.df_next, t.warnings) for t in (a.df, ref)]
-
-
-@functools.cache
-def jump_sources() -> tuple[str, ...]:
-    """2,000 `progen.gen_jumps` programs of up to 60 statements."""
-    return tuple(progen.gen_jumps(seed, max_stmts=10 + seed % 51) for seed in range(2000))
 
 
 # Loose programs weigh more: else-less ifs, empty bodies and dead code are
