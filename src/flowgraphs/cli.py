@@ -72,21 +72,16 @@ def _json_text(analysis: Analysis) -> str:
         txts = [encode_basestring_ascii(txt)[1:-1] for txt in txts]
     node_list = ", ".join([f'{{"id": {n.id}, "kind": "{n.kind._value_}", "txt": "{txt}"}}'
                            for n, txt in zip(nodes, txts)])
-    cf_next, df_next, du = analysis.cf.cf_next, analysis.df.df_next, analysis.def_use
-    return (f'{{"nodes": [{node_list}], "cfNext": [{_edge_list(cf_next)}], '
-            f'"dfNext": [{_edge_list(df_next)}], "def": {{{_id_lists(du.defs)}}}, '
-            f'"use": {{{_id_lists(du.uses)}}}}}')
-
-
-def _edge_list(table: dict[int, list[int]]) -> str:
-    """The [src, dst] pairs of an id -> [ids] table, sources ascending."""
-    return ", ".join([f"[{src}, {dst}]" for src in sorted(table) for dst in table[src]])
+    cf_edges = ", ".join([f"[{src}, {dst}]" for src, dst in analysis.cf.edges()])
+    df_edges = ", ".join([f"[{src}, {dst}]" for src, dst in analysis.df.edges()])
+    du = analysis.def_use
+    return (f'{{"nodes": [{node_list}], "cfNext": [{cf_edges}], "dfNext": [{df_edges}], '
+            f'"def": {{{_id_lists(du.defs)}}}, "use": {{{_id_lists(du.uses)}}}}}')
 
 
 def _id_lists(table: dict[int, list[int]]) -> str:
     """The "id": [ids] members of an id -> [ids] table, ids ascending."""
-    return ", ".join([f'"{nid}": [{ids[0]}]' if len(ids) == 1 else f'"{nid}": {ids}'
-                      for nid, ids in sorted(table.items())])
+    return ", ".join([f'"{nid}": {ids}' for nid, ids in sorted(table.items())])
 
 
 def _print_warnings(analysis: Analysis) -> None:

@@ -227,17 +227,19 @@ def test_json_escapes_labels_as_json_dumps_does():
     assert _json_text(control_flow) == json.dumps(ref_walks.json_doc(analysis, False))
 
 
-def test_parsed_labels_need_no_json_escape():
-    # `_json_text` writes labels between quotes as they are when all of a
-    # document's labels are printable ASCII without `"` or `\`. Were some
-    # parsed label to fail that, every document would take the escaping path.
+def test_parsed_labels_need_no_json_escape(monkeypatch):
+    # `_json_text` escapes labels only for a document that needs it, which no
+    # parsed program's does. Were one to, every document would be escaped.
+    def escape(text):
+        raise AssertionError(f"escaped {text!r}")
+
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii", escape)
     sources = [*(path.read_text() for path in CORPUS), *random_sources(), *jump_sources(),
                *(build(200) for build in progen.SHAPES.values())]
     for source in sources:
-        graph, _, _ = parse_program(source)
-        labels = "".join([node.txt for node in graph.nodes])
-        assert labels.isascii() and labels.isprintable(), source
-        assert '"' not in labels and "\\" not in labels, source
+        _json_text(analyze(source))
+    with pytest.raises(AssertionError, match="escaped"):
+        _json_text(escaping_analysis())
 
 
 def test_dot_quotes_ids_and_labels_as_validate_does():
