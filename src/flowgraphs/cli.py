@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gc
-import io
 import os
 import sys
 
@@ -19,18 +18,20 @@ _RESET = "\x1b[0m"
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        # Read as a file is, whatever the locale's codec: UTF-8, with
-        # universal newlines.
-        stdin = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
-        try:
-            text = stdin.read()
-        finally:
-            stdin.detach()  # closing the wrapper would close sys.stdin
+    """A file, or stdin for `-`, read as bytes and decoded as a text file
+    is: UTF-8 whatever the locale's codec, with universal newlines and
+    without the byte-order mark some editors write."""
+    if path != "-":
+        with open(path, "rb", buffering=0) as fh:
+            data = fh.readall()
+    elif sys.stdin is None:  # started with stdin closed
+        raise OSError("stdin is closed")
     else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    return text.removeprefix("\ufeff")  # the byte-order mark some editors write
+        data = sys.stdin.buffer.read()
+    text = data.decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removeprefix("\ufeff")
 
 
 def _dot_listing(graph: FlowGraph, cf_edges, df_edges) -> list[str]:
@@ -59,19 +60,13 @@ def _json_text(analysis: Analysis) -> str:
 
     Each node object is one f-string; `_value_` is the kind's plain string,
     read without the enum's `value` property. A label goes between quotes as
-    it is when every label of the document is printable ASCII without `"` or
-    `\\`, as every parsed program's are; otherwise each is escaped as `json`
-    escapes it. An edge or a def/use list holds only ints, whose `str` is JSON.
+    it is: the parser builds labels only from ASCII identifiers, decimal
+    integers, operators and fixed words, so no label needs an escape. An
+    edge or a def/use list holds only ints, whose `str` is JSON.
     """
     nodes = analysis.graph.nodes
-    txts = [n.txt for n in nodes]
-    labels = "".join(txts)
-    if not (labels.isascii() and labels.isprintable()) or '"' in labels or "\\" in labels:
-        from json.encoder import encode_basestring_ascii
-
-        txts = [encode_basestring_ascii(txt)[1:-1] for txt in txts]
-    node_list = ", ".join([f'{{"id": {n.id}, "kind": "{n.kind._value_}", "txt": "{txt}"}}'
-                           for n, txt in zip(nodes, txts)])
+    node_list = ", ".join([f'{{"id": {n.id}, "kind": "{n.kind._value_}", "txt": "{n.txt}"}}'
+                           for n in nodes])
     cf_edges = ", ".join([f"[{src}, {dst}]" for src, dst in analysis.cf.edges()])
     df_edges = ", ".join([f"[{src}, {dst}]" for src, dst in analysis.df.edges()])
     du = analysis.def_use
@@ -223,6 +218,9 @@ def _parse_args(argv: list[str]) -> tuple[str, str, dict[str, str]]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if sys.stdout is None:  # started with stdout closed: nowhere to write
+        print("fg: error: stdout is closed", file=sys.stderr)
+        return 2
     if "-h" in argv or "--help" in argv:
         print(_HELP, end="")
         return 0

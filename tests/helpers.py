@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import io
+import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 from flowgraphs.cli import main as cli_main
 from flowgraphs.errors import FlowgraphsError
 from flowgraphs.minijava import parse_program
+from flowgraphs.model import FlowGraph
 
 import progen
 import ref_parser
@@ -23,13 +25,17 @@ GOLDEN_DIR = TESTS_DIR / "golden"
 CORPUS = sorted(CORPUS_DIR.glob("*.mj"))
 
 
-def run_cli(args: list[str], stdin_text: str | None = None) -> tuple[int, str, str]:
-    """Run the fg CLI in-process; returns (exit code, stdout, stderr)."""
+def run_cli(args: list[str], stdin_text: str | bytes | None = None) -> tuple[int, str, str]:
+    """Run the fg CLI in-process; returns (exit code, stdout, stderr).
+
+    Text for stdin is given to it UTF-8 encoded, bytes as they are.
+    """
     out, err = io.StringIO(), io.StringIO()
     old_stdin = sys.stdin
     if stdin_text is not None:
+        data = stdin_text if isinstance(stdin_text, bytes) else stdin_text.encode()
         # Byte-backed, as a real stdin is, so `fg` reads it as it reads a file
-        sys.stdin = io.TextIOWrapper(io.BytesIO(stdin_text.encode()), encoding="utf-8")
+        sys.stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = cli_main(args)
@@ -49,6 +55,16 @@ def random_sources() -> tuple[str, ...]:
 def jump_sources() -> tuple[str, ...]:
     """2,000 `progen.gen_jumps` programs of up to 60 statements."""
     return tuple(progen.gen_jumps(seed, max_stmts=10 + seed % 51) for seed in range(2000))
+
+
+# Printable ASCII but `"` and `\`: the characters the parser builds labels
+# from, which `fg --json` writes between quotes as they are.
+_LABEL_TEXT = re.compile(r'[ !#-\[\]-~]*')
+
+
+def assert_labels_need_no_escape(graph: FlowGraph) -> None:
+    """Every label of `graph` is printable ASCII without `"` or `\\`."""
+    assert [node.txt for node in graph.nodes if not _LABEL_TEXT.fullmatch(node.txt)] == []
 
 
 def golden(name: str) -> str:

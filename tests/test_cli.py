@@ -17,7 +17,7 @@ from flowgraphs.pipeline import Analysis, analyze
 
 import progen
 import ref_walks
-from helpers import CORPUS, CORPUS_DIR, TESTS_DIR, golden, jump_sources, random_sources, run_cli
+from helpers import CORPUS, CORPUS_DIR, TESTS_DIR, golden, random_sources, run_cli
 
 EX01 = str(CORPUS_DIR / "ex01_min.mj")
 EX02 = str(CORPUS_DIR / "ex02_straight.mj")
@@ -199,47 +199,43 @@ def test_json_matches_reference_on_random_programs():
         assert_json_matches_reference(source)
 
 
+def hand_built_analysis(method: str, exit_txt: str, labels: list[str], var: str) -> Analysis:
+    """A straight-line method of one simple statement per label, with one
+    variable that the first and third statements define and the fourth and
+    fifth use."""
+    first = 2
+    nodes = [FlowNode(0, NodeKind.METHOD, method, stmts=list(range(first, first + len(labels))),
+                      exit=1, vars=[first + len(labels)]),
+             FlowNode(1, NodeKind.EXIT, exit_txt)]
+    nodes += [FlowNode(first + k, NodeKind.SIMPLE, label) for k, label in enumerate(labels)]
+    var_id = len(nodes)
+    nodes.append(FlowNode(var_id, NodeKind.VAR, var))
+    graph = FlowGraph(nodes)
+    # Keys out of id order: the document sorts them.
+    du = DefUseAttr(defs={first + 2: [var_id], first: [var_id]},
+                    uses={first + 4: [var_id], first + 3: [var_id]})
+    cf = ref_walks.compute_cf_edges(graph)
+    return Analysis(graph, cf, du, compute_data_flow(graph, cf, du))
+
+
 def escaping_analysis() -> Analysis:
     """A hand-built analysis whose labels mini-Java cannot produce: quotes,
     backslashes, control characters, non-ASCII text and a lone surrogate."""
     labels = ['say "hi";', "a\\b;", "tab\t nul\x00 bell\x07 del\x7f;", "caf\u00e9 \u2211 \U0001f600;",
               "\u2028 \ud800 </script>;"]
-    first = 2
-    nodes = [FlowNode(0, NodeKind.METHOD, 'm"()', stmts=list(range(first, first + len(labels))),
-                      exit=1, vars=[first + len(labels)]),
-             FlowNode(1, NodeKind.EXIT, "EXIT \\ \"")]
-    nodes += [FlowNode(first + k, NodeKind.SIMPLE, label) for k, label in enumerate(labels)]
-    var = len(nodes)
-    nodes.append(FlowNode(var, NodeKind.VAR, "v\u00e9\\"))
-    graph = FlowGraph(nodes)
-    # Keys out of id order: the document sorts them.
-    du = DefUseAttr(defs={first + 2: [var], first: [var]}, uses={first + 4: [var], first + 3: [var]})
-    cf = ref_walks.compute_cf_edges(graph)
-    return Analysis(graph, cf, du, compute_data_flow(graph, cf, du))
+    return hand_built_analysis('m"()', "EXIT \\ \"", labels, "v\u00e9\\")
 
 
-def test_json_escapes_labels_as_json_dumps_does():
-    analysis = escaping_analysis()
+def test_json_matches_json_dumps_on_a_hand_built_graph():
+    # Labels in the alphabet the parser writes (printable ASCII without `"`
+    # or `\`), but none that it would write.
+    labels = ["say hi;", "a <b> c;", "{ }[ ]#'~;", "x = 1 + -2;", "!?@$%^&*;"]
+    analysis = hand_built_analysis("m ( )", "EXIT", labels, "v_1")
     assert analysis.df.edges()
     assert _json_text(analysis) == json.dumps(ref_walks.json_doc(analysis, True))
     # `fg cfg` writes an analysis with empty def/use and data-flow tables.
     control_flow = Analysis(analysis.graph, analysis.cf, DefUseAttr(), DfEdgeTable())
     assert _json_text(control_flow) == json.dumps(ref_walks.json_doc(analysis, False))
-
-
-def test_parsed_labels_need_no_json_escape(monkeypatch):
-    # `_json_text` escapes labels only for a document that needs it, which no
-    # parsed program's does. Were one to, every document would be escaped.
-    def escape(text):
-        raise AssertionError(f"escaped {text!r}")
-
-    monkeypatch.setattr(json.encoder, "encode_basestring_ascii", escape)
-    sources = [*(path.read_text() for path in CORPUS), *random_sources(), *jump_sources(),
-               *(build(200) for build in progen.SHAPES.values())]
-    for source in sources:
-        _json_text(analyze(source))
-    with pytest.raises(AssertionError, match="escaped"):
-        _json_text(escaping_analysis())
 
 
 def test_dot_quotes_ids_and_labels_as_validate_does():
@@ -321,6 +317,52 @@ def test_stdin_reads_as_a_file_whatever_the_locale(tmp_path, data, code):
     by_path = fg(str(program), b"")
     assert by_path[0] == code
     assert fg("-", data) == by_path
+
+
+LF_PROGRAM = "int m(int a) {\n  int x = a;\n  return x;\n}\n"
+
+
+@pytest.mark.parametrize("data,expected", [
+    (LF_PROGRAM.replace("\n", "\r\n").encode(), None),  # None: as LF_PROGRAM reads
+    (LF_PROGRAM.replace("\n", "\r").encode(), None),
+    (BOM.encode() + LF_PROGRAM.replace("\n", "\r\n").encode(), None),
+    (b"int m() {\r  return y;\r\n}", (2, "", "fg: error: 2:10: undeclared variable 'y'\n")),
+    (b"", (2, "", "fg: error: 1:1: expected 'int', found end of input\n")),
+    (b"int m() { return; } // \xff\n",
+     (2, "", "fg: error: 'utf-8' codec can't decode byte 0xff in position 23: invalid start byte\n")),
+], ids=["CRLF", "lone CR", "byte-order mark then CRLF", "error after a lone CR", "empty",
+        "invalid byte"])
+def test_file_and_stdin_read_alike(tmp_path, data, expected):
+    # Each is read as bytes and decoded once: UTF-8, universal newlines, no
+    # leading byte-order mark.
+    program = tmp_path / "program.mj"
+    program.write_bytes(data)
+    if expected is None:
+        expected = run_cli(["dfg", "-"], LF_PROGRAM)
+        assert expected[0] == 0
+    assert run_cli(["dfg", str(program)]) == expected
+    assert run_cli(["dfg", "-"], data) == expected
+
+
+def test_directory_exit_2(tmp_path):
+    assert run_cli(["cfg", str(tmp_path)]) == (
+        2, "", f"fg: error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
+
+@pytest.mark.parametrize("argv,redirect,stream", [
+    (["cfg", "-"], "<&-", "stdin"),
+    (["validate", EX01, "--spec", "-"], "<&-", "stdin"),
+    (["cfg", EX01], ">&-", "stdout"),
+    (["dfg", EX01, "--json"], ">&-", "stdout"),
+    (["validate", EX01, "--emit"], ">&-", "stdout"),
+])
+def test_closed_standard_stream_exits_2(argv, redirect, stream):
+    # The shell starts `fg` with the stream closed, which Python sets to None.
+    script = f'exec "$0" -m flowgraphs "$@" {redirect}'
+    proc = subprocess.run(["sh", "-c", script, sys.executable, *argv], capture_output=True,
+                          env=fresh_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, b"", f"fg: error: {stream} is closed\n".encode())
 
 
 def test_stdin_input():

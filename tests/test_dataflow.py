@@ -7,7 +7,7 @@ from flowgraphs.model import NodeKind
 from flowgraphs.pipeline import analyze
 
 import progen
-from helpers import CORPUS, jump_sources, random_sources
+from helpers import CORPUS, assert_labels_need_no_escape, jump_sources, random_sources
 from oracle import bfs_data_flow, brute_force_df_edges
 
 
@@ -128,6 +128,7 @@ def test_edge_table_is_deduplicated():
     ]
     for source in sources:
         a = analyze(source)
+        assert_labels_need_no_escape(a.graph)
         for table in (a.cf.cf_next, a.cf.cf_prev, a.def_use.defs, a.def_use.uses, a.df.df_next):
             for targets in table.values():
                 assert targets and len(targets) == len(set(targets)), source
@@ -136,6 +137,7 @@ def test_edge_table_is_deduplicated():
 def block_vs_bfs(source):
     """(edges, df_next, warnings) from the block-level search, then from the node-level BFS."""
     a = analyze(source)
+    assert_labels_need_no_escape(a.graph)
     ref = bfs_data_flow(a.graph, a.cf, a.def_use)
     return [(t.edges(), t.df_next, t.warnings) for t in (a.df, ref)]
 

@@ -27,6 +27,7 @@ import ref_parser
 import ref_walks
 from helpers import (
     CORPUS,
+    assert_labels_need_no_escape,
     assert_matches_reference,
     first_statement,
     graph_of,
@@ -905,11 +906,13 @@ def test_labels_and_sets_match_reference():
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(mini_java_text, edited_programs()))
 @example("int m(int a, int b) { { int a = a++ + b; a = b = a-- * (a + 1); } return ((a)) == 007; }")
+@example("int m() { return \u0663 + 007; }")  # a label writes each number in ASCII digits
 def test_labels_and_sets_match_reference_on_any_text(source):
     try:
         graph, _, du = parse_program(source)
     except FlowgraphsError:
         return
+    assert_labels_need_no_escape(graph)
     assert_labels_and_sets_match_reference(graph, du, ref_parser.parse_program(source))
 
 
